@@ -39,6 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
+        if args.seed < 0:
+            raise UsageError("'seed' must be an integer >= 0")
         scenario = dataclasses.replace(scenario, seed=args.seed)
     if args.samples is not None:
         if args.samples < 1:

@@ -7,6 +7,10 @@ stencils, which keeps the nested Navier-Stokes check inside its (looser)
 tolerance budget.
 
 Jacobians follow the package convention J[k, i] = d v_i / d x_k.
+
+Operators take points x' (..., 3) and times t (...) and call the field once,
+with the stencil offsets as extra axes of the points (or times); t keeps one
+entry per sample, so an observed field builds its frame state per sample.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor_core as tc
 from .errors import UsageError
 
 _AXES = np.eye(3)
@@ -37,99 +42,108 @@ class FdConfig:
 DEFAULT_FD = FdConfig()
 
 
-def _central_samples(f, h, order):
-    """Central first derivative of a callable of one offset argument."""
+# Central first-derivative offsets, in units of the step.
+_OFFSETS = {2: np.array([1.0, -1.0]), 4: np.array([2.0, 1.0, -1.0, -2.0])}
+
+# Order-2 second-derivative stencil, in units of h: the centre, +-e_a for
+# each axis, then +e_a+e_b, +e_a-e_b, -e_a+e_b, -e_a-e_b for each pair a < b.
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_HESS_OFFSETS = np.array(
+    [np.zeros(3)] + [s * e for e in _AXES for s in (1.0, -1.0)]
+    + [sa * _AXES[a] + sb * _AXES[b] for a, b in _PAIRS
+       for sa, sb in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))])
+
+
+def _central(f, h, order):
+    """First derivative from samples f[j] taken at offsets _OFFSETS[order][j] * h."""
     if order == 2:
-        return (np.asarray(f(h), dtype=float) - np.asarray(f(-h), dtype=float)) / (2.0 * h)
-    fp2 = np.asarray(f(2.0 * h), dtype=float)
-    fp1 = np.asarray(f(h), dtype=float)
-    fm1 = np.asarray(f(-h), dtype=float)
-    fm2 = np.asarray(f(-2.0 * h), dtype=float)
-    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+        return (f[0] - f[1]) / (2.0 * h)
+    return (-f[0] + 8.0 * f[1] - 8.0 * f[2] + f[3]) / (12.0 * h)
 
 
-def fd_jacobian(field, x_prime, t: float, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
-    """J[k, i] ~= d field_i / d x'_k by central differences."""
-    x0 = np.asarray(x_prime, dtype=float)
-    j = np.empty((3, 3))
-    for k in range(3):
-        e = _AXES[k]
-        j[k, :] = _central_samples(lambda s: field(x0 + s * e, t), cfg.h, cfg.order)
-    return j
+def _broadcast(x_prime, t):
+    """Points (..., 3) and times (...) broadcast to one batch shape."""
+    x, t = np.asarray(x_prime, dtype=float), np.asarray(t, dtype=float)
+    batch = np.broadcast_shapes(x.shape[:-1], t.shape)
+    return np.broadcast_to(x, batch + (3,)), np.broadcast_to(t, batch)
 
 
-def fd_gradient(field, x_prime, t: float, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
-    """Gradient of a scalar observed field by central differences."""
-    x0 = np.asarray(x_prime, dtype=float)
-    g = np.empty(3)
-    for k in range(3):
-        e = _AXES[k]
-        g[k] = _central_samples(lambda s: field(x0 + s * e, t), cfg.h, cfg.order)
-    return g
+def _spatial_derivative(field, x_prime, t, cfg):
+    """d field / d x'_k by central differences, k on the axis after the batch."""
+    x, t = _broadcast(x_prime, t)
+    steps = cfg.h * _OFFSETS[cfg.order]
+    # Points (..., k, n, 3): axis k, stencil offset n.
+    points = x[..., None, None, :] + _AXES[:, None, :] * steps[:, None]
+    f = field(points, t[..., None, None])
+    return _central(np.moveaxis(f, x.ndim, 0), cfg.h, cfg.order)
 
 
-def fd_time_derivative(field, x_prime, t: float, cfg: FdConfig = DEFAULT_FD):
+def fd_jacobian(field, x_prime, t, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
+    """J[..., k, i] ~= d field_i / d x'_k by central differences."""
+    return _spatial_derivative(field, x_prime, t, cfg)
+
+
+def fd_gradient(field, x_prime, t, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
+    """Gradient (..., 3) of a scalar observed field by central differences."""
+    return _spatial_derivative(field, x_prime, t, cfg)
+
+
+def fd_time_derivative(field, x_prime, t, cfg: FdConfig = DEFAULT_FD):
     """Eulerian time derivative at fixed observed coordinates."""
-    x0 = np.asarray(x_prime, dtype=float)
-    return _central_samples(lambda s: field(x0, t + s), cfg.h_t, cfg.order)
+    x, t = _broadcast(x_prime, t)
+    f = field(x[..., None, :], t[..., None] + cfg.h_t * _OFFSETS[cfg.order])
+    return _central(np.moveaxis(f, x.ndim - 1, 0), cfg.h_t, cfg.order)
 
 
-def fd_second_derivatives(field, x_prime, t: float,
+def fd_second_derivatives(field, x_prime, t,
                           cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
-    """All second derivatives H[a, b, i] ~= d^2 field_i / dx'_a dx'_b.
+    """All second derivatives H[..., a, b, i] ~= d^2 field_i / dx'_a dx'_b.
 
     Order-2 stencils; symmetric in (a, b) by construction.
     """
-    x0 = np.asarray(x_prime, dtype=float)
+    x, t = _broadcast(x_prime, t)
     h = cfg.h
-    f0 = np.asarray(field(x0, t), dtype=float)
-    hess = np.empty((3, 3) + f0.shape)
+    f = np.moveaxis(field(x[..., None, :] + h * _HESS_OFFSETS, t[..., None]),
+                    x.ndim - 1, 0)
+    hess = np.empty((3, 3) + f.shape[1:])
     for a in range(3):
-        ea = _AXES[a]
-        fp = np.asarray(field(x0 + h * ea, t), dtype=float)
-        fm = np.asarray(field(x0 - h * ea, t), dtype=float)
-        hess[a, a] = (fp - 2.0 * f0 + fm) / (h * h)
-    for a in range(3):
-        for b in range(a + 1, 3):
-            ea, eb = _AXES[a], _AXES[b]
-            fpp = np.asarray(field(x0 + h * ea + h * eb, t), dtype=float)
-            fpm = np.asarray(field(x0 + h * ea - h * eb, t), dtype=float)
-            fmp = np.asarray(field(x0 - h * ea + h * eb, t), dtype=float)
-            fmm = np.asarray(field(x0 - h * ea - h * eb, t), dtype=float)
-            hess[a, b] = hess[b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-    return hess
+        hess[a, a] = (f[1 + 2 * a] - 2.0 * f[0] + f[2 + 2 * a]) / (h * h)
+    for p, (a, b) in enumerate(_PAIRS):
+        fpp, fpm, fmp, fmm = f[7 + 4 * p: 11 + 4 * p]
+        hess[a, b] = hess[b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    return np.moveaxis(hess, (0, 1), (x.ndim - 1, x.ndim))
 
 
-def fd_viscous_divergence(field, x_prime, t: float,
+def fd_viscous_divergence(field, x_prime, t,
                           cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
     """div(grad V + (grad V)^T) of a vector observed field, nested FD."""
     hess = fd_second_derivatives(field, x_prime, t, cfg)
     # component i: sum_k d_k d_k V_i + d_i d_k V_k
-    lap = np.einsum("kki->i", hess)
-    grad_div = np.einsum("ikk->i", hess)
+    lap = np.einsum("...kki->...i", hess)
+    grad_div = np.einsum("...ikk->...i", hess)
     return lap + grad_div
 
 
-def divergence(j) -> float:
+def divergence(j) -> np.ndarray:
     """trace of the velocity gradient."""
-    return float(np.trace(np.asarray(j, dtype=float)))
+    return np.trace(np.asarray(j, dtype=float), axis1=-2, axis2=-1)
 
 
 def curl(j) -> np.ndarray:
-    """Curl from a Jacobian with J[k, i] = d_k v_i."""
+    """Curl from a Jacobian with J[..., k, i] = d_k v_i."""
     j = np.asarray(j, dtype=float)
-    return np.array([j[1, 2] - j[2, 1],
-                     j[2, 0] - j[0, 2],
-                     j[0, 1] - j[1, 0]])
+    return np.stack([j[..., 1, 2] - j[..., 2, 1],
+                     j[..., 2, 0] - j[..., 0, 2],
+                     j[..., 0, 1] - j[..., 1, 0]], axis=-1)
 
 
 def strain_rate(j) -> np.ndarray:
     """Symmetric part of the velocity gradient."""
     j = np.asarray(j, dtype=float)
-    return 0.5 * (j + j.T)
+    return 0.5 * (j + tc.transpose(j))
 
 
-def substantial_derivative(field, advecting, x, t: float,
+def substantial_derivative(field, advecting, x, t,
                            cfg: FdConfig = DEFAULT_FD,
                            d_dt=None, jac=None) -> np.ndarray:
     """Material derivative d(field)/dt following the advecting velocity.
@@ -138,10 +152,7 @@ def substantial_derivative(field, advecting, x, t: float,
     the operator acts componentwise on scalars, never on basis vectors.
     Optional analytic callbacks replace the finite-difference pieces.
     """
-    x = np.asarray(x, dtype=float)
-    dt_part = np.asarray(d_dt(x, t) if d_dt is not None
-                         else fd_time_derivative(field, x, t, cfg), dtype=float)
-    j = np.asarray(jac(x, t) if jac is not None
-                   else fd_jacobian(field, x, t, cfg), dtype=float)
-    u = np.asarray(advecting(x, t), dtype=float)
-    return dt_part + j.T @ u
+    dt_part = (d_dt(x, t) if d_dt is not None
+               else fd_time_derivative(field, x, t, cfg))
+    j = jac(x, t) if jac is not None else fd_jacobian(field, x, t, cfg)
+    return dt_part + tc.matvec(tc.transpose(j), advecting(x, t))

@@ -7,6 +7,10 @@ convention J[k, i] = d v_i / d x_k (derivative direction on the row).
 Fields are steady by default; a modulation factor (1 + mod_amp *
 sin(mod_freq * t)) multiplies the whole field so the Eulerian time terms
 of substantial derivatives are exercised with nonzero values.
+
+Every callable takes points x of shape (..., 3) and times t of shape (...),
+broadcast against each other, and returns one value per point: (...) for
+scalars, (..., 3) for vectors and (..., 3, 3) for Jacobians.
 """
 
 from __future__ import annotations
@@ -25,19 +29,19 @@ from .frames import RigidFrameMotion, observed_velocity
 class FlowField:
     """Analytic velocity field with exact space and time derivatives."""
     name: str
-    velocity: Callable    # (x, t) -> (3,)  [m/s]
-    jacobian: Callable    # (x, t) -> (3,3) with J[k,i] = d v_i / d x_k  [1/s]
-    dv_dt: Callable       # (x, t) -> (3,)  Eulerian time derivative [m/s^2]
-    visc_div: Callable    # (x, t) -> (3,)  div(grad v + (grad v)^T)  [m/s per m^2]
+    velocity: Callable    # (x, t) -> (..., 3)  [m/s]
+    jacobian: Callable    # (x, t) -> (..., 3, 3), J[k,i] = d v_i / d x_k  [1/s]
+    dv_dt: Callable       # (x, t) -> (..., 3)  Eulerian time derivative [m/s^2]
+    visc_div: Callable    # (x, t) -> (..., 3)  div(grad v + (grad v)^T)  [m/s per m^2]
 
 
 @dataclass(frozen=True)
 class ScalarField:
     """Analytic scalar field (temperature, pressure) with exact derivatives."""
     name: str
-    value: Callable       # (x, t) -> float
-    gradient: Callable    # (x, t) -> (3,)
-    dT_dt: Callable       # (x, t) -> float
+    value: Callable       # (x, t) -> (...)
+    gradient: Callable    # (x, t) -> (..., 3)
+    dT_dt: Callable       # (x, t) -> (...)
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,7 @@ class ObservedVectorField:
     frame: RigidFrameMotion
     flow: FlowField
 
-    def __call__(self, x_prime, t: float) -> np.ndarray:
+    def __call__(self, x_prime, t) -> np.ndarray:
         return observed_velocity(self.frame, self.flow, x_prime, t)
 
 
@@ -56,10 +60,9 @@ class ObservedScalarField:
     frame: RigidFrameMotion
     scalar: ScalarField
 
-    def __call__(self, x_prime, t: float) -> float:
+    def __call__(self, x_prime, t) -> np.ndarray:
         st = self.frame.state(t)
-        x = st.alpha @ tc.vec3(x_prime) + st.y
-        return self.scalar.value(x, t)
+        return self.scalar.value(tc.matvec(st.alpha, tc.vec3(x_prime, batch=True)) + st.y, t)
 
 
 def pull_back_velocity(frame: RigidFrameMotion, flow: FlowField) -> ObservedVectorField:
@@ -77,30 +80,36 @@ def pull_back_scalar(frame: RigidFrameMotion, scalar: ScalarField) -> ObservedSc
 # --------------------------------------------------------------------------
 
 def _modulation(mod_amp: float, mod_freq: float):
-    if mod_amp == 0.0:
-        return (lambda t: 1.0), (lambda t: 0.0)
-    return (lambda t: 1.0 + mod_amp * np.sin(mod_freq * t),
-            lambda t: mod_amp * mod_freq * np.cos(mod_freq * t))
+    """m(t) and its rate; exactly 1 and 0 when mod_amp is 0."""
+    return (lambda t: 1.0 + mod_amp * np.sin(mod_freq * np.asarray(t, dtype=float)),
+            lambda t: mod_amp * mod_freq * np.cos(mod_freq * np.asarray(t, dtype=float)))
+
+
+def _per_point(scale, value, x, tail=(3,)) -> np.ndarray:
+    """scale (...) times value broadcast to one tail-shaped entry per point."""
+    scale = np.asarray(scale)
+    return (scale.reshape(scale.shape + (1,) * len(tail))
+            * np.broadcast_to(value, np.shape(x)[:-1] + tail))
 
 
 def _steady_flow(name, v0, j0, visc0, mod_amp, mod_freq) -> FlowField:
-    """Lift steady closed forms to a (possibly time-modulated) FlowField."""
+    """Lift steady closed forms (constants allowed) to a time-modulated field."""
     m, dm = _modulation(float(mod_amp), float(mod_freq))
     return FlowField(
         name=name,
-        velocity=lambda x, t: m(t) * v0(x),
-        jacobian=lambda x, t: m(t) * j0(x),
-        dv_dt=lambda x, t: dm(t) * v0(x),
-        visc_div=lambda x, t: m(t) * visc0(x))
+        velocity=lambda x, t: _per_point(m(t), v0(x), x),
+        jacobian=lambda x, t: _per_point(m(t), j0(x), x, (3, 3)),
+        dv_dt=lambda x, t: _per_point(dm(t), v0(x), x),
+        visc_div=lambda x, t: _per_point(m(t), visc0(x), x))
 
 
 def _steady_scalar(name, f0, g0, mod_amp, mod_freq) -> ScalarField:
     m, dm = _modulation(float(mod_amp), float(mod_freq))
     return ScalarField(
         name=name,
-        value=lambda x, t: m(t) * f0(x),
-        gradient=lambda x, t: m(t) * g0(x),
-        dT_dt=lambda x, t: dm(t) * f0(x))
+        value=lambda x, t: _per_point(m(t), f0(x), x, ()),
+        gradient=lambda x, t: _per_point(m(t), g0(x), x),
+        dT_dt=lambda x, t: _per_point(dm(t), f0(x), x, ()))
 
 
 def uniform_flow(velocity=(1.0, 0.0, 0.0), mod_amp=0.0, mod_freq=1.0) -> FlowField:
@@ -114,14 +123,11 @@ def uniform_flow(velocity=(1.0, 0.0, 0.0), mod_amp=0.0, mod_freq=1.0) -> FlowFie
 def shear_flow(rate=3.0, mod_amp=0.0, mod_freq=1.0) -> FlowField:
     """Plane shear v = (rate * x2, 0, 0)."""
     g = float(rate)
-
-    def j0(x):
-        j = np.zeros((3, 3))
-        j[1, 0] = g              # d v_1 / d x_2
-        return j
-
-    return _steady_flow("shear", lambda x: np.array([g * x[1], 0.0, 0.0]),
-                        j0, lambda x: np.zeros(3), mod_amp, mod_freq)
+    j = np.zeros((3, 3))
+    j[1, 0] = g                  # d v_1 / d x_2
+    # Linear, so v_i = x_k J[k, i].
+    return _steady_flow("shear", lambda x: np.asarray(x, dtype=float) @ j,
+                        lambda x: j, lambda x: np.zeros(3), mod_amp, mod_freq)
 
 
 def rigid_rotation_flow(omega=(0.0, 0.0, 2.0), mod_amp=0.0, mod_freq=1.0) -> FlowField:
@@ -137,18 +143,18 @@ def taylor_green_flow(amplitude=1.0, wavenumber=1.0, mod_amp=0.0, mod_freq=1.0) 
     a, k = float(amplitude), float(wavenumber)
 
     def v0(x):
-        return np.array([a * np.cos(k * x[0]) * np.sin(k * x[1]),
-                         -a * np.sin(k * x[0]) * np.cos(k * x[1]),
-                         0.0])
+        return np.stack([a * np.cos(k * x[..., 0]) * np.sin(k * x[..., 1]),
+                         -a * np.sin(k * x[..., 0]) * np.cos(k * x[..., 1]),
+                         np.zeros(np.shape(x)[:-1])], axis=-1)
 
     def j0(x):
-        s1, c1 = np.sin(k * x[0]), np.cos(k * x[0])
-        s2, c2 = np.sin(k * x[1]), np.cos(k * x[1])
-        j = np.zeros((3, 3))
-        j[0, 0] = -a * k * s1 * s2    # d v_1 / d x_1
-        j[1, 0] = a * k * c1 * c2     # d v_1 / d x_2
-        j[0, 1] = -a * k * c1 * c2    # d v_2 / d x_1
-        j[1, 1] = a * k * s1 * s2     # d v_2 / d x_2
+        s1, c1 = np.sin(k * x[..., 0]), np.cos(k * x[..., 0])
+        s2, c2 = np.sin(k * x[..., 1]), np.cos(k * x[..., 1])
+        j = np.zeros(np.shape(x)[:-1] + (3, 3))
+        j[..., 0, 0] = -a * k * s1 * s2    # d v_1 / d x_1
+        j[..., 1, 0] = a * k * c1 * c2     # d v_1 / d x_2
+        j[..., 0, 1] = -a * k * c1 * c2    # d v_2 / d x_1
+        j[..., 1, 1] = a * k * s1 * s2     # d v_2 / d x_2
         return j
 
     # Divergence-free, so div(grad v + grad v^T) reduces to the Laplacian.
@@ -176,11 +182,11 @@ def gaussian_scalar(amplitude=1.0, width=0.8, center=(0.0, 0.0, 0.0),
 
     def f0(x):
         r = np.asarray(x, dtype=float) - c
-        return a * np.exp(-0.5 * float(r @ r) / (w * w))
+        return a * np.exp(-0.5 * np.sum(r * r, axis=-1) / (w * w))
 
     def g0(x):
         r = np.asarray(x, dtype=float) - c
-        return -f0(x) / (w * w) * r
+        return -f0(x)[..., None] / (w * w) * r
 
     return _steady_scalar("gaussian_T", f0, g0, mod_amp, mod_freq)
 
@@ -190,7 +196,7 @@ def linear_scalar(coeffs=(1.0, -2.0, 0.5), offset=0.0,
     """Affine scalar T = coeffs . x + offset with constant gradient."""
     c = tc.vec3(coeffs)
     b = float(offset)
-    return _steady_scalar("linear_T", lambda x: float(c @ np.asarray(x, dtype=float)) + b,
+    return _steady_scalar("linear_T", lambda x: np.asarray(x, dtype=float) @ c + b,
                           lambda x: c, mod_amp, mod_freq)
 
 

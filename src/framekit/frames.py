@@ -14,6 +14,7 @@ omega = axial-vector of M (M[i,k] = eps_ijk omega_j).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,12 +40,9 @@ class AngularVelocity:
 
 @dataclass(frozen=True)
 class FrameState:
-    """Validated kinematic snapshot of a frame at one instant.
-
-    Cached per time value: stencil evaluations hit the same t thousands
-    of times, and validating/re-deriving the rotation each time dominates
-    the cost of every check otherwise.
-    """
+    """Validated kinematics of a frame at times t of shape (...): alpha and
+    dalpha of shape (..., 3, 3); y, dy and omega of shape (..., 3).  Not
+    cached: a check asks for all its samples in one call."""
     alpha: np.ndarray
     dalpha: np.ndarray
     y: np.ndarray
@@ -52,16 +50,31 @@ class FrameState:
     omega: np.ndarray
 
 
+def _batched(value, t, tail: tuple) -> np.ndarray:
+    """A frame callable's output, validated and broadcast to t's shape + tail."""
+    a = tc.vec3(value, batch=True) if tail == (3,) else tc.mat3(value)
+    return np.broadcast_to(a, np.shape(t) + tail)
+
+
+def _central_rate(f, t, tail: tuple) -> np.ndarray:
+    """d f / dt by a central difference with a step relative to |t|."""
+    h = FD_TIME_STEP * np.maximum(1.0, np.abs(t))
+    df = _batched(f(t + h), t, tail) - _batched(f(t - h), t, tail)
+    return df / (2.0 * h).reshape(np.shape(h) + (1,) * len(tail))
+
+
 class RigidFrameMotion:
     """The moving frame s': trajectory, rotation, and their time derivatives.
 
-    Immutable after construction; all queries are pure.  ``alpha(t)`` is
-    validated (and re-orthonormalized if slightly drifted) on every call.
+    Immutable after construction; all queries are pure.  The callables map
+    times t (...) to (..., 3) vectors or (..., 3, 3) matrices (a constant is
+    broadcast).  ``alpha(t)`` is validated (and re-orthonormalized where
+    slightly drifted) on every call.
     """
 
     def __init__(self, name: str,
-                 y: Callable[[float], np.ndarray],
-                 alpha: Callable[[float], np.ndarray],
+                 y: Callable[[np.ndarray], np.ndarray],
+                 alpha: Callable[[np.ndarray], np.ndarray],
                  dy_dt: Optional[Callable] = None,
                  d2y_dt2: Optional[Callable] = None,
                  dalpha_dt: Optional[Callable] = None,
@@ -75,114 +88,97 @@ class RigidFrameMotion:
         self._d2alpha = d2alpha_dt2
         self.analytic_rates = dalpha_dt is not None and dy_dt is not None
         self.id_tol = ID_TOL_ANALYTIC if self.analytic_rates else ID_TOL_FD
-        self._state_cache: dict = {}
 
-    @staticmethod
-    def _h(t: float) -> float:
-        return FD_TIME_STEP * max(1.0, abs(t))
+    def y(self, t) -> np.ndarray:
+        return _batched(self._y(t), t, (3,))
 
-    def y(self, t: float) -> np.ndarray:
-        return tc.vec3(self._y(t))
+    def alpha(self, t) -> np.ndarray:
+        return tc.orthonormalized(_batched(self._alpha(t), t, (3, 3)))
 
-    def alpha(self, t: float) -> np.ndarray:
-        return tc.orthonormalized(self._alpha(t))
-
-    def dy_dt(self, t: float) -> np.ndarray:
+    def dy_dt(self, t) -> np.ndarray:
         if self._dy is not None:
-            return tc.vec3(self._dy(t))
-        h = self._h(t)
-        return (self.y(t + h) - self.y(t - h)) / (2.0 * h)
+            return _batched(self._dy(t), t, (3,))
+        return _central_rate(self._y, t, (3,))
 
-    def d2y_dt2(self, t: float) -> np.ndarray:
+    def d2y_dt2(self, t) -> np.ndarray:
         if self._d2y is not None:
-            return tc.vec3(self._d2y(t))
-        h = 1e-4 * max(1.0, abs(t))
-        return (self.y(t + h) - 2.0 * self.y(t) + self.y(t - h)) / (h * h)
+            return _batched(self._d2y(t), t, (3,))
+        h = 1e-4 * np.maximum(1.0, np.abs(t))
+        return ((self.y(t + h) - 2.0 * self.y(t) + self.y(t - h))
+                / (h * h)[..., None])
 
-    def dalpha_dt(self, t: float) -> np.ndarray:
+    def dalpha_dt(self, t) -> np.ndarray:
         if self._dalpha is not None:
-            return tc.mat3(self._dalpha(t))
-        h = self._h(t)
+            return _batched(self._dalpha(t), t, (3, 3))
         # Raw alpha samples: repairing them would perturb the difference.
-        return (tc.mat3(self._alpha(t + h)) - tc.mat3(self._alpha(t - h))) / (2.0 * h)
+        return _central_rate(self._alpha, t, (3, 3))
 
-    def d2alpha_dt2(self, t: float) -> Optional[np.ndarray]:
+    def d2alpha_dt2(self, t) -> Optional[np.ndarray]:
         if self._d2alpha is not None:
-            return tc.mat3(self._d2alpha(t))
+            return _batched(self._d2alpha(t), t, (3, 3))
         return None
 
-    def state(self, t: float) -> FrameState:
-        """Validated (alpha, dalpha, y, dy, omega) at t, memoized."""
-        cached = self._state_cache.get(t)
-        if cached is not None:
-            return cached
+    def state(self, t) -> FrameState:
+        """Validated (alpha, dalpha, y, dy, omega) at every time in t."""
+        t = np.asarray(t, dtype=float)
         alpha = self.alpha(t)
         dalpha = self.dalpha_dt(t)
-        m = dalpha @ alpha.T
-        rate = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m + m.T)) > 1e-4 * rate:
+        m = dalpha @ tc.transpose(alpha)
+        rate = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+        bad = np.abs(m + tc.transpose(m)).max(axis=(-2, -1)) > 1e-4 * rate
+        if np.any(bad):
             raise InvariantViolationError(
-                f"alpha is not evolving rigidly at t={t}")
-        st = FrameState(alpha=alpha, dalpha=dalpha, y=self.y(t),
-                        dy=self.dy_dt(t),
-                        omega=np.array([m[2, 1], m[0, 2], m[1, 0]]))
-        if len(self._state_cache) > 256:
-            self._state_cache.clear()
-        self._state_cache[t] = st
-        return st
+                f"alpha is not evolving rigidly at t={t[bad][0]}")
+        return FrameState(alpha=alpha, dalpha=dalpha, y=self.y(t),
+                          dy=self.dy_dt(t), omega=tc.axial(m))
 
 
-def spin_matrix(frame: RigidFrameMotion, t: float) -> np.ndarray:
+def spin_matrix(frame: RigidFrameMotion, t) -> np.ndarray:
     """M = d(alpha)/dt @ alpha.T; antisymmetric for a rigid rotation."""
     st = frame.state(t)
-    return st.dalpha @ st.alpha.T
+    return st.dalpha @ tc.transpose(st.alpha)
 
 
-def omega_from_alpha(frame: RigidFrameMotion, t: float,
+def omega_from_alpha(frame: RigidFrameMotion, t,
                      h: float = 1e-4) -> AngularVelocity:
-    """Angular velocity (and its rate) of the frame at time t.
+    """Angular velocity (and its rate) of the frame at times t.
 
     omega comes from the spin matrix M = alpha_dot @ alpha.T.  omega_dot
     uses the analytic second derivative of alpha when the frame provides
     one, else central differences of omega(t +/- h).
     """
-    omega = frame.state(t).omega
+    st = frame.state(t)
     d2a = frame.d2alpha_dt2(t)
     if d2a is not None:
-        alpha = frame.alpha(t)
-        da = frame.dalpha_dt(t)
-        mdot = d2a @ alpha.T + da @ da.T
-        domega = np.array([mdot[2, 1], mdot[0, 2], mdot[1, 0]])
+        mdot = d2a @ tc.transpose(st.alpha) + st.dalpha @ tc.transpose(st.dalpha)
     else:
-        wp = spin_matrix(frame, t + h)
-        wm = spin_matrix(frame, t - h)
-        md = (wp - wm) / (2.0 * h)
-        domega = np.array([md[2, 1], md[0, 2], md[1, 0]])
-    return AngularVelocity(omega=omega, domega_dt=domega)
+        mdot = (spin_matrix(frame, t + h) - spin_matrix(frame, t - h)) / (2.0 * h)
+    return AngularVelocity(omega=st.omega, domega_dt=tc.axial(mdot))
 
 
-def map_position_to_prime(frame: RigidFrameMotion, x_in_s, t: float) -> np.ndarray:
+def map_position_to_prime(frame: RigidFrameMotion, x_in_s, t) -> np.ndarray:
     """Primed components of the position relative to the moving origin."""
-    return tc.to_prime_components(tc.vec3(x_in_s) - frame.y(t), frame.alpha(t))
+    return tc.to_prime_components(tc.vec3(x_in_s, batch=True) - frame.y(t),
+                                  frame.alpha(t))
 
 
-def map_position_from_prime(frame: RigidFrameMotion, x_prime, t: float) -> np.ndarray:
+def map_position_from_prime(frame: RigidFrameMotion, x_prime, t) -> np.ndarray:
     """Inertial position of the point with primed coordinates x_prime."""
     return tc.from_prime_components(x_prime, frame.alpha(t)) + frame.y(t)
 
 
-def observed_velocity(frame: RigidFrameMotion, flow, x_prime, t: float) -> np.ndarray:
+def observed_velocity(frame: RigidFrameMotion, flow, x_prime, t) -> np.ndarray:
     """Primed components of the fluid velocity as seen from the moving frame.
 
     The observed velocity V satisfies the composition
     v = y_dot + V + omega x X (all as objective vectors); V is returned in
-    primed components.
+    primed components.  x_prime (..., 3) and t (...) broadcast; the frame
+    state is computed once per entry of t.
     """
     st = frame.state(t)
-    x_rel = st.alpha @ tc.vec3(x_prime)      # X in unprimed components
-    x = x_rel + st.y
-    v_obs = flow.velocity(x, t) - st.dy - np.cross(st.omega, x_rel)
-    return st.alpha.T @ v_obs
+    x_rel = tc.matvec(st.alpha, tc.vec3(x_prime, batch=True))  # X, unprimed
+    v_obs = flow.velocity(x_rel + st.y, t) - st.dy - np.cross(st.omega, x_rel)
+    return tc.matvec(tc.transpose(st.alpha), v_obs)
 
 
 # --------------------------------------------------------------------------
@@ -196,18 +192,17 @@ def _poly_funcs(coeffs):
         raise UsageError("polynomial coefficients must be 1-D with degree <= 3")
     c1 = npoly.polyder(c)
     c2 = npoly.polyder(c, 2)
-    return (lambda t: float(npoly.polyval(t, c)),
-            lambda t: float(npoly.polyval(t, c1)) if c1.size else 0.0,
-            lambda t: float(npoly.polyval(t, c2)) if c2.size else 0.0)
+    return (lambda t: npoly.polyval(t, c),
+            lambda t: npoly.polyval(t, c1),
+            lambda t: npoly.polyval(t, c2))
 
 
 def _vector_poly(coeffs_per_axis):
     rows = [_poly_funcs(c) for c in coeffs_per_axis]
     if len(rows) != 3:
         raise UsageError("expected polynomial coefficients for 3 axes")
-    return (lambda t: np.array([r[0](t) for r in rows]),
-            lambda t: np.array([r[1](t) for r in rows]),
-            lambda t: np.array([r[2](t) for r in rows]))
+    return tuple((lambda t, d=d: np.stack([r[d](t) for r in rows], axis=-1))
+                 for d in range(3))
 
 
 class _RotationFactor:
@@ -220,7 +215,10 @@ class _RotationFactor:
             raise UsageError("rotation axis must be nonzero")
         self.k = tc.skew(n / norm)
         self.k2 = self.k @ self.k
-        self.theta, self.dtheta, self.d2theta = _poly_funcs(angle_coeffs)
+        # Angles as (..., 1, 1), so that they scale stacks of 3x3 matrices.
+        self.theta, self.dtheta, self.d2theta = (
+            (lambda t, f=f: np.asarray(f(t))[..., None, None])
+            for f in _poly_funcs(angle_coeffs))
 
     def _r(self, th):
         return np.eye(3) + np.sin(th) * self.k + (1.0 - np.cos(th)) * self.k2
@@ -243,82 +241,62 @@ class _RotationFactor:
 
 
 def _product_rotation(factors):
-    """alpha(t) and derivatives for an ordered product of rotation factors."""
-    def alpha(t):
+    """alpha(t) and its analytic derivatives for an ordered product of
+    rotation factors, by the product rule over the factors."""
+    def product(mats):
         m = np.eye(3)
-        for f in factors:
-            m = m @ f.value(t)
+        for a in mats:
+            m = m @ a
         return m
+
+    def replaced(vals, subs):
+        return product([subs.get(j, v) for j, v in enumerate(vals)])
+
+    def alpha(t):
+        return product([f.value(t) for f in factors])
 
     def dalpha(t):
         vals = [f.value(t) for f in factors]
-        total = np.zeros((3, 3))
-        for i, f in enumerate(factors):
-            term = np.eye(3)
-            for j in range(len(factors)):
-                term = term @ (f.dt(t) if j == i else vals[j])
-            total += term
-        return total
+        return sum(replaced(vals, {i: f.dt(t)}) for i, f in enumerate(factors))
 
     def d2alpha(t):
         vals = [f.value(t) for f in factors]
         d1 = [f.dt(t) for f in factors]
-        d2 = [f.d2t(t) for f in factors]
-        n = len(factors)
-        total = np.zeros((3, 3))
-        for i in range(n):
-            term = np.eye(3)
-            for j in range(n):
-                term = term @ (d2[j] if j == i else vals[j])
-            total += term
-        for i in range(n):
-            for k in range(i + 1, n):
-                term = np.eye(3)
-                for j in range(n):
-                    if j == i or j == k:
-                        term = term @ d1[j]
-                    else:
-                        term = term @ vals[j]
-                total += 2.0 * term
+        total = sum(replaced(vals, {i: f.d2t(t)}) for i, f in enumerate(factors))
+        for i, k in combinations(range(len(factors)), 2):
+            total = total + 2.0 * replaced(vals, {i: d1[i], k: d1[k]})
         return total
 
     return alpha, dalpha, d2alpha
 
 
 _ZERO3 = np.zeros(3)
+_ZERO33 = np.zeros((3, 3))
 _EYE3 = np.eye(3)
+
+
+def _translation_frame(name, y, dy, d2y) -> RigidFrameMotion:
+    return RigidFrameMotion(name, y=y, alpha=lambda t: _EYE3, dy_dt=dy,
+                            d2y_dt2=d2y, dalpha_dt=lambda t: _ZERO33,
+                            d2alpha_dt2=lambda t: _ZERO33)
 
 
 def identity_frame() -> RigidFrameMotion:
     """The trivial frame: s' coincides with s for all time."""
-    return RigidFrameMotion(
-        "identity",
-        y=lambda t: _ZERO3, alpha=lambda t: _EYE3,
-        dy_dt=lambda t: _ZERO3, d2y_dt2=lambda t: _ZERO3,
-        dalpha_dt=lambda t: np.zeros((3, 3)),
-        d2alpha_dt2=lambda t: np.zeros((3, 3)))
+    return _translation_frame("identity", *[lambda t: _ZERO3] * 3)
 
 
 def uniform_translation(velocity) -> RigidFrameMotion:
     """Galilean frame translating at constant velocity, no rotation."""
     v = tc.vec3(velocity)
-    return RigidFrameMotion(
-        "uniform_translation",
-        y=lambda t: v * t, alpha=lambda t: _EYE3,
-        dy_dt=lambda t: v, d2y_dt2=lambda t: _ZERO3,
-        dalpha_dt=lambda t: np.zeros((3, 3)),
-        d2alpha_dt2=lambda t: np.zeros((3, 3)))
+    return _translation_frame("uniform_translation",
+                              lambda t: np.multiply.outer(t, v),
+                              lambda t: v, lambda t: _ZERO3)
 
 
 def accelerated_translation(coeffs) -> RigidFrameMotion:
     """Translation with per-axis polynomial trajectory (degree <= 3)."""
-    y, dy, d2y = _vector_poly(coeffs)
-    return RigidFrameMotion(
-        "accelerated_translation",
-        y=y, alpha=lambda t: _EYE3,
-        dy_dt=dy, d2y_dt2=d2y,
-        dalpha_dt=lambda t: np.zeros((3, 3)),
-        d2alpha_dt2=lambda t: np.zeros((3, 3)))
+    return _translation_frame("accelerated_translation", *_vector_poly(coeffs))
 
 
 def _rotation_frame(name, factors, y=None, dy=None, d2y=None) -> RigidFrameMotion:
@@ -349,7 +327,8 @@ def screw(axis, rate: float, velocity) -> RigidFrameMotion:
     v = tc.vec3(velocity)
     return _rotation_frame(
         "screw", [_RotationFactor(axis, [0.0, float(rate)])],
-        y=lambda t: v * t, dy=lambda t: v, d2y=lambda t: _ZERO3)
+        y=lambda t: np.multiply.outer(t, v), dy=lambda t: v,
+        d2y=lambda t: _ZERO3)
 
 
 FRAME_CATALOG = {

@@ -1,6 +1,7 @@
 """Frame-invariance verification checks and stress/traction machinery.
 
-Each check samples seeded (x, t) pairs, evaluates one identity relating
+Each check samples seeded (x, t) pairs and evaluates, over all N at once
+as (N, ...) arrays, one identity relating
 inertial-frame analytic derivatives to finite differences of the observed
 (pulled-back) field, and reports residual statistics.  Invariant
 quantities (velocity divergence, scalar gradients, strain rate) must
@@ -71,7 +72,7 @@ class CheckResult:
 @dataclass(frozen=True)
 class StressState:
     """Cauchy stress produced by the Newtonian constitutive law."""
-    p: float                 # [Pa]
+    p: np.ndarray            # [Pa], one value per stress
     mu: float                # [Pa s]
     tau: np.ndarray          # [Pa], components in the frame of the input J
 
@@ -97,7 +98,7 @@ def sample_points(box, n: int, rng: np.random.Generator):
 
 
 def _result(check_id, errs, tol, witness=None) -> CheckResult:
-    errs = np.asarray(errs, dtype=float)
+    errs = np.atleast_1d(np.asarray(errs, dtype=float))
     mx = float(np.max(errs))
     return CheckResult(check_id=check_id, samples=errs.size,
                        max_abs_err=mx, mean_abs_err=float(np.mean(errs)),
@@ -117,13 +118,10 @@ def check_divergence_invariance(frame: RigidFrameMotion, flow: FlowField,
     """div v (analytic, inertial) vs div' V (FD on the observed field)."""
     observed = pull_back_velocity(frame, flow)
     xs, ts = sample_points(box, samples, rng)
-    errs = []
-    for x, t in zip(xs, ts):
-        xp = map_position_to_prime(frame, x, t)
-        div_s = diffops.divergence(flow.jacobian(x, t))
-        div_sp = diffops.divergence(diffops.fd_jacobian(observed, xp, t, fd))
-        errs.append(abs(div_s - div_sp))
-    return _result("div_invariance", errs, tol)
+    xp = map_position_to_prime(frame, xs, ts)
+    div_s = diffops.divergence(flow.jacobian(xs, ts))
+    div_sp = diffops.divergence(diffops.fd_jacobian(observed, xp, ts, fd))
+    return _result("div_invariance", np.abs(div_s - div_sp), tol)
 
 
 def check_scalar_gradient_invariance(frame: RigidFrameMotion, scalar: ScalarField,
@@ -134,23 +132,21 @@ def check_scalar_gradient_invariance(frame: RigidFrameMotion, scalar: ScalarFiel
     """grad T transforms as an objective vector between the two frames."""
     observed = pull_back_scalar(frame, scalar)
     xs, ts = sample_points(box, samples, rng)
-    errs = []
-    for x, t in zip(xs, ts):
-        alpha = frame.alpha(t)
-        xp = map_position_to_prime(frame, x, t)
-        g_s = scalar.gradient(x, t)
-        g_sp = diffops.fd_gradient(observed, xp, t, fd)
-        errs.append(float(np.max(np.abs(alpha.T @ g_s - g_sp))))
+    alpha = frame.alpha(ts)
+    xp = map_position_to_prime(frame, xs, ts)
+    g_s = scalar.gradient(xs, ts)
+    g_sp = diffops.fd_gradient(observed, xp, ts, fd)
+    errs = np.abs(tc.matvec(tc.transpose(alpha), g_s) - g_sp).max(axis=-1)
     return _result("scalar_grad_invariance", errs, tol)
 
 
-def velocity_gradient_correction(frame: RigidFrameMotion, t: float) -> np.ndarray:
+def velocity_gradient_correction(frame: RigidFrameMotion, t) -> np.ndarray:
     """Correction matrix C[k, i] = alpha_kj d(alpha_ij)/dt.
 
     grad v (inertial components) = transformed grad' V + C.  C equals
     minus the spin matrix, so its rotational content is exactly 2*omega.
     """
-    return frame.alpha(t) @ frame.dalpha_dt(t).T
+    return frame.alpha(t) @ tc.transpose(frame.dalpha_dt(t))
 
 
 def check_velocity_gradient_relation(frame: RigidFrameMotion, flow: FlowField,
@@ -166,15 +162,13 @@ def check_velocity_gradient_relation(frame: RigidFrameMotion, flow: FlowField,
     """
     observed = pull_back_velocity(frame, flow)
     xs, ts = sample_points(box, samples, rng)
-    errs, witness = [], 0.0
-    for x, t in zip(xs, ts):
-        alpha = frame.alpha(t)
-        xp = map_position_to_prime(frame, x, t)
-        j_s = flow.jacobian(x, t)
-        j_sp = diffops.fd_jacobian(observed, xp, t, fd)
-        corr = velocity_gradient_correction(frame, t)
-        errs.append(float(np.max(np.abs(j_s - (alpha @ j_sp @ alpha.T + corr)))))
-        witness = max(witness, float(np.linalg.norm(diffops.curl(corr))))
+    alpha = frame.alpha(ts)
+    xp = map_position_to_prime(frame, xs, ts)
+    j_s = flow.jacobian(xs, ts)
+    j_sp = diffops.fd_jacobian(observed, xp, ts, fd)
+    corr = velocity_gradient_correction(frame, ts)
+    errs = np.abs(j_s - (alpha @ j_sp @ tc.transpose(alpha) + corr)).max(axis=(-2, -1))
+    witness = float(np.max(np.linalg.norm(diffops.curl(corr), axis=-1)))
     return _result("velgrad_relation", errs, tol, witness=witness)
 
 
@@ -186,13 +180,11 @@ def check_strain_rate_invariance(frame: RigidFrameMotion, flow: FlowField,
     """Symmetric velocity-gradient parts agree as objective 2-tensors."""
     observed = pull_back_velocity(frame, flow)
     xs, ts = sample_points(box, samples, rng)
-    errs = []
-    for x, t in zip(xs, ts):
-        alpha = frame.alpha(t)
-        xp = map_position_to_prime(frame, x, t)
-        s_s = diffops.strain_rate(flow.jacobian(x, t))
-        s_sp = diffops.strain_rate(diffops.fd_jacobian(observed, xp, t, fd))
-        errs.append(float(np.max(np.abs(s_s - tc.untransform_tensor2(s_sp, alpha)))))
+    alpha = frame.alpha(ts)
+    xp = map_position_to_prime(frame, xs, ts)
+    s_s = diffops.strain_rate(flow.jacobian(xs, ts))
+    s_sp = diffops.strain_rate(diffops.fd_jacobian(observed, xp, ts, fd))
+    errs = np.abs(s_s - tc.untransform_tensor2(s_sp, alpha)).max(axis=(-2, -1))
     return _result("strain_rate_invariance", errs, tol)
 
 
@@ -204,15 +196,13 @@ def check_vorticity_relation(frame: RigidFrameMotion, flow: FlowField,
     """curl v = (curl' V transformed) + 2*omega; witness = max |2*omega|."""
     observed = pull_back_velocity(frame, flow)
     xs, ts = sample_points(box, samples, rng)
-    errs, witness = [], 0.0
-    for x, t in zip(xs, ts):
-        alpha = frame.alpha(t)
-        xp = map_position_to_prime(frame, x, t)
-        omega = omega_from_alpha(frame, t).omega
-        w_s = diffops.curl(flow.jacobian(x, t))
-        w_sp = diffops.curl(diffops.fd_jacobian(observed, xp, t, fd))
-        errs.append(float(np.max(np.abs(w_s - (alpha @ w_sp + 2.0 * omega)))))
-        witness = max(witness, float(np.linalg.norm(2.0 * omega)))
+    alpha = frame.alpha(ts)
+    xp = map_position_to_prime(frame, xs, ts)
+    omega = omega_from_alpha(frame, ts).omega
+    w_s = diffops.curl(flow.jacobian(xs, ts))
+    w_sp = diffops.curl(diffops.fd_jacobian(observed, xp, ts, fd))
+    errs = np.abs(w_s - (tc.matvec(alpha, w_sp) + 2.0 * omega)).max(axis=-1)
+    witness = float(np.max(np.linalg.norm(2.0 * omega, axis=-1)))
     return _result("vorticity_relation", errs, tol, witness=witness)
 
 
@@ -223,16 +213,15 @@ def check_vorticity_relation(frame: RigidFrameMotion, flow: FlowField,
 def cauchy_traction(tau, n) -> np.ndarray:
     """Force per unit area on a surface with unit normal n: t_i = tau_ij n_j."""
     tau = tc.mat3(tau)
-    n = tc.vec3(n)
-    norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > 1e-6:
-        raise UsageError(f"surface normal must be a unit vector (|n| = {norm})")
-    if abs(norm - 1.0) > 1e-12:
+    n = tc.vec3(n, batch=True)
+    norm = np.linalg.norm(n, axis=-1)
+    worst = float(np.ravel(norm)[np.argmax(np.abs(norm - 1.0))])
+    if abs(worst - 1.0) > 1e-6:
+        raise UsageError(f"surface normal must be a unit vector (|n| = {worst})")
+    if abs(worst - 1.0) > 1e-12:
         warnings.warn("normalizing a slightly non-unit surface normal",
                       stacklevel=2)
-    if norm != 1.0:
-        n = n / norm
-    return tau @ n
+    return tc.matvec(tau, n / norm[..., None])
 
 
 def check_stress_tensor_transform(tau_in_s, alpha,
@@ -241,16 +230,16 @@ def check_stress_tensor_transform(tau_in_s, alpha,
 
     tau'_{j1 j2} obtained as (traction on the primed face e'_{j2}) . e'_{j1},
     computed wholly with unprimed components, must equal alpha.T @ tau @ alpha.
+    Each (tau, alpha) pair of the (..., 3, 3) stacks is one sample.
     """
     tau = tc.mat3(tau_in_s)
     a = tc.require_rotation(alpha)
     algebraic = tc.transform_tensor2(tau, a)
-    physical = np.empty((3, 3))
+    physical = np.empty(algebraic.shape)
     for j2 in range(3):
-        traction = cauchy_traction(tau, a[:, j2])   # face normal e'_{j2}, in s
-        for j1 in range(3):
-            physical[j1, j2] = float(traction @ a[:, j1])
-    errs = np.abs(physical - algebraic).ravel()
+        traction = cauchy_traction(tau, a[..., :, j2])   # face normal e'_{j2}, in s
+        physical[..., :, j2] = tc.matvec(tc.transpose(a), traction)
+    errs = np.abs(physical - algebraic).max(axis=(-2, -1))
     return _result("stress_transform", errs, tol)
 
 
@@ -258,30 +247,27 @@ def check_stress_transform_random(frame: RigidFrameMotion, *, samples=100,
                                   rng: np.random.Generator,
                                   tol=DEFAULT_TOLERANCES["stress_transform"]) -> CheckResult:
     """Random symmetric stresses against the frame's rotation at random times."""
-    errs = []
     ts = rng.uniform(TIME_WINDOW[0], TIME_WINDOW[1], size=samples)
-    for t in ts:
-        raw = rng.uniform(-1.0, 1.0, size=(3, 3))
-        tau = 0.5 * (raw + raw.T)
-        sub = check_stress_tensor_transform(tau, frame.alpha(t), tol=tol)
-        errs.append(sub.max_abs_err)
-    return _result("stress_transform", errs, tol)
+    raw = rng.uniform(-1.0, 1.0, size=(samples, 3, 3))
+    tau = 0.5 * (raw + tc.transpose(raw))
+    return check_stress_tensor_transform(tau, frame.alpha(ts), tol=tol)
 
 
-def newtonian_stress(p: float, mu: float, j) -> StressState:
+def newtonian_stress(p, mu: float, j) -> StressState:
     """tau = -p I + mu (grad v + (grad v)^T) from a velocity gradient."""
     if mu < 0.0:
         raise UsageError("dynamic viscosity must be nonnegative")
     j = tc.mat3(j)
-    tau = -p * np.eye(3) + mu * (j + j.T)
-    return StressState(p=float(p), mu=float(mu), tau=tau)
+    p = np.asarray(p, dtype=float)
+    tau = -p[..., None, None] * np.eye(3) + mu * (j + tc.transpose(j))
+    return StressState(p=p, mu=float(mu), tau=tau)
 
 
 def fourier_heat_flux(k: float, grad_t) -> np.ndarray:
     """Isotropic Fourier law q = -k grad T (objective because grad T is)."""
     if k < 0.0:
         raise UsageError("conductivity must be nonnegative")
-    return -k * tc.vec3(grad_t)
+    return -k * tc.vec3(grad_t, batch=True)
 
 
 def check_constitutive_frame_invariance(frame: RigidFrameMotion, flow: FlowField,
@@ -294,14 +280,12 @@ def check_constitutive_frame_invariance(frame: RigidFrameMotion, flow: FlowField
     observed_v = pull_back_velocity(frame, flow)
     observed_p = pull_back_scalar(frame, p_field)
     xs, ts = sample_points(box, samples, rng)
-    errs = []
-    for x, t in zip(xs, ts):
-        alpha = frame.alpha(t)
-        xp = map_position_to_prime(frame, x, t)
-        tau_s = newtonian_stress(p_field.value(x, t), mu, flow.jacobian(x, t)).tau
-        j_sp = diffops.fd_jacobian(observed_v, xp, t, fd)
-        tau_sp = newtonian_stress(observed_p(xp, t), mu, j_sp).tau
-        errs.append(float(np.max(np.abs(tau_s - tc.untransform_tensor2(tau_sp, alpha)))))
+    alpha = frame.alpha(ts)
+    xp = map_position_to_prime(frame, xs, ts)
+    tau_s = newtonian_stress(p_field.value(xs, ts), mu, flow.jacobian(xs, ts)).tau
+    j_sp = diffops.fd_jacobian(observed_v, xp, ts, fd)
+    tau_sp = newtonian_stress(observed_p(xp, ts), mu, j_sp).tau
+    errs = np.abs(tau_s - tc.untransform_tensor2(tau_sp, alpha)).max(axis=(-2, -1))
     return _result("constitutive_invariance", errs, tol)
 
 
@@ -309,10 +293,10 @@ def check_constitutive_frame_invariance(frame: RigidFrameMotion, flow: FlowField
 # Acceleration and momentum-equation checks
 # --------------------------------------------------------------------------
 
-def inertial_acceleration(flow: FlowField, x, t: float) -> np.ndarray:
+def inertial_acceleration(flow: FlowField, x, t) -> np.ndarray:
     """Material acceleration in the inertial frame from analytic derivatives."""
     j = flow.jacobian(x, t)
-    return flow.dv_dt(x, t) + j.T @ flow.velocity(x, t)
+    return flow.dv_dt(x, t) + tc.matvec(tc.transpose(j), flow.velocity(x, t))
 
 
 def check_acceleration_decomposition(frame: RigidFrameMotion, flow: FlowField,
@@ -324,27 +308,24 @@ def check_acceleration_decomposition(frame: RigidFrameMotion, flow: FlowField,
     Euler + centrifugal terms, all reduced to unprimed components."""
     observed = pull_back_velocity(frame, flow)
     xs, ts = sample_points(box, samples, rng)
-    errs = []
-    for x, t in zip(xs, ts):
-        alpha = frame.alpha(t)
-        xp = map_position_to_prime(frame, x, t)
-        ang = omega_from_alpha(frame, t)
-        lhs = inertial_acceleration(flow, x, t)
+    alpha = frame.alpha(ts)
+    xp = map_position_to_prime(frame, xs, ts)
+    ang = omega_from_alpha(frame, ts)
+    lhs = inertial_acceleration(flow, xs, ts)
 
-        vdot_sp = diffops.substantial_derivative(observed, observed, xp, t, fd)
-        v_rel = alpha @ observed(xp, t)          # V in unprimed components
-        x_rel = x - frame.y(t)                   # X in unprimed components
-        rhs = (frame.d2y_dt2(t)
-               + alpha @ vdot_sp
-               + 2.0 * np.cross(ang.omega, v_rel)
-               + np.cross(ang.domega_dt, x_rel)
-               + np.cross(ang.omega, np.cross(ang.omega, x_rel)))
-        errs.append(float(np.max(np.abs(lhs - rhs))))
-    return _result("acceleration_decomposition", errs, tol)
+    vdot_sp = diffops.substantial_derivative(observed, observed, xp, ts, fd)
+    v_rel = tc.matvec(alpha, observed(xp, ts))   # V in unprimed components
+    x_rel = xs - frame.y(ts)                     # X in unprimed components
+    rhs = (frame.d2y_dt2(ts)
+           + tc.matvec(alpha, vdot_sp)
+           + 2.0 * np.cross(ang.omega, v_rel)
+           + np.cross(ang.domega_dt, x_rel)
+           + np.cross(ang.omega, np.cross(ang.omega, x_rel)))
+    return _result("acceleration_decomposition", np.abs(lhs - rhs).max(axis=-1), tol)
 
 
 def inertial_ns_rhs(flow: FlowField, p_field: ScalarField, force: BodyForce,
-                    mu: float, x, t: float) -> np.ndarray:
+                    mu: float, x, t) -> np.ndarray:
     """-grad p + mu div(grad v + (grad v)^T) + rho g, analytic, inertial."""
     return (-p_field.gradient(x, t)
             + mu * flow.visc_div(x, t)
@@ -365,13 +346,11 @@ def check_ns_rhs_equivalence(frame: RigidFrameMotion, flow: FlowField,
     observed_v = pull_back_velocity(frame, flow)
     observed_p = pull_back_scalar(frame, p_field)
     xs, ts = sample_points(box, samples, rng)
-    errs = []
-    for x, t in zip(xs, ts):
-        alpha = frame.alpha(t)
-        xp = map_position_to_prime(frame, x, t)
-        rhs_s = inertial_ns_rhs(flow, p_field, force, mu, x, t)
-        rhs_sp = (-diffops.fd_gradient(observed_p, xp, t, fd)
-                  + mu * diffops.fd_viscous_divergence(observed_v, xp, t, fd)
-                  + force.rho * (alpha.T @ force.g))
-        errs.append(float(np.max(np.abs(rhs_s - alpha @ rhs_sp))))
-    return _result("ns_rhs_equivalence", errs, tol)
+    alpha = frame.alpha(ts)
+    xp = map_position_to_prime(frame, xs, ts)
+    rhs_s = inertial_ns_rhs(flow, p_field, force, mu, xs, ts)
+    rhs_sp = (-diffops.fd_gradient(observed_p, xp, ts, fd)
+              + mu * diffops.fd_viscous_divergence(observed_v, xp, ts, fd)
+              + force.rho * tc.matvec(tc.transpose(alpha), force.g))
+    return _result("ns_rhs_equivalence",
+                   np.abs(rhs_s - tc.matvec(alpha, rhs_sp)).max(axis=-1), tol)

@@ -2,18 +2,18 @@
 
 A scenario document (YAML; JSON is accepted as a YAML subset) names the
 frames, fields, and checks to run plus sampling/FD parameters.  Unknown
-keys are rejected so typos cannot silently disable a check.  Reports are
-deterministic for a given (scenario, seed): every (frame, field, check)
-triple gets its own seeded generator, so execution order and parallelism
-cannot change the numbers.
+keys are rejected so typos cannot silently disable a check, and the
+top-level numbers are validated here, so a malformed one fails before any
+check runs.  Reports are deterministic for a given (scenario, seed): every
+(frame, field, check) triple gets its own seeded generator, so execution
+order cannot change the numbers.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -96,13 +96,46 @@ def _named_entries(raw, kind: str, catalog) -> tuple:
     return tuple(entries)
 
 
+def _number(value, what: str, low: float = -math.inf, strict: bool = False) -> float:
+    """A finite real (YAML bools rejected) that is >= low, or > low if strict."""
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+        raise ScenarioError(f"{what} must be a finite number{bound}, got {value!r}")
+    return x
+
+
+def _integer(value, what: str, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ScenarioError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _mapping(doc: dict, key: str, allowed) -> dict:
+    raw = doc.get(key) or {}
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"'{key}' must be a mapping")
+    extra = set(raw) - set(allowed)
+    if extra:
+        raise ScenarioError(f"unknown '{key}' key(s) {sorted(extra)}; "
+                            f"valid keys: {sorted(allowed)}")
+    return raw
+
+
 def _parse_box(raw) -> tuple:
     if raw is None:
         return obj.DEFAULT_BOX
-    box = np.asarray(raw, dtype=float)
+    try:
+        box = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        box = np.empty(0)
     if box.shape == (2,):
         box = np.tile(box, (3, 1))
-    if box.shape != (3, 2) or not np.all(box[:, 0] < box[:, 1]):
+    if (box.shape != (3, 2) or not np.all(np.isfinite(box))
+            or not np.all(box[:, 0] < box[:, 1])):
         raise ScenarioError("'box' must be [lo, hi] or three [lo, hi] pairs")
     return tuple((float(lo), float(hi)) for lo, hi in box)
 
@@ -133,36 +166,27 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(
                 f"unknown check id {c!r}; valid ids: {list(obj.CHECK_IDS)}")
 
-    samples = doc.get("samples", 100)
-    if not isinstance(samples, int) or samples < 1:
-        raise ScenarioError("'samples' must be an integer >= 1")
-    seed = doc.get("seed", 42)
-    if not isinstance(seed, int):
-        raise ScenarioError("'seed' must be an integer")
+    samples = _integer(doc.get("samples", 100), "'samples'", 1)
+    seed = _integer(doc.get("seed", 42), "'seed'", 0)
 
-    fd_doc = doc.get("fd", {}) or {}
-    extra = set(fd_doc) - _FD_KEYS
-    if extra:
-        raise ScenarioError(f"unknown 'fd' key(s): {sorted(extra)}")
-    fd = FdConfig(h=float(fd_doc.get("h", 1e-3)),
-                  h_t=float(fd_doc.get("ht", 1e-5)),
-                  order=int(fd_doc.get("order", 4)))
+    fd_doc = _mapping(doc, "fd", _FD_KEYS)
+    fd = FdConfig(h=_number(fd_doc.get("h", 1e-3), "'fd.h'", 0.0, strict=True),
+                  h_t=_number(fd_doc.get("ht", 1e-5), "'fd.ht'", 0.0, strict=True),
+                  order=_integer(fd_doc.get("order", 4), "'fd.order'", 2))
 
-    tols = doc.get("tolerances", {}) or {}
-    for c in tols:
-        if c not in obj.CHECK_IDS:
-            raise ScenarioError(
-                f"tolerance for unknown check id {c!r}; valid ids: {list(obj.CHECK_IDS)}")
+    tols = {c: _number(v, f"tolerance for {c!r}", 0.0)
+            for c, v in _mapping(doc, "tolerances", obj.CHECK_IDS).items()}
 
-    mat_doc = doc.get("material", {}) or {}
-    extra = set(mat_doc) - _MATERIAL_KEYS
-    if extra:
-        raise ScenarioError(f"unknown 'material' key(s): {sorted(extra)}")
+    mat_doc = _mapping(doc, "material", _MATERIAL_KEYS)
+    g = mat_doc.get("g", Material.g)
+    if not isinstance(g, (list, tuple)) or len(g) != 3:
+        raise ScenarioError(f"'material.g' must be a list of 3 numbers, got {g!r}")
     material = Material(
-        mu=float(mat_doc.get("mu", Material.mu)),
-        rho=float(mat_doc.get("rho", Material.rho)),
-        g=tuple(float(v) for v in mat_doc.get("g", Material.g)),
-        conductivity=float(mat_doc.get("conductivity", Material.conductivity)))
+        mu=_number(mat_doc.get("mu", Material.mu), "'material.mu'", 0.0),
+        rho=_number(mat_doc.get("rho", Material.rho), "'material.rho'", 0.0, strict=True),
+        g=tuple(_number(v, "'material.g' entry") for v in g),
+        conductivity=_number(mat_doc.get("conductivity", Material.conductivity),
+                             "'material.conductivity'", 0.0))
 
     pressure_doc = doc.get("pressure")
     if pressure_doc is None:
@@ -172,8 +196,7 @@ def parse_scenario(text: str) -> Scenario:
 
     return Scenario(frames=frames, fields=fields, checks=tuple(checks),
                     box=_parse_box(doc.get("box")), samples=samples, seed=seed,
-                    fd=fd, tolerances={k: float(v) for k, v in tols.items()},
-                    material=material, pressure=pressure)
+                    fd=fd, tolerances=tols, material=material, pressure=pressure)
 
 
 def load_scenario(path) -> Scenario:
@@ -244,11 +267,10 @@ def _scenario_echo(scenario: Scenario) -> dict:
 
 
 def run_suite(scenario: Scenario) -> Report:
-    """Execute every applicable (frame, field, check) triple.
+    """Execute every applicable (frame, field, check) triple, in that order.
 
     Per-triple errors are captured as 'error' rows; they fail the suite
-    but do not abort it.  FRAMEKIT_THREADS > 1 enables a thread pool;
-    results are always assembled in (frame, field, check) order.
+    but do not abort it.
     """
     start = time.perf_counter()
     frames = [(i, name, make_frame(name, **params))
@@ -259,36 +281,25 @@ def run_suite(scenario: Scenario) -> Report:
     if not isinstance(p_field, ScalarField):
         raise ScenarioError("'pressure' must name a scalar field")
 
-    triples = []
+    rows = []
     for fi, fname, frame in frames:
         for gi, gname, field_obj in fields:
             for ci, check_id in enumerate(scenario.checks):
-                if _applicable(check_id, field_obj):
-                    triples.append((fi, fname, frame, gi, gname, field_obj,
-                                    ci, check_id))
-
-    def execute(triple):
-        fi, fname, frame, gi, gname, field_obj, ci, check_id = triple
-        rng = np.random.default_rng([scenario.seed, fi, gi, ci])
-        row = {"frame": fname, "field": gname, "check": check_id}
-        try:
-            res = _run_triple(scenario, frame, field_obj, check_id, rng, p_field)
-            row.update(samples=res.samples, max_abs_err=res.max_abs_err,
-                       mean_abs_err=res.mean_abs_err, tol=res.tol,
-                       witness=res.witness,
-                       status="pass" if res.passed else "fail")
-        except Exception as exc:  # captured per-triple by contract
-            row.update(samples=0, max_abs_err=None, mean_abs_err=None,
-                       tol=scenario.tolerance(check_id), witness=None,
-                       status="error", message=f"{type(exc).__name__}: {exc}")
-        return row
-
-    n_threads = max(1, int(os.environ.get("FRAMEKIT_THREADS", "1")))
-    if n_threads > 1 and len(triples) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(execute, triples))
-    else:
-        rows = [execute(t) for t in triples]
+                if not _applicable(check_id, field_obj):
+                    continue
+                rng = np.random.default_rng([scenario.seed, fi, gi, ci])
+                row = {"frame": fname, "field": gname, "check": check_id}
+                try:
+                    res = _run_triple(scenario, frame, field_obj, check_id, rng, p_field)
+                    row.update(samples=res.samples, max_abs_err=res.max_abs_err,
+                               mean_abs_err=res.mean_abs_err, tol=res.tol,
+                               witness=res.witness,
+                               status="pass" if res.passed else "fail")
+                except Exception as exc:  # captured per-triple by contract
+                    row.update(samples=0, max_abs_err=None, mean_abs_err=None,
+                               tol=scenario.tolerance(check_id), witness=None,
+                               status="error", message=f"{type(exc).__name__}: {exc}")
+                rows.append(row)
 
     passed = all(r["status"] == "pass" for r in rows)
     return Report(scenario=_scenario_echo(scenario), results=tuple(rows),

@@ -1,4 +1,7 @@
-"""Fixed-size 3-vector / 3x3-matrix arithmetic and component transforms.
+"""3-vector / 3x3-matrix arithmetic and component transforms.
+
+Transforms act on stacks: vectors of shape (..., 3) and matrices of shape
+(..., 3, 3), with the leading axes broadcast against each other.
 
 Two orthonormal frames are related by the direction-cosine matrix
 ``alpha`` with ``alpha[i, j] = e_i . e'_j`` (0-based storage; all public
@@ -28,24 +31,35 @@ ORTH_REPAIR_LIMIT = 1e-6
 _I3 = np.eye(3)
 
 
-def vec3(components) -> np.ndarray:
-    """Validate and return a finite 3-component float vector."""
-    x = np.asarray(components, dtype=float)
-    if x.shape != (3,):
-        raise UsageError(f"expected 3 components, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise UsageError(f"non-finite vector components: {x}")
-    return x
+def _finite(entries, shape: tuple, batch: bool) -> np.ndarray:
+    a = np.asarray(entries, dtype=float)
+    if (a.shape[a.ndim - len(shape):] if batch else a.shape) != shape:
+        raise UsageError(f"expected {'a stack of ' if batch else ''}shape {shape}, "
+                         f"got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise UsageError(f"non-finite entries in an array of shape {a.shape}")
+    return a
+
+
+def vec3(components, batch: bool = False) -> np.ndarray:
+    """Validate finite float 3-vectors: shape (3,), or (..., 3) with batch."""
+    return _finite(components, (3,), batch)
 
 
 def mat3(entries) -> np.ndarray:
-    """Validate and return a finite 3x3 float matrix."""
-    a = np.asarray(entries, dtype=float)
-    if a.shape != (3, 3):
-        raise UsageError(f"expected a 3x3 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise UsageError("non-finite matrix entries")
-    return a
+    """Validate a finite float stack of 3x3 matrices, shape (..., 3, 3)."""
+    return _finite(entries, (3, 3), True)
+
+
+def transpose(a) -> np.ndarray:
+    """Swap the last two axes of a stack of matrices (contiguous: matmul on
+    a strided view of a stack of 3x3 matrices is several times slower)."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
+
+def matvec(a, x) -> np.ndarray:
+    """Stacked matrix-vector product a @ x, broadcasting the leading axes."""
+    return (a @ np.asarray(x)[..., None])[..., 0]
 
 
 def levi_civita(i: int, j: int, k: int) -> float:
@@ -75,85 +89,82 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     EPSILON[_i, _k, _j] = -1.0
 
 
-def check_orthogonality(alpha) -> float:
-    """Max deviation of alpha.T@alpha and alpha@alpha.T from the identity."""
+def check_orthogonality(alpha):
+    """Max deviation of alpha.T@alpha and alpha@alpha.T from the identity,
+    one value per matrix of a (..., 3, 3) stack."""
     a = mat3(alpha)
-    r1 = np.max(np.abs(a.T @ a - _I3))
-    r2 = np.max(np.abs(a @ a.T - _I3))
-    return float(max(r1, r2))
+    r1 = np.abs(transpose(a) @ a - _I3).max(axis=(-2, -1))
+    r2 = np.abs(a @ transpose(a) - _I3).max(axis=(-2, -1))
+    return np.maximum(r1, r2)
 
 
 def _gram_schmidt_columns(a: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize the columns of a nearly-orthogonal matrix."""
+    """Re-orthonormalize the columns of a stack of nearly-orthogonal matrices."""
     q = a.copy()
     for j in range(3):
         for k in range(j):
-            q[:, j] -= (q[:, k] @ q[:, j]) * q[:, k]
-        norm = np.linalg.norm(q[:, j])
-        if norm == 0.0:
+            q[..., :, j] -= (np.sum(q[..., :, k] * q[..., :, j], axis=-1)[..., None]
+                             * q[..., :, k])
+        norm = np.linalg.norm(q[..., :, j], axis=-1)
+        if np.any(norm == 0.0):
             raise InvariantViolationError("degenerate column in rotation repair")
-        q[:, j] /= norm
+        q[..., :, j] /= norm[..., None]
     return q
 
 
-def orthonormalized(alpha, tol: float = ORTH_TOL) -> np.ndarray:
-    """Return a validated proper rotation, repairing small orthogonality drift.
-
-    Residual <= tol: accepted as-is.  Residual in (tol, ORTH_REPAIR_LIMIT]:
-    repaired by modified Gram-Schmidt on the columns.  Larger residuals and
-    reflections (det <= 0) are rejected.
-    """
+def _rotations(alpha):
+    """Validated (..., 3, 3) stack of proper rotations, and each residual."""
     a = mat3(alpha)
     residual = check_orthogonality(a)
-    if residual > ORTH_REPAIR_LIMIT:
+    if np.any(residual > ORTH_REPAIR_LIMIT):
         raise InvariantViolationError(
-            f"matrix is not orthogonal (residual {residual:.3e})")
-    if np.linalg.det(a) <= 0.0:
+            f"matrix is not orthogonal (residual {np.max(residual):.3e})")
+    if np.any(np.linalg.det(a) <= 0.0):
         raise InvariantViolationError("improper rotation (det <= 0) rejected")
-    if residual > tol:
-        a = _gram_schmidt_columns(a)
+    return a, residual
+
+
+def orthonormalized(alpha, tol: float = ORTH_TOL) -> np.ndarray:
+    """Return validated proper rotations, repairing small orthogonality drift.
+
+    Works on a (..., 3, 3) stack.  Residual <= tol: accepted as-is.
+    Residual in (tol, ORTH_REPAIR_LIMIT]: that matrix alone is repaired by
+    modified Gram-Schmidt on the columns.  Larger residuals and reflections
+    (det <= 0) are rejected.
+    """
+    a, residual = _rotations(alpha)
+    drifted = residual > tol
+    if np.any(drifted):
+        a = a.copy()
+        a[drifted] = _gram_schmidt_columns(a[drifted])
     return a
 
 
 def require_rotation(alpha) -> np.ndarray:
-    """Validate alpha as a proper rotation for use in a transform."""
-    a = mat3(alpha)
-    residual = check_orthogonality(a)
-    if residual > ORTH_REPAIR_LIMIT:
-        raise InvariantViolationError(
-            f"transform requires an orthogonal matrix (residual {residual:.3e})")
-    if np.linalg.det(a) <= 0.0:
-        raise InvariantViolationError("improper rotation (det <= 0) rejected")
-    return a
+    """Validate a (..., 3, 3) stack of proper rotations for use in a transform."""
+    return _rotations(alpha)[0]
 
 
 def to_prime_components(x_in_s, alpha) -> np.ndarray:
     """Components of the same vector in the primed frame: x'_j = x_i a_ij."""
-    a = require_rotation(alpha)
-    return a.T @ vec3(x_in_s)
+    return matvec(transpose(require_rotation(alpha)), vec3(x_in_s, batch=True))
 
 
 def from_prime_components(x_in_sprime, alpha) -> np.ndarray:
     """Inverse of to_prime_components: x_i = x'_j a_ij."""
-    a = require_rotation(alpha)
-    return a @ vec3(x_in_sprime)
+    return matvec(require_rotation(alpha), vec3(x_in_sprime, batch=True))
 
 
 def transform_tensor2(t_in_s, alpha) -> np.ndarray:
     """Primed components of a second-order tensor: T' = alpha.T @ T @ alpha."""
     a = require_rotation(alpha)
-    return a.T @ mat3(t_in_s) @ a
+    return transpose(a) @ mat3(t_in_s) @ a
 
 
 def untransform_tensor2(t_in_sprime, alpha) -> np.ndarray:
     """Unprimed components from primed ones: T = alpha @ T' @ alpha.T."""
     a = require_rotation(alpha)
-    return a @ mat3(t_in_sprime) @ a.T
-
-
-def cross(a, b) -> np.ndarray:
-    """3-vector cross product (thin wrapper, keeps call sites uniform)."""
-    return np.cross(vec3(a), vec3(b))
+    return a @ mat3(t_in_sprime) @ transpose(a)
 
 
 def skew(w) -> np.ndarray:
@@ -165,8 +176,9 @@ def skew(w) -> np.ndarray:
 
 
 def axial(m) -> np.ndarray:
-    """Axial vector of the antisymmetric part of m (inverse of skew)."""
+    """Axial vector of the antisymmetric part of m (inverse of skew), for a
+    (..., 3, 3) stack."""
     a = mat3(m)
-    return 0.5 * np.array([a[2, 1] - a[1, 2],
-                           a[0, 2] - a[2, 0],
-                           a[1, 0] - a[0, 1]])
+    return 0.5 * np.stack([a[..., 2, 1] - a[..., 1, 2],
+                           a[..., 0, 2] - a[..., 2, 0],
+                           a[..., 1, 0] - a[..., 0, 1]], axis=-1)

@@ -10,13 +10,13 @@ from framekit import diffops
 
 class TestFdJacobian:
     def test_constant_field_zero(self):
-        field = lambda x, t: np.array([1.0, -2.0, 3.0])
+        field = lambda x, t: np.broadcast_to([1.0, -2.0, 3.0], np.shape(x))
         j = diffops.fd_jacobian(field, np.zeros(3), 0.0)
         assert np.max(np.abs(j)) <= 1e-12
 
     def test_linear_field_exact(self):
         m = np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0], [4.0, 0.2, 2.0]])
-        field = lambda x, t: m @ x
+        field = lambda x, t: x @ m.T
         for order in (2, 4):
             j = diffops.fd_jacobian(field, np.array([0.3, -0.7, 0.2]), 0.0,
                                     FdConfig(order=order))
@@ -60,7 +60,7 @@ class TestSecondDerivatives:
         # v_i = x_a A_iab x_b has constant second derivatives 2*sym(A_i)
         rng = np.random.default_rng(5)
         a = rng.normal(size=(3, 3, 3))
-        field = lambda x, t: np.einsum("iab,a,b->i", a, x, x)
+        field = lambda x, t: np.einsum("iab,...a,...b->...i", a, x, x)
         hess = diffops.fd_second_derivatives(field, np.array([0.1, 0.2, 0.3]), 0.0)
         expected = np.einsum("iab->abi", a + np.swapaxes(a, 1, 2))
         assert np.max(np.abs(hess - expected)) <= 1e-8

@@ -4,7 +4,7 @@ stress/traction machinery, constitutive laws."""
 import numpy as np
 import pytest
 
-from framekit import (BodyForce, UsageError, cauchy_traction,
+from framekit import (AngularVelocity, BodyForce, UsageError, cauchy_traction,
                       fourier_heat_flux, make_field, make_frame,
                       map_position_to_prime, newtonian_stress,
                       omega_from_alpha, pull_back_velocity)
@@ -347,3 +347,50 @@ class TestConsistencyLadder:
         r_c = obj.check_constitutive_frame_invariance(
             frame, flow, builtin_scalars()["gaussian_T"], mu, rng=seeded())
         assert r_c.max_abs_err <= 2 * mu * r_s.max_abs_err + 1e-10
+
+
+class TestSensitivity:
+    """Each check must fail when the physics it guards is broken."""
+
+    ROTATING = ("constant_rotation", "wobble", "screw")
+
+    def run(self, check, frame_name, flow_name):
+        return check(builtin_frames()[frame_name], builtin_flows()[flow_name],
+                     rng=seeded())
+
+    @pytest.mark.parametrize("frame_name", ROTATING)
+    def test_negated_velocity_gradient_correction(self, monkeypatch, frame_name):
+        check = obj.check_velocity_gradient_relation
+        assert self.run(check, frame_name, "taylor_green").passed
+        correct = obj.velocity_gradient_correction
+        monkeypatch.setattr(obj, "velocity_gradient_correction",
+                            lambda frame, t: -correct(frame, t))
+        assert not self.run(check, frame_name, "taylor_green").passed
+
+    @pytest.mark.parametrize("frame_name", ROTATING)
+    def test_halved_omega(self, monkeypatch, frame_name):
+        checks = (obj.check_vorticity_relation,
+                  obj.check_acceleration_decomposition)
+        for check in checks:
+            assert self.run(check, frame_name, "taylor_green").passed
+        correct = obj.omega_from_alpha
+
+        def halved(frame, t):
+            ang = correct(frame, t)
+            return AngularVelocity(omega=0.5 * ang.omega,
+                                   domega_dt=ang.domega_dt)
+
+        monkeypatch.setattr(obj, "omega_from_alpha", halved)
+        for check in checks:
+            assert not self.run(check, frame_name, "taylor_green").passed
+
+    @pytest.mark.parametrize("flow_name", ("shear", "taylor_green"))
+    @pytest.mark.parametrize("frame_name", ROTATING)
+    def test_untransform_with_transposed_alpha(self, monkeypatch, frame_name,
+                                               flow_name):
+        check = obj.check_strain_rate_invariance
+        assert self.run(check, frame_name, flow_name).passed
+        correct = tc.untransform_tensor2
+        monkeypatch.setattr(tc, "untransform_tensor2",
+                            lambda t_p, alpha: correct(t_p, tc.transpose(alpha)))
+        assert not self.run(check, frame_name, flow_name).passed

@@ -75,6 +75,37 @@ tolerances: {strain_rate_invariance: 1.0e-3}
         assert s.tolerance("div_invariance") == 1e-6
 
 
+MALFORMED = {
+    "non_numeric_tolerance": "tolerances: {div_invariance: abc}\n",
+    "non_numeric_fd_step": "fd: {h: abc}\n",
+    "boolean_samples": "samples: true\n",
+    "fractional_fd_order": "fd: {order: 4.7}\n",
+    "nan_tolerance": "tolerances: {div_invariance: .nan}\n",
+    "negative_tolerance": "tolerances: {div_invariance: -1.0e-6}\n",
+    "short_gravity_vector": "material: {g: [0, 1]}\n",
+}
+
+
+class TestMalformedScenario:
+    """Every malformed value is rejected at parse time with a one-line
+    message and exit code 2, never a traceback or an error row."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_parse_rejects(self, case):
+        with pytest.raises(ScenarioError):
+            parse_scenario(MINIMAL + MALFORMED[case])
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_cli_exit_two_one_line(self, case, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(MINIMAL + MALFORMED[case])
+        assert main(["verify", "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+
 class TestRunSuite:
     def test_determinism_byte_identical(self):
         s = parse_scenario(MINIMAL + "seed: 42\nsamples: 10\n")
@@ -182,6 +213,14 @@ tolerances: {div_invariance: 1.0e-30}
         path = self.write_scenario(tmp_path, MINIMAL + "samples: 0\n")
         assert main(["verify", "--scenario", path]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--samples", "0"]])
+    def test_exit_two_on_bad_override(self, flag, tmp_path, capsys):
+        path = self.write_scenario(tmp_path, MINIMAL)
+        assert main(["verify", "--scenario", path] + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_exit_two_on_missing_file(self, tmp_path):
         assert main(["verify", "--scenario", str(tmp_path / "nope.yaml")]) == 2
