@@ -11,10 +11,11 @@ import dataclasses
 import sys
 
 from . import objectivity as obj
-from .errors import FramekitError, UsageError
+from .errors import FramekitError
 from .fields import FIELD_CATALOG
 from .frames import FRAME_CATALOG
-from .scenario import VERSION, emit_report, load_scenario, run_suite
+from .scenario import (VERSION, _integer, emit_report, load_scenario,
+                       run_suite)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,13 +40,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        if args.seed < 0:
-            raise UsageError("'seed' must be an integer >= 0")
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+        scenario = dataclasses.replace(scenario, seed=_integer(args.seed, "'seed'", 0))
     if args.samples is not None:
-        if args.samples < 1:
-            raise UsageError("'samples' must be an integer >= 1")
-        scenario = dataclasses.replace(scenario, samples=args.samples)
+        scenario = dataclasses.replace(
+            scenario, samples=_integer(args.samples, "'samples'", 1))
     report = run_suite(scenario)
     text = emit_report(report, format=args.format)
     if args.out:
@@ -57,15 +55,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_list() -> int:
-    print("frames:")
-    for name in FRAME_CATALOG:
-        print(f"  {name}")
-    print("fields:")
-    for name in FIELD_CATALOG:
-        print(f"  {name}")
-    print("checks:")
-    for name in obj.CHECK_IDS:
-        print(f"  {name}")
+    for kind, names in (("frames", FRAME_CATALOG), ("fields", FIELD_CATALOG),
+                        ("checks", obj.CHECKS)):
+        print(f"{kind}:")
+        for name in names:
+            print(f"  {name}")
     return 0
 
 
@@ -76,10 +70,7 @@ def main(argv=None) -> int:
         if args.command == "list":
             return _cmd_list()
         return _cmd_verify(args)
-    except FramekitError as exc:
-        print(f"framekit: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FramekitError, OSError) as exc:
         print(f"framekit: error: {exc}", file=sys.stderr)
         return 2
 

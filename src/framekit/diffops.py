@@ -144,15 +144,11 @@ def strain_rate(j) -> np.ndarray:
 
 
 def substantial_derivative(field, advecting, x, t,
-                           cfg: FdConfig = DEFAULT_FD,
-                           d_dt=None, jac=None) -> np.ndarray:
+                           cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
     """Material derivative d(field)/dt following the advecting velocity.
 
     ``field`` and ``advecting`` must give components in the SAME frame;
     the operator acts componentwise on scalars, never on basis vectors.
-    Optional analytic callbacks replace the finite-difference pieces.
     """
-    dt_part = (d_dt(x, t) if d_dt is not None
-               else fd_time_derivative(field, x, t, cfg))
-    j = jac(x, t) if jac is not None else fd_jacobian(field, x, t, cfg)
-    return dt_part + tc.matvec(tc.transpose(j), advecting(x, t))
+    j = fd_jacobian(field, x, t, cfg)
+    return fd_time_derivative(field, x, t, cfg) + tc.matvec(tc.transpose(j), advecting(x, t))

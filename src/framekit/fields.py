@@ -218,5 +218,5 @@ def make_field(name: str, **params):
             f"unknown field {name!r}; valid fields: {sorted(FIELD_CATALOG)}")
     try:
         return FIELD_CATALOG[name](**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad parameters for field {name!r}: {exc}") from exc

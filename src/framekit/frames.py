@@ -188,8 +188,8 @@ def observed_velocity(frame: RigidFrameMotion, flow, x_prime, t) -> np.ndarray:
 def _poly_funcs(coeffs):
     """Value/first/second derivative callables for ascending poly coeffs."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if c.ndim != 1 or c.size > 4:
-        raise UsageError("polynomial coefficients must be 1-D with degree <= 3")
+    if c.ndim != 1 or not 1 <= c.size <= 4:
+        raise UsageError("polynomial coefficients must be 1 to 4 numbers (degree <= 3)")
     c1 = npoly.polyder(c)
     c2 = npoly.polyder(c, 2)
     return (lambda t: npoly.polyval(t, c),
@@ -348,5 +348,5 @@ def make_frame(name: str, **params) -> RigidFrameMotion:
             f"unknown frame {name!r}; valid frames: {sorted(FRAME_CATALOG)}")
     try:
         return FRAME_CATALOG[name](**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad parameters for frame {name!r}: {exc}") from exc

@@ -3,8 +3,8 @@
 A scenario document (YAML; JSON is accepted as a YAML subset) names the
 frames, fields, and checks to run plus sampling/FD parameters.  Unknown
 keys are rejected so typos cannot silently disable a check, and the
-top-level numbers are validated here, so a malformed one fails before any
-check runs.  Reports are deterministic for a given (scenario, seed): every
+numbers and every frame and field (built and evaluated once) are validated
+here, so a malformed one fails before any check runs.  Reports are deterministic for a given (scenario, seed): every
 (frame, field, check) triple gets its own seeded generator, so execution
 order cannot change the numbers.
 """
@@ -21,9 +21,9 @@ import yaml
 
 from . import objectivity as obj
 from .diffops import FdConfig
-from .errors import ScenarioError
+from .errors import FramekitError, ScenarioError
 from .fields import FIELD_CATALOG, ScalarField, make_field
-from .frames import FRAME_CATALOG, make_frame
+from .frames import FRAME_CATALOG, make_frame, omega_from_alpha
 
 VERSION = "0.1.0"
 
@@ -57,8 +57,7 @@ class Scenario:
     pressure: tuple = ("gaussian_T", {})
 
     def tolerance(self, check_id: str) -> float:
-        return float(self.tolerances.get(check_id,
-                                         obj.DEFAULT_TOLERANCES[check_id]))
+        return float(self.tolerances.get(check_id, obj.CHECKS[check_id].tol))
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,20 @@ def _named_entries(raw, kind: str, catalog) -> tuple:
                 f"unknown {kind[:-1]} id {name!r}; valid ids: {sorted(catalog)}")
         if not isinstance(params, dict):
             raise ScenarioError(f"'params' for {kind[:-1]} {name!r} must be a mapping")
+        # Build the entry and evaluate it once at x = 0, t = 0, so that bad
+        # params fail here rather than in every triple.
+        try:
+            with np.errstate(all="ignore"):
+                built = catalog[name](**params)
+                if kind == "frames":   # frame values are validated where computed
+                    omega_from_alpha(built, 0.0)
+                    built.d2y_dt2(0.0)
+                elif not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
+                             for f in vars(built).values() if callable(f)):
+                    raise ValueError("non-finite value at x = 0, t = 0")
+        except (FramekitError, TypeError, ValueError, ArithmeticError) as exc:
+            raise ScenarioError(
+                f"bad parameters for {kind[:-1]} {name!r}: {exc}") from exc
         entries.append((name, dict(params)))
     return tuple(entries)
 
@@ -162,9 +175,9 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(checks, list) or not checks:
         raise ScenarioError("'checks' must be a non-empty list")
     for c in checks:
-        if c not in obj.CHECK_IDS:
+        if c not in obj.CHECKS:
             raise ScenarioError(
-                f"unknown check id {c!r}; valid ids: {list(obj.CHECK_IDS)}")
+                f"unknown check id {c!r}; valid ids: {list(obj.CHECKS)}")
 
     samples = _integer(doc.get("samples", 100), "'samples'", 1)
     seed = _integer(doc.get("seed", 42), "'seed'", 0)
@@ -175,7 +188,7 @@ def parse_scenario(text: str) -> Scenario:
                   order=_integer(fd_doc.get("order", 4), "'fd.order'", 2))
 
     tols = {c: _number(v, f"tolerance for {c!r}", 0.0)
-            for c, v in _mapping(doc, "tolerances", obj.CHECK_IDS).items()}
+            for c, v in _mapping(doc, "tolerances", obj.CHECKS).items()}
 
     mat_doc = _mapping(doc, "material", _MATERIAL_KEYS)
     g = mat_doc.get("g", Material.g)
@@ -189,10 +202,8 @@ def parse_scenario(text: str) -> Scenario:
                              "'material.conductivity'", 0.0))
 
     pressure_doc = doc.get("pressure")
-    if pressure_doc is None:
-        pressure = ("gaussian_T", {})
-    else:
-        pressure = _named_entries([pressure_doc], "fields", FIELD_CATALOG)[0]
+    pressure = (Scenario.pressure if pressure_doc is None
+                else _named_entries([pressure_doc], "fields", FIELD_CATALOG)[0])
 
     return Scenario(frames=frames, fields=fields, checks=tuple(checks),
                     box=_parse_box(doc.get("box")), samples=samples, seed=seed,
@@ -208,42 +219,17 @@ def load_scenario(path) -> Scenario:
 # Suite execution
 # --------------------------------------------------------------------------
 
-def _applicable(check_id: str, field_obj) -> bool:
-    is_scalar = isinstance(field_obj, ScalarField)
-    if check_id in obj.SCALAR_CHECK_IDS:
-        return is_scalar
-    return not is_scalar
-
-
 def _run_triple(scenario: Scenario, frame, field_obj, check_id: str,
-                rng: np.random.Generator, p_field) -> obj.CheckResult:
-    common = dict(box=scenario.box, samples=scenario.samples, rng=rng,
-                  fd=scenario.fd, tol=scenario.tolerance(check_id))
-    if check_id == "div_invariance":
-        return obj.check_divergence_invariance(frame, field_obj, **common)
-    if check_id == "scalar_grad_invariance":
-        return obj.check_scalar_gradient_invariance(frame, field_obj, **common)
-    if check_id == "velgrad_relation":
-        return obj.check_velocity_gradient_relation(frame, field_obj, **common)
-    if check_id == "strain_rate_invariance":
-        return obj.check_strain_rate_invariance(frame, field_obj, **common)
-    if check_id == "vorticity_relation":
-        return obj.check_vorticity_relation(frame, field_obj, **common)
-    if check_id == "stress_transform":
-        return obj.check_stress_transform_random(
-            frame, samples=scenario.samples, rng=rng,
-            tol=scenario.tolerance(check_id))
-    if check_id == "constitutive_invariance":
-        return obj.check_constitutive_frame_invariance(
-            frame, field_obj, p_field, scenario.material.mu, **common)
-    if check_id == "acceleration_decomposition":
-        return obj.check_acceleration_decomposition(frame, field_obj, **common)
-    if check_id == "ns_rhs_equivalence":
-        force = obj.BodyForce(g=np.asarray(scenario.material.g),
-                              rho=scenario.material.rho)
-        return obj.check_ns_rhs_equivalence(
-            frame, field_obj, p_field, force, scenario.material.mu, **common)
-    raise ScenarioError(f"unknown check id {check_id!r}")
+                rng: np.random.Generator, values: dict) -> obj.CheckResult:
+    spec = obj.CHECKS[check_id]
+    # Looked up per call, so that a patched module attribute is what runs.
+    check = getattr(obj, spec.function)
+    common = dict(samples=scenario.samples, rng=rng,
+                  tol=scenario.tolerance(check_id))
+    if not spec.sampled:
+        return check(frame, **common)
+    return check(frame, field_obj, *(values[name] for name in spec.needs),
+                 box=scenario.box, fd=scenario.fd, **common)
 
 
 def _scenario_echo(scenario: Scenario) -> dict:
@@ -280,17 +266,20 @@ def run_suite(scenario: Scenario) -> Report:
     p_field = make_field(scenario.pressure[0], **scenario.pressure[1])
     if not isinstance(p_field, ScalarField):
         raise ScenarioError("'pressure' must name a scalar field")
+    material = scenario.material
+    values = {"p_field": p_field, "mu": material.mu,
+              "force": obj.BodyForce(g=np.asarray(material.g), rho=material.rho)}
 
     rows = []
     for fi, fname, frame in frames:
         for gi, gname, field_obj in fields:
             for ci, check_id in enumerate(scenario.checks):
-                if not _applicable(check_id, field_obj):
+                if not isinstance(field_obj, obj.CHECKS[check_id].field):
                     continue
                 rng = np.random.default_rng([scenario.seed, fi, gi, ci])
                 row = {"frame": fname, "field": gname, "check": check_id}
                 try:
-                    res = _run_triple(scenario, frame, field_obj, check_id, rng, p_field)
+                    res = _run_triple(scenario, frame, field_obj, check_id, rng, values)
                     row.update(samples=res.samples, max_abs_err=res.max_abs_err,
                                mean_abs_err=res.mean_abs_err, tol=res.tol,
                                witness=res.witness,

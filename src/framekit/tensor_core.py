@@ -74,21 +74,6 @@ def levi_civita(i: int, j: int, k: int) -> float:
     return -1.0
 
 
-def kronecker(i: int, j: int) -> float:
-    """Kronecker delta for 1-based indices in {1, 2, 3}."""
-    for idx in (i, j):
-        if idx not in (1, 2, 3):
-            raise UsageError(f"kronecker index out of range: {idx}")
-    return 1.0 if i == j else 0.0
-
-
-# Dense permutation symbol, 0-based, for vectorized contractions.
-EPSILON = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    EPSILON[_i, _j, _k] = 1.0
-    EPSILON[_i, _k, _j] = -1.0
-
-
 def check_orthogonality(alpha):
     """Max deviation of alpha.T@alpha and alpha@alpha.T from the identity,
     one value per matrix of a (..., 3, 3) stack."""

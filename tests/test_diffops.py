@@ -131,13 +131,6 @@ class TestSubstantialDerivative:
         expected = np.array([u * a * sigma * np.cos(sigma * t), 0.0, 0.0])
         assert np.allclose(accel, expected, atol=1e-7)
 
-    def test_analytic_callbacks_bypass_fd(self):
-        flow = make_field("rigid_rotation", omega=[0, 0, 2.0])
-        accel = diffops.substantial_derivative(
-            flow.velocity, flow.velocity, np.array([1.0, 0.0, 0.0]), 0.0,
-            d_dt=flow.dv_dt, jac=flow.jacobian)
-        assert np.allclose(accel, [-4.0, 0.0, 0.0], atol=1e-14)
-
 
 class TestFdConfig:
     def test_rejects_bad_steps(self):

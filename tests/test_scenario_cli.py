@@ -83,6 +83,13 @@ MALFORMED = {
     "nan_tolerance": "tolerances: {div_invariance: .nan}\n",
     "negative_tolerance": "tolerances: {div_invariance: -1.0e-6}\n",
     "short_gravity_vector": "material: {g: [0, 1]}\n",
+    "non_numeric_frame_rate": ("frames:\n  - name: constant_rotation\n"
+                               "    params: {axis: [0, 0, 1], rate: abc}\n"),
+    "nan_frame_rate": ("frames:\n  - name: constant_rotation\n"
+                       "    params: {axis: [0, 0, 1], rate: .nan}\n"),
+    "infinite_shear_rate": "fields:\n  - name: shear\n    params: {rate: .inf}\n",
+    "empty_angle_polynomial": ("frames:\n  - name: wobble\n    params: "
+                               "{angles_x: [0.0], angles_y: [0.0], angles_z: []}\n"),
 }
 
 
@@ -123,6 +130,25 @@ samples: 5
         assert {(r["field"], r["check"]) for r in rows} == {
             ("uniform", "div_invariance"),
             ("gaussian_T", "scalar_grad_invariance")}
+
+    @pytest.mark.parametrize("check_id", CHECK_IDS)
+    def test_every_check_runs_from_the_table(self, check_id):
+        # One flow and one scalar field: each check applies to exactly one.
+        s = parse_scenario(f"""
+frames:
+  - name: wobble
+    params: {{angles_x: [0.0, 0.9], angles_y: [0.3, 0.7], angles_z: [0.0, 1.1]}}
+fields: [taylor_green, gaussian_T]
+checks: [{check_id}]
+samples: 5
+tolerances: {{{check_id}: 1.0e-3}}
+""")
+        rows = run_suite(s).results
+        assert len(rows) == 1
+        assert rows[0]["check"] == check_id
+        assert rows[0]["status"] == "pass"
+        assert rows[0]["samples"] == 5
+        assert rows[0]["tol"] == 1e-3
 
     def test_failure_path_with_unreachable_tolerance(self):
         s = parse_scenario("""
