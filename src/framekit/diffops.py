@@ -147,8 +147,9 @@ def substantial_derivative(field, advecting, x, t,
                            cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
     """Material derivative d(field)/dt following the advecting velocity.
 
-    ``field`` and ``advecting`` must give components in the SAME frame;
-    the operator acts componentwise on scalars, never on basis vectors.
+    ``advecting`` holds the velocity values (..., 3) at the points x and
+    times t, in the SAME frame's components as ``field``; the operator acts
+    componentwise on scalars, never on basis vectors.
     """
     j = fd_jacobian(field, x, t, cfg)
-    return fd_time_derivative(field, x, t, cfg) + tc.matvec(tc.transpose(j), advecting(x, t))
+    return fd_time_derivative(field, x, t, cfg) + tc.matvec(tc.transpose(j), advecting)

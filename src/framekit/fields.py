@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from .errors import UsageError
-from .frames import RigidFrameMotion, observed_velocity
+from .frames import RigidFrameMotion, map_position_from_prime, observed_velocity
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ class ObservedScalarField:
     scalar: ScalarField
 
     def __call__(self, x_prime, t) -> np.ndarray:
-        st = self.frame.state(t)
-        return self.scalar.value(tc.matvec(st.alpha, tc.vec3(x_prime, batch=True)) + st.y, t)
+        return self.scalar.value(map_position_from_prime(self.frame, x_prime, t), t)
 
 
 def pull_back_velocity(frame: RigidFrameMotion, flow: FlowField) -> ObservedVectorField:
@@ -218,5 +217,5 @@ def make_field(name: str, **params):
             f"unknown field {name!r}; valid fields: {sorted(FIELD_CATALOG)}")
     try:
         return FIELD_CATALOG[name](**params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad parameters for field {name!r}: {exc}") from exc

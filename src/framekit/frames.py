@@ -1,9 +1,12 @@
 """Rigid moving observer frames: translation y(t) + rotation alpha(t).
 
 A frame carries its own analytic time derivatives where the family allows
-it; user-supplied frames without derivatives fall back to central
-differences.  Angular velocity is extracted from alpha and d(alpha)/dt by
-the Levi-Civita contraction
+it.  A derivative that a user-supplied frame leaves out is bound once, at
+construction, to a finite difference of the raw callable: a first
+derivative to a central difference, a second derivative (of y or alpha) to
+the three-point second difference, so every accessor returns a value.
+Angular velocity is extracted from alpha and d(alpha)/dt by the
+Levi-Civita contraction
 
     omega_i = 1/2 eps_lik alpha_kj d(alpha_lj)/dt
 
@@ -27,8 +30,9 @@ from .errors import InvariantViolationError, UsageError
 ID_TOL_ANALYTIC = 1e-8
 ID_TOL_FD = 1e-5
 
-# Relative step for the finite-difference derivative fallback.
+# Relative steps for the finite-difference derivative fallbacks.
 FD_TIME_STEP = 1e-6
+SECOND_DIFF_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -40,11 +44,13 @@ class AngularVelocity:
 
 @dataclass(frozen=True)
 class FrameState:
-    """Validated kinematics of a frame at times t of shape (...): alpha and
-    dalpha of shape (..., 3, 3); y, dy and omega of shape (..., 3).  Not
-    cached: a check asks for all its samples in one call."""
+    """Validated kinematics of a frame at times t of shape (...): alpha,
+    dalpha and the spin M = dalpha @ alpha.T of shape (..., 3, 3); y, dy
+    and omega (the axial vector of spin) of shape (..., 3).  Not cached: a
+    check asks for all its samples in one call."""
     alpha: np.ndarray
     dalpha: np.ndarray
+    spin: np.ndarray
     y: np.ndarray
     dy: np.ndarray
     omega: np.ndarray
@@ -63,13 +69,23 @@ def _central_rate(f, t, tail: tuple) -> np.ndarray:
     return df / (2.0 * h).reshape(np.shape(h) + (1,) * len(tail))
 
 
+def _second_difference(f, t, tail: tuple) -> np.ndarray:
+    """d^2 f / dt^2 by the three-point second difference, step relative to |t|."""
+    h = SECOND_DIFF_STEP * np.maximum(1.0, np.abs(t))
+    d2f = (_batched(f(t + h), t, tail) - 2.0 * _batched(f(t), t, tail)
+           + _batched(f(t - h), t, tail))
+    return d2f / (h * h).reshape(np.shape(h) + (1,) * len(tail))
+
+
 class RigidFrameMotion:
     """The moving frame s': trajectory, rotation, and their time derivatives.
 
     Immutable after construction; all queries are pure.  The callables map
     times t (...) to (..., 3) vectors or (..., 3, 3) matrices (a constant is
-    broadcast).  ``alpha(t)`` is validated (and re-orthonormalized where
-    slightly drifted) on every call.
+    broadcast).  A derivative left out is a finite difference of the raw
+    y or alpha callable (see the module docstring).  ``alpha(t)`` is
+    validated (and re-orthonormalized where slightly drifted) on every
+    call; it is the one place a frame's rotation is checked.
     """
 
     def __init__(self, name: str,
@@ -82,10 +98,12 @@ class RigidFrameMotion:
         self.name = name
         self._y = y
         self._alpha = alpha
-        self._dy = dy_dt
-        self._d2y = d2y_dt2
-        self._dalpha = dalpha_dt
-        self._d2alpha = d2alpha_dt2
+        # Fallbacks difference the raw callables: repairing the alpha
+        # samples would perturb the difference.
+        self._dy = dy_dt or (lambda t: _central_rate(y, t, (3,)))
+        self._d2y = d2y_dt2 or (lambda t: _second_difference(y, t, (3,)))
+        self._dalpha = dalpha_dt or (lambda t: _central_rate(alpha, t, (3, 3)))
+        self._d2alpha = d2alpha_dt2 or (lambda t: _second_difference(alpha, t, (3, 3)))
         self.analytic_rates = dalpha_dt is not None and dy_dt is not None
         self.id_tol = ID_TOL_ANALYTIC if self.analytic_rates else ID_TOL_FD
 
@@ -96,30 +114,19 @@ class RigidFrameMotion:
         return tc.orthonormalized(_batched(self._alpha(t), t, (3, 3)))
 
     def dy_dt(self, t) -> np.ndarray:
-        if self._dy is not None:
-            return _batched(self._dy(t), t, (3,))
-        return _central_rate(self._y, t, (3,))
+        return _batched(self._dy(t), t, (3,))
 
     def d2y_dt2(self, t) -> np.ndarray:
-        if self._d2y is not None:
-            return _batched(self._d2y(t), t, (3,))
-        h = 1e-4 * np.maximum(1.0, np.abs(t))
-        return ((self.y(t + h) - 2.0 * self.y(t) + self.y(t - h))
-                / (h * h)[..., None])
+        return _batched(self._d2y(t), t, (3,))
 
     def dalpha_dt(self, t) -> np.ndarray:
-        if self._dalpha is not None:
-            return _batched(self._dalpha(t), t, (3, 3))
-        # Raw alpha samples: repairing them would perturb the difference.
-        return _central_rate(self._alpha, t, (3, 3))
+        return _batched(self._dalpha(t), t, (3, 3))
 
-    def d2alpha_dt2(self, t) -> Optional[np.ndarray]:
-        if self._d2alpha is not None:
-            return _batched(self._d2alpha(t), t, (3, 3))
-        return None
+    def d2alpha_dt2(self, t) -> np.ndarray:
+        return _batched(self._d2alpha(t), t, (3, 3))
 
     def state(self, t) -> FrameState:
-        """Validated (alpha, dalpha, y, dy, omega) at every time in t."""
+        """Validated (alpha, dalpha, spin, y, dy, omega) at every time in t."""
         t = np.asarray(t, dtype=float)
         alpha = self.alpha(t)
         dalpha = self.dalpha_dt(t)
@@ -129,42 +136,36 @@ class RigidFrameMotion:
         if np.any(bad):
             raise InvariantViolationError(
                 f"alpha is not evolving rigidly at t={t[bad][0]}")
-        return FrameState(alpha=alpha, dalpha=dalpha, y=self.y(t),
+        return FrameState(alpha=alpha, dalpha=dalpha, spin=m, y=self.y(t),
                           dy=self.dy_dt(t), omega=tc.axial(m))
 
 
 def spin_matrix(frame: RigidFrameMotion, t) -> np.ndarray:
     """M = d(alpha)/dt @ alpha.T; antisymmetric for a rigid rotation."""
-    st = frame.state(t)
-    return st.dalpha @ tc.transpose(st.alpha)
+    return frame.state(t).spin
 
 
-def omega_from_alpha(frame: RigidFrameMotion, t,
-                     h: float = 1e-4) -> AngularVelocity:
+def omega_from_alpha(frame: RigidFrameMotion, t) -> AngularVelocity:
     """Angular velocity (and its rate) of the frame at times t.
 
-    omega comes from the spin matrix M = alpha_dot @ alpha.T.  omega_dot
-    uses the analytic second derivative of alpha when the frame provides
-    one, else central differences of omega(t +/- h).
+    omega is the axial vector of the spin M = alpha_dot @ alpha.T, and
+    omega_dot that of M_dot = alpha_ddot @ alpha.T + alpha_dot @ alpha_dot.T.
     """
     st = frame.state(t)
-    d2a = frame.d2alpha_dt2(t)
-    if d2a is not None:
-        mdot = d2a @ tc.transpose(st.alpha) + st.dalpha @ tc.transpose(st.dalpha)
-    else:
-        mdot = (spin_matrix(frame, t + h) - spin_matrix(frame, t - h)) / (2.0 * h)
+    mdot = (frame.d2alpha_dt2(t) @ tc.transpose(st.alpha)
+            + st.dalpha @ tc.transpose(st.dalpha))
     return AngularVelocity(omega=st.omega, domega_dt=tc.axial(mdot))
 
 
 def map_position_to_prime(frame: RigidFrameMotion, x_in_s, t) -> np.ndarray:
     """Primed components of the position relative to the moving origin."""
-    return tc.to_prime_components(tc.vec3(x_in_s, batch=True) - frame.y(t),
-                                  frame.alpha(t))
+    return tc.matvec(tc.transpose(frame.alpha(t)),
+                     tc.vec3(x_in_s, batch=True) - frame.y(t))
 
 
 def map_position_from_prime(frame: RigidFrameMotion, x_prime, t) -> np.ndarray:
     """Inertial position of the point with primed coordinates x_prime."""
-    return tc.from_prime_components(x_prime, frame.alpha(t)) + frame.y(t)
+    return tc.matvec(frame.alpha(t), tc.vec3(x_prime, batch=True)) + frame.y(t)
 
 
 def observed_velocity(frame: RigidFrameMotion, flow, x_prime, t) -> np.ndarray:
@@ -348,5 +349,5 @@ def make_frame(name: str, **params) -> RigidFrameMotion:
             f"unknown frame {name!r}; valid frames: {sorted(FRAME_CATALOG)}")
     try:
         return FRAME_CATALOG[name](**params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad parameters for frame {name!r}: {exc}") from exc

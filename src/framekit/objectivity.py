@@ -180,10 +180,11 @@ def check_scalar_gradient_invariance(s: SampleSet):
 def velocity_gradient_correction(frame: RigidFrameMotion, t) -> np.ndarray:
     """Correction matrix C[k, i] = alpha_kj d(alpha_ij)/dt.
 
-    grad v (inertial components) = transformed grad' V + C.  C equals
-    minus the spin matrix, so its rotational content is exactly 2*omega.
+    grad v (inertial components) = transformed grad' V + C.  C is the
+    transpose of the spin matrix (minus it, for a rigid rotation), so its
+    rotational content is exactly 2*omega.
     """
-    return frame.alpha(t) @ tc.transpose(frame.dalpha_dt(t))
+    return tc.transpose(frame.state(t).spin)
 
 
 @_sampled
@@ -310,8 +311,9 @@ def check_acceleration_decomposition(s: SampleSet):
     ang = omega_from_alpha(s.frame, s.ts)
     lhs = inertial_acceleration(s.field, s.xs, s.ts)
 
-    vdot_sp = diffops.substantial_derivative(s.observed, s.observed, s.xp, s.ts, s.fd)
-    v_rel = tc.matvec(s.alpha, s.observed(s.xp, s.ts))   # V in unprimed components
+    v_sp = s.observed(s.xp, s.ts)
+    vdot_sp = diffops.substantial_derivative(s.observed, v_sp, s.xp, s.ts, s.fd)
+    v_rel = tc.matvec(s.alpha, v_sp)                     # V in unprimed components
     x_rel = s.xs - s.frame.y(s.ts)                       # X in unprimed components
     rhs = (s.frame.d2y_dt2(s.ts)
            + tc.matvec(s.alpha, vdot_sp)

@@ -204,6 +204,8 @@ def parse_scenario(text: str) -> Scenario:
     pressure_doc = doc.get("pressure")
     pressure = (Scenario.pressure if pressure_doc is None
                 else _named_entries([pressure_doc], "fields", FIELD_CATALOG)[0])
+    if not isinstance(make_field(pressure[0], **pressure[1]), ScalarField):
+        raise ScenarioError("'pressure' must name a scalar field")
 
     return Scenario(frames=frames, fields=fields, checks=tuple(checks),
                     box=_parse_box(doc.get("box")), samples=samples, seed=seed,
@@ -264,8 +266,6 @@ def run_suite(scenario: Scenario) -> Report:
     fields = [(i, name, make_field(name, **params))
               for i, (name, params) in enumerate(scenario.fields)]
     p_field = make_field(scenario.pressure[0], **scenario.pressure[1])
-    if not isinstance(p_field, ScalarField):
-        raise ScenarioError("'pressure' must name a scalar field")
     material = scenario.material
     values = {"p_field": p_field, "mu": material.mu,
               "force": obj.BodyForce(g=np.asarray(material.g), rho=material.rho)}

@@ -14,6 +14,10 @@ components of the primed basis vectors, so component transforms read
 
 Gradient-like matrices everywhere in this package store the derivative
 direction on the row: ``J[k, i] = d v_i / d x_k``.
+
+``orthonormalized`` validates a stack of rotations and replaces a slightly
+drifted one by its polar factor, the nearest rotation; ``require_rotation``
+validates without repair.
 """
 
 from __future__ import annotations
@@ -83,20 +87,6 @@ def check_orthogonality(alpha):
     return np.maximum(r1, r2)
 
 
-def _gram_schmidt_columns(a: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize the columns of a stack of nearly-orthogonal matrices."""
-    q = a.copy()
-    for j in range(3):
-        for k in range(j):
-            q[..., :, j] -= (np.sum(q[..., :, k] * q[..., :, j], axis=-1)[..., None]
-                             * q[..., :, k])
-        norm = np.linalg.norm(q[..., :, j], axis=-1)
-        if np.any(norm == 0.0):
-            raise InvariantViolationError("degenerate column in rotation repair")
-        q[..., :, j] /= norm[..., None]
-    return q
-
-
 def _rotations(alpha):
     """Validated (..., 3, 3) stack of proper rotations, and each residual."""
     a = mat3(alpha)
@@ -109,19 +99,20 @@ def _rotations(alpha):
     return a, residual
 
 
-def orthonormalized(alpha, tol: float = ORTH_TOL) -> np.ndarray:
+def orthonormalized(alpha) -> np.ndarray:
     """Return validated proper rotations, repairing small orthogonality drift.
 
-    Works on a (..., 3, 3) stack.  Residual <= tol: accepted as-is.
-    Residual in (tol, ORTH_REPAIR_LIMIT]: that matrix alone is repaired by
-    modified Gram-Schmidt on the columns.  Larger residuals and reflections
-    (det <= 0) are rejected.
+    Works on a (..., 3, 3) stack.  Residual <= ORTH_TOL: accepted as-is.
+    Residual in (ORTH_TOL, ORTH_REPAIR_LIMIT]: that matrix alone is replaced
+    by its polar factor U @ Vt (from the SVD a = U S Vt), the rotation
+    nearest to it.  Larger residuals and reflections (det <= 0) are rejected.
     """
     a, residual = _rotations(alpha)
-    drifted = residual > tol
+    drifted = residual > ORTH_TOL
     if np.any(drifted):
         a = a.copy()
-        a[drifted] = _gram_schmidt_columns(a[drifted])
+        u, _, vt = np.linalg.svd(a[drifted])
+        a[drifted] = u @ vt
     return a
 
 

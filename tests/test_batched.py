@@ -82,15 +82,12 @@ def test_field_points_and_times_broadcast(name):
 def test_frame_batch_equals_single_calls(name):
     frame = all_frames()[name]
     xs, ts = batch_points()
-    for part in ("y", "alpha", "dy_dt", "d2y_dt2", "dalpha_dt"):
+    for part in ("y", "alpha", "dy_dt", "d2y_dt2", "dalpha_dt", "d2alpha_dt2"):
         fn = getattr(frame, part)
         batch = fn(ts)
         single = np.array([fn(t) for t in ts])
         assert batch.shape == single.shape, part
         assert np.max(np.abs(batch - single)) <= VALUE_TOL, part
-    if frame.d2alpha_dt2(0.5) is not None:
-        single = np.array([frame.d2alpha_dt2(t) for t in ts])
-        assert np.max(np.abs(frame.d2alpha_dt2(ts) - single)) <= VALUE_TOL
 
     state = frame.state(ts)
     for k, t in enumerate(ts):

@@ -110,15 +110,17 @@ class TestReductions:
 class TestSubstantialDerivative:
     def test_steady_uniform_flow_no_acceleration(self):
         flow = make_field("uniform", velocity=[3.0, 1.0, 0.0])
-        accel = diffops.substantial_derivative(flow.velocity, flow.velocity,
-                                               np.array([0.4, 0.1, 0.0]), 0.0)
+        x = np.array([0.4, 0.1, 0.0])
+        accel = diffops.substantial_derivative(flow.velocity, flow.velocity(x, 0.0),
+                                               x, 0.0)
         assert np.max(np.abs(accel)) <= 1e-12
 
     def test_centripetal_acceleration(self):
         # hand oracle: (v . grad) v for v = Omega x x at x=(1,0,0), Omega=(0,0,2)
         flow = make_field("rigid_rotation", omega=[0, 0, 2.0])
-        accel = diffops.substantial_derivative(flow.velocity, flow.velocity,
-                                               np.array([1.0, 0.0, 0.0]), 0.0)
+        x = np.array([1.0, 0.0, 0.0])
+        accel = diffops.substantial_derivative(flow.velocity, flow.velocity(x, 0.0),
+                                               x, 0.0)
         assert np.allclose(accel, [-4.0, 0.0, 0.0], atol=1e-9)
 
     def test_time_modulated_uniform(self):
@@ -126,8 +128,9 @@ class TestSubstantialDerivative:
         flow = make_field("uniform", velocity=[u, 0, 0], mod_amp=a,
                           mod_freq=sigma)
         t = 0.6
-        accel = diffops.substantial_derivative(flow.velocity, flow.velocity,
-                                               np.array([0.2, -0.1, 0.5]), t)
+        x = np.array([0.2, -0.1, 0.5])
+        accel = diffops.substantial_derivative(flow.velocity, flow.velocity(x, t),
+                                               x, t)
         expected = np.array([u * a * sigma * np.cos(sigma * t), 0.0, 0.0])
         assert np.allclose(accel, expected, atol=1e-7)
 

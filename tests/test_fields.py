@@ -159,6 +159,8 @@ class TestCatalogApi:
             make_field("gaussian_T", width=-1.0)
         with pytest.raises(UsageError):
             make_field("uniform", swirl=2)
+        with pytest.raises(UsageError):
+            make_field("shear", rate=10**400)
 
     def test_catalog_coverage(self):
         # at least: compressible, incompressible, rotational, irrotational

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from framekit import (InvariantViolationError, RigidFrameMotion, make_field,
-                      make_frame, map_position_from_prime,
+from framekit import (InvariantViolationError, RigidFrameMotion, UsageError,
+                      make_field, make_frame, map_position_from_prime,
                       map_position_to_prime, observed_velocity,
                       omega_from_alpha)
 from framekit import tensor_core as tc
@@ -128,6 +128,17 @@ class TestFdFallback:
         e2 = np.linalg.norm(omega_at_step(5e-4) - w_exact)
         assert 3.5 <= e1 / e2 <= 4.5
 
+    @pytest.mark.parametrize("name", ["wobble", "screw", "accelerated_translation"])
+    def test_second_derivative_fallbacks_match_analytic(self, name):
+        # d2y_dt2 and d2alpha_dt2 (through omega_dot) of a frame given only
+        # y and alpha, against the same frame's analytic rates.
+        analytic = builtin_frames()[name]
+        fallback = RigidFrameMotion("fd_" + name, y=analytic._y, alpha=analytic._alpha)
+        ts = np.linspace(0.0, 1.0, 101)
+        assert np.max(np.abs(fallback.d2y_dt2(ts) - analytic.d2y_dt2(ts))) <= 1e-7
+        assert np.max(np.abs(omega_from_alpha(fallback, ts).domega_dt
+                             - omega_from_alpha(analytic, ts).domega_dt)) <= 5e-7
+
 
 class TestRotationalVelocityIdentity:
     def test_alpha_dot_equals_omega_cross(self, rng):
@@ -208,6 +219,12 @@ class TestObservedVelocity:
                                + np.cross(omega, x - frame.y(t)))
                 assert np.max(np.abs(reassembled - flow.velocity(x, t))) \
                     <= frame.id_tol, name
+
+
+class TestMakeFrame:
+    def test_overflowing_param_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="bad parameters for frame"):
+            make_frame("constant_rotation", axis=[0, 0, 1], rate=10**400)
 
 
 class TestNonRigidRejection:

@@ -88,6 +88,7 @@ MALFORMED = {
     "nan_frame_rate": ("frames:\n  - name: constant_rotation\n"
                        "    params: {axis: [0, 0, 1], rate: .nan}\n"),
     "infinite_shear_rate": "fields:\n  - name: shear\n    params: {rate: .inf}\n",
+    "flow_as_pressure": "pressure: {name: taylor_green}\n",
     "empty_angle_polynomial": ("frames:\n  - name: wobble\n    params: "
                                "{angles_x: [0.0], angles_y: [0.0], angles_z: []}\n"),
 }

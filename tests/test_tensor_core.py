@@ -145,6 +145,7 @@ class TestOrthogonality:
         drifted = rot_z(0.4) + 1e-8 * np.ones((3, 3))
         fixed = tc.orthonormalized(drifted)
         assert tc.check_orthogonality(fixed) <= 1e-14
+        assert np.max(np.abs(fixed - rot_z(0.4))) <= 1e-7
 
     def test_reject_large_drift(self):
         with pytest.raises(InvariantViolationError):
