@@ -12,6 +12,10 @@ Levi-Civita contraction
 
 which in matrix form reads: M = d(alpha)/dt @ alpha.T is antisymmetric and
 omega = axial-vector of M (M[i,k] = eps_ijk omega_j).
+
+A frame remembers the kinematics it computed at the last time array it
+was asked about (see ``RigidFrameMotion``), so the several pull-backs of
+one check evaluate and validate alpha(t) once per time array.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ class AngularVelocity:
 class FrameState:
     """Validated kinematics of a frame at times t of shape (...): alpha,
     dalpha and the spin M = dalpha @ alpha.T of shape (..., 3, 3); y, dy
-    and omega (the axial vector of spin) of shape (..., 3).  Not cached: a
-    check asks for all its samples in one call."""
+    and omega (the axial vector of spin) of shape (..., 3).  The arrays are
+    read-only: they are the frame's memo of its last time array."""
     alpha: np.ndarray
     dalpha: np.ndarray
     spin: np.ndarray
@@ -80,12 +84,22 @@ def _second_difference(f, t, tail: tuple) -> np.ndarray:
 class RigidFrameMotion:
     """The moving frame s': trajectory, rotation, and their time derivatives.
 
-    Immutable after construction; all queries are pure.  The callables map
-    times t (...) to (..., 3) vectors or (..., 3, 3) matrices (a constant is
-    broadcast).  A derivative left out is a finite difference of the raw
-    y or alpha callable (see the module docstring).  ``alpha(t)`` is
-    validated (and re-orthonormalized where slightly drifted) on every
-    call; it is the one place a frame's rotation is checked.
+    The callables map times t (...) to (..., 3) vectors or (..., 3, 3)
+    matrices (a constant is broadcast).  A derivative left out is a finite
+    difference of the raw y or alpha callable (see the module docstring).
+    ``alpha(t)`` is validated (and re-orthonormalized where slightly
+    drifted) when it is computed; it is the one place a frame's rotation
+    is checked, and ``state(t)`` the one place its rigid evolution is.
+
+    Every accessor reads through a one-entry memo of the last time array:
+    its key is the bytes of the times, so t of shape (N,), (N, 1) or
+    (N, 1, 1) holding the same values share it.  Values are computed on
+    the flattened times (every rule is elementwise in t), stored read-only
+    and returned reshaped to t's shape; different times replace the whole
+    entry, and a value whose computation raised is not stored.  The key
+    and its values are bound in one tuple that a new time array replaces
+    in one assignment, so threads sharing a frame can at worst recompute
+    a value, never read another time array's.
     """
 
     def __init__(self, name: str,
@@ -106,28 +120,52 @@ class RigidFrameMotion:
         self._d2alpha = d2alpha_dt2 or (lambda t: _second_difference(alpha, t, (3, 3)))
         self.analytic_rates = dalpha_dt is not None and dy_dt is not None
         self.id_tol = ID_TOL_ANALYTIC if self.analytic_rates else ID_TOL_FD
+        self._last = (None, {})     # (key, {quantity: read-only flat values})
+
+    def _memo(self, quantity: str, t, compute) -> tuple:
+        """``compute(flat times)``, a tuple of (M, ...) arrays, memoized for
+        the last time array and returned reshaped to t's shape."""
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        key = flat.tobytes()
+        entry = self._last
+        if entry[0] != key:
+            entry = self._last = (key, {})
+        values = entry[1].get(quantity)
+        if values is None:
+            values = compute(flat)
+            for v in values:
+                v.flags.writeable = False
+            entry[1][quantity] = values
+        return tuple(v.reshape(t.shape + v.shape[1:]) for v in values)
+
+    def _read(self, quantity: str, raw, t, tail: tuple) -> np.ndarray:
+        return self._memo(quantity, t, lambda f: (_batched(raw(f), f, tail),))[0]
 
     def y(self, t) -> np.ndarray:
-        return _batched(self._y(t), t, (3,))
+        return self._read("y", self._y, t, (3,))
 
     def alpha(self, t) -> np.ndarray:
-        return tc.orthonormalized(_batched(self._alpha(t), t, (3, 3)))
+        return self._memo("alpha", t, lambda f: (
+            tc.orthonormalized(_batched(self._alpha(f), f, (3, 3))),))[0]
 
     def dy_dt(self, t) -> np.ndarray:
-        return _batched(self._dy(t), t, (3,))
+        return self._read("dy", self._dy, t, (3,))
 
     def d2y_dt2(self, t) -> np.ndarray:
-        return _batched(self._d2y(t), t, (3,))
+        return self._read("d2y", self._d2y, t, (3,))
 
     def dalpha_dt(self, t) -> np.ndarray:
-        return _batched(self._dalpha(t), t, (3, 3))
+        return self._read("dalpha", self._dalpha, t, (3, 3))
 
     def d2alpha_dt2(self, t) -> np.ndarray:
-        return _batched(self._d2alpha(t), t, (3, 3))
+        return self._read("d2alpha", self._d2alpha, t, (3, 3))
 
     def state(self, t) -> FrameState:
         """Validated (alpha, dalpha, spin, y, dy, omega) at every time in t."""
-        t = np.asarray(t, dtype=float)
+        return FrameState(*self._memo("state", t, self._rigid_state))
+
+    def _rigid_state(self, t):
         alpha = self.alpha(t)
         dalpha = self.dalpha_dt(t)
         m = dalpha @ tc.transpose(alpha)
@@ -136,8 +174,7 @@ class RigidFrameMotion:
         if np.any(bad):
             raise InvariantViolationError(
                 f"alpha is not evolving rigidly at t={t[bad][0]}")
-        return FrameState(alpha=alpha, dalpha=dalpha, spin=m, y=self.y(t),
-                          dy=self.dy_dt(t), omega=tc.axial(m))
+        return alpha, dalpha, m, self.y(t), self.dy_dt(t), tc.axial(m)
 
 
 def spin_matrix(frame: RigidFrameMotion, t) -> np.ndarray:

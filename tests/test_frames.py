@@ -1,5 +1,9 @@
 """Angular-velocity extraction, frame mapping, and observed velocities."""
 
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,10 +11,11 @@ from framekit import (InvariantViolationError, RigidFrameMotion, UsageError,
                       make_field, make_frame, map_position_from_prime,
                       map_position_to_prime, observed_velocity,
                       omega_from_alpha)
+from framekit import objectivity as obj
 from framekit import tensor_core as tc
 from framekit.frames import spin_matrix
 
-from conftest import builtin_frames
+from conftest import builtin_flows, builtin_frames
 
 
 def omega_by_index_summation(alpha, dalpha):
@@ -233,3 +238,125 @@ class TestNonRigidRejection:
                                alpha=lambda t: (1 + 0.1 * t) * np.eye(3))
         with pytest.raises(InvariantViolationError):
             omega_from_alpha(bad, 0.5)
+
+
+ACCESSORS = ("y", "alpha", "dy_dt", "d2y_dt2", "dalpha_dt", "d2alpha_dt2")
+
+
+def kinematics(frame, t):
+    """Every accessor's value and every FrameState field at t, by name."""
+    values = {name: getattr(frame, name)(t) for name in ACCESSORS}
+    values.update({f"state.{k}": v for k, v in vars(frame.state(t)).items()})
+    return values
+
+
+def fd_wobble():
+    """The wobble frame given only y and alpha: every rate is a fallback."""
+    wobble = builtin_frames()["wobble"]
+    return RigidFrameMotion("fd_wobble", y=wobble._y, alpha=wobble._alpha)
+
+
+def build_frame(name):
+    return fd_wobble() if name == "fd_wobble" else builtin_frames()[name]
+
+
+class TestKinematicsMemo:
+    """A frame evaluates and validates its kinematics once per time array."""
+
+    A = np.linspace(0.0, 1.0, 9)
+    B = np.linspace(0.3, 1.7, 9)
+
+    def test_one_raw_alpha_evaluation_per_time_array(self):
+        calls = Counter()
+        wobble = builtin_frames()["wobble"]
+
+        def counted(name, f):
+            def g(t):
+                calls[name] += 1
+                return f(t)
+            return g
+
+        frame = RigidFrameMotion(
+            "counted", y=wobble._y, alpha=counted("alpha", wobble._alpha),
+            dy_dt=wobble._dy, d2y_dt2=wobble._d2y,
+            dalpha_dt=counted("dalpha_dt", wobble._dalpha),
+            d2alpha_dt2=wobble._d2alpha)
+        flow = builtin_flows()["taylor_green"]
+        r = obj.check_velocity_gradient_relation(
+            frame, flow, samples=20, rng=np.random.default_rng(5))
+        assert r.passed
+        assert calls == {"alpha": 1, "dalpha_dt": 1}
+        calls.clear()
+        # The sample times, then the time-derivative stencil around them.
+        r = obj.check_acceleration_decomposition(
+            frame, flow, samples=20, rng=np.random.default_rng(6))
+        assert r.passed
+        assert calls == {"alpha": 2, "dalpha_dt": 2}
+
+    @pytest.mark.parametrize("name", [*builtin_frames(), "fd_wobble"])
+    def test_interleaved_time_arrays_match_a_fresh_frame(self, name):
+        frame = build_frame(name)
+        tails = {key: v.shape[1:] for key, v in kinematics(frame, self.A).items()}
+        for t in (self.A, self.B, self.A, self.A.reshape(-1, 1, 1)):
+            want = kinematics(build_frame(name), t)
+            for key, value in kinematics(frame, t).items():
+                assert value.shape == t.shape + tails[key]
+                assert np.array_equal(value, want[key]), (name, key)
+
+    @pytest.mark.parametrize("name", ["wobble", "fd_wobble"])
+    def test_returned_arrays_are_read_only(self, name):
+        frame = build_frame(name)
+        for key, value in kinematics(frame, self.A).items():
+            with pytest.raises(ValueError):
+                value[0, 0] = 1.0
+
+    def test_failed_validation_is_not_remembered(self):
+        rotation = builtin_frames()["wobble"]._alpha
+
+        def alpha(t):
+            # A proper rotation up to t = 1.5, a scaled one after it.
+            return rotation(t) * np.where(t > 1.5, 2.0, 1.0)[..., None, None]
+
+        frame = RigidFrameMotion("breaks", y=lambda t: np.zeros(3), alpha=alpha)
+        bad = np.linspace(1.0, 2.0, 9)
+        frame.alpha(self.A)
+        for _ in range(2):
+            with pytest.raises(InvariantViolationError):
+                frame.alpha(bad)
+            with pytest.raises(InvariantViolationError):
+                frame.state(bad)
+            with pytest.raises(InvariantViolationError):
+                omega_from_alpha(frame, bad)
+        fresh = RigidFrameMotion("fresh", y=lambda t: np.zeros(3), alpha=alpha)
+        want = kinematics(fresh, self.A)
+        for key, value in kinematics(frame, self.A).items():
+            assert np.array_equal(value, want[key]), key
+
+    def test_threads_sharing_a_frame_read_their_own_times(self):
+        frame = builtin_frames()["wobble"]
+        times = (self.A, self.B)
+        reference = [kinematics(build_frame("wobble"), t) for t in times]
+        mismatches, errors = [], []
+
+        def worker(k):
+            try:
+                for i in range(30):
+                    j = (i + k) % 2
+                    for key, value in kinematics(frame, times[j]).items():
+                        if not np.array_equal(value, reference[j][key]):
+                            mismatches.append((k, i, key))
+            except Exception as exc:   # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == [] and mismatches == []
