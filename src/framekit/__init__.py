@@ -17,7 +17,7 @@ from .frames import (FRAME_CATALOG, AngularVelocity, RigidFrameMotion,
                      map_position_to_prime, observed_velocity,
                      omega_from_alpha)
 from .objectivity import (CHECK_IDS, DEFAULT_TOLERANCES, BodyForce,
-                          CheckResult, StressState, cauchy_traction,
+                          CheckResult, cauchy_traction,
                           check_acceleration_decomposition,
                           check_constitutive_frame_invariance,
                           check_divergence_invariance,
@@ -30,10 +30,7 @@ from .objectivity import (CHECK_IDS, DEFAULT_TOLERANCES, BodyForce,
                           check_vorticity_relation, fourier_heat_flux,
                           inertial_acceleration, inertial_ns_rhs,
                           newtonian_stress, velocity_gradient_correction)
+from .scenario import VERSION as __version__
 from .scenario import (Material, Report, Scenario, canonical_report_json,
                        emit_report, load_scenario, parse_scenario, run_suite)
-from .tensor_core import (from_prime_components, levi_civita,
-                          to_prime_components, transform_tensor2,
-                          untransform_tensor2)
-
-__version__ = "0.1.0"
+from .tensor_core import levi_civita, transform_tensor2, untransform_tensor2

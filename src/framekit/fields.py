@@ -41,7 +41,6 @@ class ScalarField:
     name: str
     value: Callable       # (x, t) -> (...)
     gradient: Callable    # (x, t) -> (..., 3)
-    dT_dt: Callable       # (x, t) -> (...)
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,11 @@ def _steady_flow(name, v0, j0, visc0, mod_amp, mod_freq) -> FlowField:
 
 
 def _steady_scalar(name, f0, g0, mod_amp, mod_freq) -> ScalarField:
-    m, dm = _modulation(float(mod_amp), float(mod_freq))
+    m, _ = _modulation(float(mod_amp), float(mod_freq))
     return ScalarField(
         name=name,
         value=lambda x, t: _per_point(m(t), f0(x), x, ()),
-        gradient=lambda x, t: _per_point(m(t), g0(x), x),
-        dT_dt=lambda x, t: _per_point(dm(t), f0(x), x, ()))
+        gradient=lambda x, t: _per_point(m(t), g0(x), x))
 
 
 def uniform_flow(velocity=(1.0, 0.0, 0.0), mod_amp=0.0, mod_freq=1.0) -> FlowField:

@@ -30,10 +30,6 @@ from numpy.polynomial import polynomial as npoly
 from . import tensor_core as tc
 from .errors import InvariantViolationError, UsageError
 
-# Identity-residual tolerances: analytic derivatives vs FD fallback.
-ID_TOL_ANALYTIC = 1e-8
-ID_TOL_FD = 1e-5
-
 # Relative steps for the finite-difference derivative fallbacks.
 FD_TIME_STEP = 1e-6
 SECOND_DIFF_STEP = 1e-4
@@ -118,8 +114,6 @@ class RigidFrameMotion:
         self._d2y = d2y_dt2 or (lambda t: _second_difference(y, t, (3,)))
         self._dalpha = dalpha_dt or (lambda t: _central_rate(alpha, t, (3, 3)))
         self._d2alpha = d2alpha_dt2 or (lambda t: _second_difference(alpha, t, (3, 3)))
-        self.analytic_rates = dalpha_dt is not None and dy_dt is not None
-        self.id_tol = ID_TOL_ANALYTIC if self.analytic_rates else ID_TOL_FD
         self._last = (None, {})     # (key, {quantity: read-only flat values})
 
     def _memo(self, quantity: str, t, compute) -> tuple:
@@ -175,11 +169,6 @@ class RigidFrameMotion:
             raise InvariantViolationError(
                 f"alpha is not evolving rigidly at t={t[bad][0]}")
         return alpha, dalpha, m, self.y(t), self.dy_dt(t), tc.axial(m)
-
-
-def spin_matrix(frame: RigidFrameMotion, t) -> np.ndarray:
-    """M = d(alpha)/dt @ alpha.T; antisymmetric for a rigid rotation."""
-    return frame.state(t).spin
 
 
 def omega_from_alpha(frame: RigidFrameMotion, t) -> AngularVelocity:

@@ -76,14 +76,6 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class StressState:
-    """Cauchy stress produced by the Newtonian constitutive law."""
-    p: np.ndarray            # [Pa], one value per stress
-    mu: float                # [Pa s]
-    tau: np.ndarray          # [Pa], components in the frame of the input J
-
-
-@dataclass(frozen=True)
 class BodyForce:
     """External force per unit mass plus the fluid density."""
     g: np.ndarray            # [m/s^2]
@@ -247,8 +239,8 @@ def check_stress_tensor_transform(tau_in_s, alpha,
     Each (tau, alpha) pair of the (..., 3, 3) stacks is one sample.
     """
     tau = tc.mat3(tau_in_s)
-    a = tc.require_rotation(alpha)
-    algebraic = tc.transform_tensor2(tau, a)
+    algebraic = tc.transform_tensor2(tau, alpha)   # raises on a non-rotation
+    a = np.asarray(alpha, dtype=float)
     physical = np.empty(algebraic.shape)
     for j2 in range(3):
         traction = cauchy_traction(tau, a[..., :, j2])   # face normal e'_{j2}, in s
@@ -267,14 +259,14 @@ def check_stress_transform_random(frame: RigidFrameMotion, *, samples=100,
     return check_stress_tensor_transform(tau, frame.alpha(ts), tol=tol)
 
 
-def newtonian_stress(p, mu: float, j) -> StressState:
-    """tau = -p I + mu (grad v + (grad v)^T) from a velocity gradient."""
+def newtonian_stress(p, mu: float, j) -> np.ndarray:
+    """Cauchy stress tau = -p I + mu (grad v + (grad v)^T), (..., 3, 3),
+    from pressures (...) and velocity gradients (..., 3, 3)."""
     if mu < 0.0:
         raise UsageError("dynamic viscosity must be nonnegative")
     j = tc.mat3(j)
     p = np.asarray(p, dtype=float)
-    tau = -p[..., None, None] * np.eye(3) + mu * (j + tc.transpose(j))
-    return StressState(p=p, mu=float(mu), tau=tau)
+    return -p[..., None, None] * np.eye(3) + mu * (j + tc.transpose(j))
 
 
 def fourier_heat_flux(k: float, grad_t) -> np.ndarray:
@@ -288,9 +280,9 @@ def fourier_heat_flux(k: float, grad_t) -> np.ndarray:
 def check_constitutive_frame_invariance(s: SampleSet, p_field: ScalarField, mu: float):
     """The Newtonian law built per-frame yields the same objective stress."""
     observed_p = pull_back_scalar(s.frame, p_field)
-    tau_s = newtonian_stress(p_field.value(s.xs, s.ts), mu, s.field.jacobian(s.xs, s.ts)).tau
+    tau_s = newtonian_stress(p_field.value(s.xs, s.ts), mu, s.field.jacobian(s.xs, s.ts))
     j_sp = diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd)
-    tau_sp = newtonian_stress(observed_p(s.xp, s.ts), mu, j_sp).tau
+    tau_sp = newtonian_stress(observed_p(s.xp, s.ts), mu, j_sp)
     return tau_s - tc.untransform_tensor2(tau_sp, s.alpha), None
 
 

@@ -303,8 +303,8 @@ def _fmt(value, indent: int) -> str:
     pad = "  " * indent
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return "null"
+    if value is None or isinstance(value, float) and not math.isfinite(value):
+        return "null"           # JSON has no nan or inf
     if isinstance(value, int):
         return repr(value)
     if isinstance(value, float):

@@ -121,16 +121,6 @@ def require_rotation(alpha) -> np.ndarray:
     return _rotations(alpha)[0]
 
 
-def to_prime_components(x_in_s, alpha) -> np.ndarray:
-    """Components of the same vector in the primed frame: x'_j = x_i a_ij."""
-    return matvec(transpose(require_rotation(alpha)), vec3(x_in_s, batch=True))
-
-
-def from_prime_components(x_in_sprime, alpha) -> np.ndarray:
-    """Inverse of to_prime_components: x_i = x'_j a_ij."""
-    return matvec(require_rotation(alpha), vec3(x_in_sprime, batch=True))
-
-
 def transform_tensor2(t_in_s, alpha) -> np.ndarray:
     """Primed components of a second-order tensor: T' = alpha.T @ T @ alpha."""
     a = require_rotation(alpha)

@@ -200,28 +200,28 @@ class TestStressTransform:
 
 class TestNewtonianStress:
     def test_static_fluid(self):
-        st = newtonian_stress(2.0, 0.9, np.zeros((3, 3)))
-        assert np.allclose(st.tau, -2.0 * np.eye(3))
+        tau = newtonian_stress(2.0, 0.9, np.zeros((3, 3)))
+        assert np.allclose(tau, -2.0 * np.eye(3))
 
     def test_shear_stress(self):
         j = make_field("shear", rate=3.0).jacobian(np.zeros(3), 0.0)
-        st = newtonian_stress(0.0, 1.0, j)
+        tau = newtonian_stress(0.0, 1.0, j)
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 0] = 3.0
-        assert np.allclose(st.tau, expected)
+        assert np.allclose(tau, expected)
 
     def test_rigid_rotation_no_viscous_stress(self):
         j = make_field("rigid_rotation", omega=[0, 0, 2.0]).jacobian(
             np.array([0.4, 0.1, 0.0]), 0.0)
-        st = newtonian_stress(1.5, 7.0, j)
-        assert np.allclose(st.tau, -1.5 * np.eye(3), atol=1e-14)
+        tau = newtonian_stress(1.5, 7.0, j)
+        assert np.allclose(tau, -1.5 * np.eye(3), atol=1e-14)
 
     def test_trace_identity(self):
         rng = seeded()
         j = rng.normal(size=(3, 3))
-        st = newtonian_stress(0.8, 1.3, j)
-        assert np.isclose(np.trace(st.tau), -3 * 0.8 + 2 * 1.3 * np.trace(j))
-        assert np.max(np.abs(st.tau - st.tau.T)) <= 1e-12
+        tau = newtonian_stress(0.8, 1.3, j)
+        assert np.isclose(np.trace(tau), -3 * 0.8 + 2 * 1.3 * np.trace(j))
+        assert np.max(np.abs(tau - tau.T)) <= 1e-12
 
     def test_negative_viscosity_rejected(self):
         with pytest.raises(UsageError):
@@ -274,7 +274,7 @@ class TestConstitutiveInvariance:
         t, x = 0.5, np.array([0.2, 0.3, -0.1])
         xp = map_position_to_prime(frame, x, t)
         j_obs = diffops.fd_jacobian(observed, xp, t)
-        tau_sp = newtonian_stress(p_field.value(x, t), 4.0, j_obs).tau
+        tau_sp = newtonian_stress(p_field.value(x, t), 4.0, j_obs)
         assert np.max(np.abs(tau_sp + p_field.value(x, t) * np.eye(3))) <= 1e-9
 
 

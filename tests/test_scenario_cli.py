@@ -205,6 +205,20 @@ class TestEmitReport:
         assert parsed["results"] == []
         assert parsed["suite_verdict"] == "pass"
 
+    def test_non_finite_residual_is_null(self):
+        # Built directly: running an overflowing scenario under
+        # -W error::RuntimeWarning would give an error row instead.
+        row = {"frame": "identity", "field": "shear", "check": "div_invariance",
+               "samples": 1, "max_abs_err": float("nan"),
+               "mean_abs_err": float("inf"), "tol": 1e-6, "witness": None,
+               "status": "fail"}
+        report = Report(scenario={}, results=(row,), passed=False,
+                        wall_time_s=0.0)
+        for text in (emit_report(report, "json"), canonical_report_json(report)):
+            parsed = json.loads(text)["results"][0]
+            assert parsed["max_abs_err"] is None
+            assert parsed["mean_abs_err"] is None
+
     def test_table_contains_verdict_row(self):
         text = emit_report(self.run_small(), format="table")
         assert "pass" in text and "div_invariance" in text

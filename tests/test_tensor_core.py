@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from framekit import InvariantViolationError, UsageError
+from framekit import objectivity as obj
 from framekit import tensor_core as tc
 
 
@@ -22,7 +23,6 @@ def random_rotation(rng):
 
 
 finite_vec = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)
-angles = st.floats(-10.0, 10.0)
 
 
 class TestLeviCivita:
@@ -54,45 +54,6 @@ class TestLeviCivita:
                         assert lhs == rhs
 
 
-class TestComponentTransforms:
-    def test_identity_transform(self):
-        assert np.allclose(tc.to_prime_components([1, 0, 0], np.eye(3)), [1, 0, 0])
-
-    def test_rz90_vector(self):
-        # oracle: direct evaluation of x'_j = x_i alpha_ij with closed-form Rz
-        alpha = rot_z(np.pi / 2)
-        x = np.array([1.0, 0.0, 0.0])
-        oracle = np.array([sum(x[i] * alpha[i, j] for i in range(3))
-                           for j in range(3)])
-        got = tc.to_prime_components(x, alpha)
-        assert np.allclose(got, [0.0, -1.0, 0.0], atol=1e-15)
-        assert np.allclose(got, oracle, atol=1e-15)
-
-    def test_from_prime_inverts(self):
-        alpha = rot_z(np.pi / 2)
-        assert np.allclose(tc.from_prime_components([0, -1, 0], alpha),
-                           [1, 0, 0], atol=1e-15)
-        assert np.allclose(tc.from_prime_components([5, 5, 5], np.eye(3)),
-                           [5, 5, 5])
-
-    @given(finite_vec, angles)
-    def test_round_trip(self, x, theta):
-        alpha = rot_z(theta)
-        back = tc.from_prime_components(tc.to_prime_components(x, alpha), alpha)
-        assert np.allclose(back, x, atol=1e-9 * (1 + np.max(np.abs(x))))
-
-    @given(finite_vec, angles)
-    def test_norm_preserved(self, x, theta):
-        x = np.asarray(x)
-        xp = tc.to_prime_components(x, rot_z(theta))
-        assert np.isclose(np.linalg.norm(xp), np.linalg.norm(x),
-                          rtol=1e-12, atol=1e-12)
-
-    def test_non_orthogonal_rejected(self):
-        with pytest.raises(InvariantViolationError):
-            tc.to_prime_components([1, 0, 0], 2 * np.eye(3))
-
-
 class TestTensor2Transform:
     def test_isotropic_commutes(self):
         p = 3.7
@@ -120,6 +81,15 @@ class TestTensor2Transform:
         assert np.allclose(
             tc.untransform_tensor2(tc.transform_tensor2(t, alpha), alpha),
             t, atol=1e-13)
+
+    @pytest.mark.parametrize("transform", [tc.transform_tensor2,
+                                           tc.untransform_tensor2,
+                                           obj.check_stress_tensor_transform])
+    @pytest.mark.parametrize("alpha", [2 * np.eye(3), np.diag([1.0, 1.0, -1.0])],
+                             ids=["scaled", "reflection"])
+    def test_non_rotation_rejected(self, transform, alpha):
+        with pytest.raises(InvariantViolationError):
+            transform(np.eye(3), alpha)
 
     @given(st.integers(0, 2**32 - 1))
     def test_trace_and_frobenius_preserved(self, seed):
