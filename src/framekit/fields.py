@@ -86,8 +86,9 @@ def _modulation(mod_amp: float, mod_freq: float):
 def _per_point(scale, value, x, tail=(3,)) -> np.ndarray:
     """scale (...) times value broadcast to one tail-shaped entry per point."""
     scale = np.asarray(scale)
+    shape = np.shape(x)[:-1] + tail
     return (scale.reshape(scale.shape + (1,) * len(tail))
-            * np.broadcast_to(value, np.shape(x)[:-1] + tail))
+            * (value if np.shape(value) == shape else np.broadcast_to(value, shape)))
 
 
 def _steady_flow(name, v0, j0, visc0, mod_amp, mod_freq) -> FlowField:
@@ -131,7 +132,7 @@ def rigid_rotation_flow(omega=(0.0, 0.0, 2.0), mod_amp=0.0, mod_freq=1.0) -> Flo
     """Solid-body rotation v = omega x x: zero divergence and strain rate."""
     w = tc.vec3(omega)
     j = -tc.skew(w)              # J[k,i] = d_k (w x x)_i = skew(w).T = -skew(w)
-    return _steady_flow("rigid_rotation", lambda x: np.cross(w, x),
+    return _steady_flow("rigid_rotation", lambda x: tc.cross(w, x),
                         lambda x: j, lambda x: np.zeros(3), mod_amp, mod_freq)
 
 

@@ -21,6 +21,7 @@ one check evaluate and validate alpha(t) once per time array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -59,7 +60,9 @@ class FrameState:
 def _batched(value, t, tail: tuple) -> np.ndarray:
     """A frame callable's output, validated and broadcast to t's shape + tail."""
     a = tc.vec3(value, batch=True) if tail == (3,) else tc.mat3(value)
-    return np.broadcast_to(a, np.shape(t) + tail)
+    shape = np.shape(t) + tail
+    # Always a view: the memo freezes what it stores, never a caller's array.
+    return a.view() if a.shape == shape else np.broadcast_to(a, shape)
 
 
 def _central_rate(f, t, tail: tuple) -> np.ndarray:
@@ -165,7 +168,7 @@ class RigidFrameMotion:
         m = dalpha @ tc.transpose(alpha)
         rate = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
         bad = np.abs(m + tc.transpose(m)).max(axis=(-2, -1)) > 1e-4 * rate
-        if np.any(bad):
+        if bad.any():
             raise InvariantViolationError(
                 f"alpha is not evolving rigidly at t={t[bad][0]}")
         return alpha, dalpha, m, self.y(t), self.dy_dt(t), tc.axial(m)
@@ -204,7 +207,7 @@ def observed_velocity(frame: RigidFrameMotion, flow, x_prime, t) -> np.ndarray:
     """
     st = frame.state(t)
     x_rel = tc.matvec(st.alpha, tc.vec3(x_prime, batch=True))  # X, unprimed
-    v_obs = flow.velocity(x_rel + st.y, t) - st.dy - np.cross(st.omega, x_rel)
+    v_obs = flow.velocity(x_rel + st.y, t) - st.dy - tc.cross(st.omega, x_rel)
     return tc.matvec(tc.transpose(st.alpha), v_obs)
 
 
@@ -212,16 +215,19 @@ def observed_velocity(frame: RigidFrameMotion, flow, x_prime, t) -> np.ndarray:
 # Built-in frame families
 # --------------------------------------------------------------------------
 
+def _horner(c):
+    """t -> the polynomial with ascending coefficients c at t, by Horner's
+    rule in the operation order of numpy.polynomial.polynomial.polyval."""
+    c = [float(v) for v in c]
+    return lambda t: reduce(lambda v, ci: ci + v * t, c[-2::-1], c[-1] + t * 0.0)
+
+
 def _poly_funcs(coeffs):
     """Value/first/second derivative callables for ascending poly coeffs."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
     if c.ndim != 1 or not 1 <= c.size <= 4:
         raise UsageError("polynomial coefficients must be 1 to 4 numbers (degree <= 3)")
-    c1 = npoly.polyder(c)
-    c2 = npoly.polyder(c, 2)
-    return (lambda t: npoly.polyval(t, c),
-            lambda t: npoly.polyval(t, c1),
-            lambda t: npoly.polyval(t, c2))
+    return tuple(_horner(npoly.polyder(c, m)) for m in range(3))
 
 
 def _vector_poly(coeffs_per_axis):
@@ -242,55 +248,53 @@ class _RotationFactor:
             raise UsageError("rotation axis must be nonzero")
         self.k = tc.skew(n / norm)
         self.k2 = self.k @ self.k
-        # Angles as (..., 1, 1), so that they scale stacks of 3x3 matrices.
-        self.theta, self.dtheta, self.d2theta = (
-            (lambda t, f=f: np.asarray(f(t))[..., None, None])
-            for f in _poly_funcs(angle_coeffs))
+        self.theta, self.dtheta, self.d2theta = _poly_funcs(angle_coeffs)
 
-    def _r(self, th):
-        return np.eye(3) + np.sin(th) * self.k + (1.0 - np.cos(th)) * self.k2
-
-    def _dr_dth(self, th):
-        return np.cos(th) * self.k + np.sin(th) * self.k2
-
-    def _d2r_dth2(self, th):
-        return -np.sin(th) * self.k + np.cos(th) * self.k2
-
-    def value(self, t):
-        return self._r(self.theta(t))
-
-    def dt(self, t):
-        return self._dr_dth(self.theta(t)) * self.dtheta(t)
-
-    def d2t(self, t):
-        th, dth = self.theta(t), self.dtheta(t)
-        return self._d2r_dth2(th) * dth * dth + self._dr_dth(th) * self.d2theta(t)
+    def rates(self, t):
+        """R, dR/dt and d2R/dt2 at times t (...), each (..., 3, 3), from one
+        evaluation of each angle polynomial and one sine and cosine."""
+        th, dth, d2th = (np.asarray(f(t)) for f in (self.theta, self.dtheta, self.d2theta))
+        # Entries first, so each operation runs over contiguous times.
+        k, k2, eye = (m.reshape((3, 3) + (1,) * th.ndim) for m in (self.k, self.k2, _EYE3))
+        sin, cos = np.sin(th), np.cos(th)
+        dr_dth = cos * k + sin * k2
+        axes = (*range(2, th.ndim + 2), 0, 1)
+        return tuple(np.ascontiguousarray(m.transpose(axes)) for m in (
+            eye + sin * k + (1.0 - cos) * k2,
+            dr_dth * dth,
+            (-sin * k + cos * k2) * dth * dth + dr_dth * d2th))
 
 
 def _product_rotation(factors):
     """alpha(t) and its analytic derivatives for an ordered product of
-    rotation factors, by the product rule over the factors."""
-    def product(mats):
-        m = np.eye(3)
-        for a in mats:
-            m = m @ a
-        return m
+    rotation factors, by the product rule over the factors.  The three share
+    the factors' rates at the last time array: one (key, rates) tuple that
+    one assignment replaces, so threads can at worst recompute them."""
+    last = (None, None)
+
+    def rates(t):   # (values, first, second derivatives) of the factors
+        nonlocal last
+        t = np.asarray(t, dtype=float)
+        key = (t.shape, t.tobytes())
+        entry = last
+        if entry[0] != key:
+            entry = last = (key, tuple(zip(*(f.rates(t) for f in factors))))
+        return entry[1]
 
     def replaced(vals, subs):
-        return product([subs.get(j, v) for j, v in enumerate(vals)])
+        return reduce(np.matmul, [subs.get(j, v) for j, v in enumerate(vals)])
 
     def alpha(t):
-        return product([f.value(t) for f in factors])
+        return reduce(np.matmul, rates(t)[0])
 
     def dalpha(t):
-        vals = [f.value(t) for f in factors]
-        return sum(replaced(vals, {i: f.dt(t)}) for i, f in enumerate(factors))
+        vals, d1, _ = rates(t)
+        return sum(replaced(vals, {i: d}) for i, d in enumerate(d1))
 
     def d2alpha(t):
-        vals = [f.value(t) for f in factors]
-        d1 = [f.dt(t) for f in factors]
-        total = sum(replaced(vals, {i: f.d2t(t)}) for i, f in enumerate(factors))
-        for i, k in combinations(range(len(factors)), 2):
+        vals, d1, d2 = rates(t)
+        total = sum(replaced(vals, {i: d}) for i, d in enumerate(d2))
+        for i, k in combinations(range(len(vals)), 2):
             total = total + 2.0 * replaced(vals, {i: d1[i], k: d1[k]})
         return total
 

@@ -309,9 +309,9 @@ def check_acceleration_decomposition(s: SampleSet):
     x_rel = s.xs - s.frame.y(s.ts)                       # X in unprimed components
     rhs = (s.frame.d2y_dt2(s.ts)
            + tc.matvec(s.alpha, vdot_sp)
-           + 2.0 * np.cross(ang.omega, v_rel)
-           + np.cross(ang.domega_dt, x_rel)
-           + np.cross(ang.omega, np.cross(ang.omega, x_rel)))
+           + 2.0 * tc.cross(ang.omega, v_rel)
+           + tc.cross(ang.domega_dt, x_rel)
+           + tc.cross(ang.omega, tc.cross(ang.omega, x_rel)))
     return lhs - rhs, None
 
 

@@ -31,6 +31,8 @@ _TOP_KEYS = {"frames", "fields", "checks", "box", "samples", "seed", "fd",
              "tolerances", "material", "pressure"}
 _FD_KEYS = {"h", "ht", "order"}
 _MATERIAL_KEYS = {"mu", "rho", "g", "conductivity"}
+# libyaml's loader is about ten times faster; not every PyYAML build has it.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def _parse_box(raw) -> tuple:
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; fill documented defaults."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario document is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
@@ -284,6 +286,8 @@ def run_suite(scenario: Scenario) -> Report:
                                mean_abs_err=res.mean_abs_err, tol=res.tol,
                                witness=res.witness,
                                status="pass" if res.passed else "fail")
+                    if not math.isfinite(res.max_abs_err):
+                        row["message"] = "non-finite residual: the check's arithmetic overflowed"
                 except Exception as exc:  # captured per-triple by contract
                     row.update(samples=0, max_abs_err=None, mean_abs_err=None,
                                tol=scenario.tolerance(check_id), witness=None,

@@ -40,7 +40,7 @@ def _finite(entries, shape: tuple, batch: bool) -> np.ndarray:
     if (a.shape[a.ndim - len(shape):] if batch else a.shape) != shape:
         raise UsageError(f"expected {'a stack of ' if batch else ''}shape {shape}, "
                          f"got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise UsageError(f"non-finite entries in an array of shape {a.shape}")
     return a
 
@@ -62,8 +62,21 @@ def transpose(a) -> np.ndarray:
 
 
 def matvec(a, x) -> np.ndarray:
-    """Stacked matrix-vector product a @ x, broadcasting the leading axes."""
-    return (a @ np.asarray(x)[..., None])[..., 0]
+    """Stacked a @ x, broadcasting the leading axes.  Summed entry by entry,
+    (a_i0 x_0 + a_i1 x_1) + a_i2 x_2, so no batch shape changes a bit."""
+    x = np.asarray(x)
+    return (a[..., 0] * x[..., None, 0] + a[..., 1] * x[..., None, 1]
+            + a[..., 2] * x[..., None, 2])
+
+
+def cross(a, b) -> np.ndarray:
+    """Stacked cross product a x b, broadcasting the leading axes; equal to
+    np.cross bit for bit, at a fraction of its overhead."""
+    a, b = np.asarray(a), np.asarray(b)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
+                    axis=-1)
 
 
 def levi_civita(i: int, j: int, k: int) -> float:
@@ -91,10 +104,11 @@ def _rotations(alpha):
     """Validated (..., 3, 3) stack of proper rotations, and each residual."""
     a = mat3(alpha)
     residual = check_orthogonality(a)
-    if np.any(residual > ORTH_REPAIR_LIMIT):
+    if (residual > ORTH_REPAIR_LIMIT).any():
         raise InvariantViolationError(
             f"matrix is not orthogonal (residual {np.max(residual):.3e})")
-    if np.any(np.linalg.det(a) <= 0.0):
+    # Near-orthogonal, so det = (a_0 x a_1) . a_2 is about +-1: its sign is safe.
+    if ((cross(a[..., 0, :], a[..., 1, :]) * a[..., 2, :]).sum(axis=-1) <= 0.0).any():
         raise InvariantViolationError("improper rotation (det <= 0) rejected")
     return a, residual
 
@@ -109,7 +123,7 @@ def orthonormalized(alpha) -> np.ndarray:
     """
     a, residual = _rotations(alpha)
     drifted = residual > ORTH_TOL
-    if np.any(drifted):
+    if drifted.any():
         a = a.copy()
         u, _, vt = np.linalg.svd(a[drifted])
         a[drifted] = u @ vt

@@ -11,6 +11,7 @@ from framekit import (InvariantViolationError, RigidFrameMotion, UsageError,
                       make_field, make_frame, map_position_from_prime,
                       map_position_to_prime, observed_velocity,
                       omega_from_alpha)
+from framekit import frames
 from framekit import objectivity as obj
 from framekit import tensor_core as tc
 
@@ -291,6 +292,35 @@ class TestKinematicsMemo:
             frame, flow, samples=20, rng=np.random.default_rng(6))
         assert r.passed
         assert calls == {"alpha": 2, "dalpha_dt": 2}
+
+    def test_one_angle_evaluation_per_factor(self, monkeypatch):
+        # alpha, its two rates and the state at one time array share each
+        # rotation factor's angle polynomials, evaluated once per factor.
+        calls = Counter()
+        made = []
+        poly_funcs = frames._poly_funcs
+
+        def counted_poly_funcs(coeffs):
+            factor = len(made)
+            made.append(factor)
+
+            def counted(rate, f):
+                def g(t):
+                    calls[factor, rate] += 1
+                    return f(t)
+                return g
+            return tuple(counted(rate, f) for rate, f in enumerate(poly_funcs(coeffs)))
+
+        monkeypatch.setattr(frames, "_poly_funcs", counted_poly_funcs)
+        frame = make_frame("wobble", angles_x=[0.0, 0.9, 0.4, 0.0],
+                           angles_y=[0.3, 0.7, 0.0, 0.2],
+                           angles_z=[0.0, 1.1, -0.3, 0.0])
+        assert made == [0, 1, 2]
+        frame.alpha(self.A)
+        frame.dalpha_dt(self.A)
+        frame.d2alpha_dt2(self.A)
+        frame.state(self.A)
+        assert calls == {(factor, rate): 1 for factor in range(3) for rate in range(3)}
 
     @pytest.mark.parametrize("name", [*builtin_frames(), "fd_wobble"])
     def test_interleaved_time_arrays_match_a_fresh_frame(self, name):

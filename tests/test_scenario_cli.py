@@ -120,6 +120,43 @@ class TestRunSuite:
         r1, r2 = run_suite(s), run_suite(s)
         assert canonical_report_json(r1) == canonical_report_json(r2)
 
+    def test_determinism_on_rotating_frames(self):
+        s = parse_scenario(f"""
+frames:
+  - name: wobble
+    params: {{angles_x: [0.0, 0.9, 0.4], angles_y: [0.3, 0.7], angles_z: [0.0, 1.1, -0.3]}}
+  - name: screw
+    params: {{axis: [0, 0, 1], rate: 1.5, velocity: [0.0, 0.0, 0.6]}}
+fields:
+  - name: taylor_green
+    params: {{mod_amp: 0.3, mod_freq: 2.0}}
+checks: [{", ".join(CHECK_IDS)}]
+samples: 20
+""")
+        r1, r2 = run_suite(s), run_suite(s)
+        assert len(r1.results) == 2 * (len(CHECK_IDS) - 1)   # no scalar check
+        assert canonical_report_json(r1) == canonical_report_json(r2)
+
+    def test_non_finite_residual_row_explains_itself(self):
+        s = parse_scenario("""
+frames: [identity]
+fields:
+  - name: shear
+    params: {rate: 1.0e308}
+checks: [div_invariance]
+samples: 5
+""")
+        # The overflow is the subject here: keep -W error::RuntimeWarning
+        # from turning it into an error row.
+        with np.errstate(all="ignore"):
+            report = run_suite(s)
+        row = json.loads(emit_report(report, "json"))["results"][0]
+        assert row["status"] == "fail"
+        assert row["max_abs_err"] is None
+        message = "non-finite residual: the check's arithmetic overflowed"
+        assert row["message"] == message
+        assert f"\n    {message}\n" in emit_report(report, "table")
+
     def test_scalar_checks_apply_to_scalar_fields_only(self):
         s = parse_scenario("""
 frames: [identity]

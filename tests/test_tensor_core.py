@@ -125,6 +125,13 @@ class TestOrthogonality:
         with pytest.raises(InvariantViolationError):
             tc.orthonormalized(np.diag([1.0, 1.0, -1.0]))
 
+    def test_reject_one_reflection_in_a_stack(self):
+        stack = np.stack([rot_z(0.1 * k) for k in range(5)])
+        stack[3] = stack[3] @ np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(InvariantViolationError):
+            tc.require_rotation(stack)
+        tc.require_rotation(np.delete(stack, 3, axis=0))
+
     @given(st.integers(0, 2**32 - 1))
     def test_orthogonality_identities(self, seed):
         # alpha_ij alpha_ik = delta_jk and alpha_ij alpha_kj = delta_ik
@@ -142,3 +149,23 @@ class TestSkewAxial:
     @given(finite_vec)
     def test_axial_inverts_skew(self, w):
         assert np.allclose(tc.axial(tc.skew(w)), w)
+
+
+class TestBatchShapeBits:
+    """A stacked primitive gives each entry the bits of its single call."""
+
+    def test_matvec_batched_equals_per_point(self):
+        rng = np.random.default_rng(11)
+        alpha = np.stack([random_rotation(rng) for _ in range(6)])
+        x = rng.normal(size=(6, 3, 4, 3))
+        batched = tc.matvec(alpha[:, None, None], x)
+        assert batched.shape == x.shape
+        for i, j, k in np.ndindex(x.shape[:-1]):
+            assert np.array_equal(batched[i, j, k], tc.matvec(alpha[i], x[i, j, k]))
+
+    def test_cross_equals_numpy_cross(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(2, 50, 3))
+        stack = rng.normal(size=(4, 50, 3))
+        for u, v in ((a, b), (a[0], b), (a, b[0]), (a[0], b[0]), (a, stack)):
+            assert np.array_equal(tc.cross(u, v), np.cross(u, v))
