@@ -9,8 +9,9 @@ tolerance budget.
 Jacobians follow the package convention J[k, i] = d v_i / d x_k.
 
 Operators take points x' (..., 3) and times t (...) and call the field once,
-with the stencil offsets as extra axes of the points (or times); t keeps one
-entry per sample, so an observed field builds its frame state per sample.
+with the stencil offsets as a leading axis of the points (or times), so no
+axis is moved; spatial stencils keep one entry of t per sample, so an
+observed field builds its frame state per sample.
 """
 
 from __future__ import annotations
@@ -64,18 +65,24 @@ def _central(f, h, order):
 def _broadcast(x_prime, t):
     """Points (..., 3) and times (...) broadcast to one batch shape."""
     x, t = np.asarray(x_prime, dtype=float), np.asarray(t, dtype=float)
+    if x.shape[:-1] == t.shape:
+        return x, t
     batch = np.broadcast_shapes(x.shape[:-1], t.shape)
     return np.broadcast_to(x, batch + (3,)), np.broadcast_to(t, batch)
+
+
+def _first(offsets, batch_ndim: int):
+    """Stencil offsets (n, ...) with batch_ndim unit axes after the first: the
+    stencil axis leads, so each sample f[j] is a basic index."""
+    return offsets.reshape(offsets.shape[:1] + (1,) * batch_ndim + offsets.shape[1:])
 
 
 def _spatial_derivative(field, x_prime, t, cfg):
     """d field / d x'_k by central differences, k on the axis after the batch."""
     x, t = _broadcast(x_prime, t)
-    steps = cfg.h * _OFFSETS[cfg.order]
-    # Points (..., k, n, 3): axis k, stencil offset n.
-    points = x[..., None, None, :] + _AXES[:, None, :] * steps[:, None]
-    f = field(points, t[..., None, None])
-    return _central(np.moveaxis(f, x.ndim, 0), cfg.h, cfg.order)
+    # Points (n, ..., k, 3): stencil offset n, axis k.
+    steps = _first(cfg.h * _OFFSETS[cfg.order][:, None, None] * _AXES, t.ndim)
+    return _central(field(x[..., None, :] + steps, t[..., None]), cfg.h, cfg.order)
 
 
 def fd_jacobian(field, x_prime, t, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
@@ -91,8 +98,8 @@ def fd_gradient(field, x_prime, t, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
 def fd_time_derivative(field, x_prime, t, cfg: FdConfig = DEFAULT_FD):
     """Eulerian time derivative at fixed observed coordinates."""
     x, t = _broadcast(x_prime, t)
-    f = field(x[..., None, :], t[..., None] + cfg.h_t * _OFFSETS[cfg.order])
-    return _central(np.moveaxis(f, x.ndim - 1, 0), cfg.h_t, cfg.order)
+    f = field(x, t + _first(cfg.h_t * _OFFSETS[cfg.order], t.ndim))
+    return _central(f, cfg.h_t, cfg.order)
 
 
 def fd_second_derivatives(field, x_prime, t,
@@ -103,8 +110,7 @@ def fd_second_derivatives(field, x_prime, t,
     """
     x, t = _broadcast(x_prime, t)
     h = cfg.h
-    f = np.moveaxis(field(x[..., None, :] + h * _HESS_OFFSETS, t[..., None]),
-                    x.ndim - 1, 0)
+    f = field(x + _first(h * _HESS_OFFSETS, t.ndim), t)
     hess = np.empty((3, 3) + f.shape[1:])
     for a in range(3):
         hess[a, a] = (f[1 + 2 * a] - 2.0 * f[0] + f[2 + 2 * a]) / (h * h)

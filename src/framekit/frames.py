@@ -13,9 +13,10 @@ Levi-Civita contraction
 which in matrix form reads: M = d(alpha)/dt @ alpha.T is antisymmetric and
 omega = axial-vector of M (M[i,k] = eps_ijk omega_j).
 
-A frame remembers the kinematics it computed at the last time array it
-was asked about (see ``RigidFrameMotion``), so the several pull-backs of
-one check evaluate and validate alpha(t) once per time array.
+A frame quantity may be a constant array, validated once when the frame is
+built, with zero derivatives.  What a frame's callables give is remembered
+for the last time array (see ``RigidFrameMotion``), so the several
+pull-backs of one check evaluate and validate alpha(t) once per time array.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -48,7 +48,7 @@ class FrameState:
     """Validated kinematics of a frame at times t of shape (...): alpha,
     dalpha and the spin M = dalpha @ alpha.T of shape (..., 3, 3); y, dy
     and omega (the axial vector of spin) of shape (..., 3).  The arrays are
-    read-only: they are the frame's memo of its last time array."""
+    read-only: the frame's memo of its last time array, or its constants."""
     alpha: np.ndarray
     dalpha: np.ndarray
     spin: np.ndarray
@@ -63,6 +63,20 @@ def _batched(value, t, tail: tuple) -> np.ndarray:
     shape = np.shape(t) + tail
     # Always a view: the memo freezes what it stores, never a caller's array.
     return a.view() if a.shape == shape else np.broadcast_to(a, shape)
+
+
+def _rotation_stack(value, t, tail: tuple) -> np.ndarray:
+    """An alpha callable's output as validated (re-orthonormalized) rotations."""
+    return tc.orthonormalized(_batched(value, t, tail))
+
+
+def _frozen(value, tail: tuple) -> np.ndarray:
+    """A constant frame quantity of shape tail: validated, copied, read-only."""
+    a = (tc.vec3(value) if tail == (3,) else tc.mat3(value)).copy()
+    if a.shape != tail:
+        raise UsageError(f"a constant frame quantity must have shape {tail}, got {a.shape}")
+    a.flags.writeable = False
+    return a
 
 
 def _central_rate(f, t, tail: tuple) -> np.ndarray:
@@ -80,44 +94,72 @@ def _second_difference(f, t, tail: tuple) -> np.ndarray:
     return d2f / (h * h).reshape(np.shape(h) + (1,) * len(tail))
 
 
+def _rates(raw, first, second, tail: tuple) -> tuple:
+    """A quantity's first and second time derivatives: each as given (a
+    constant frozen), zero for a constant quantity, else a finite difference
+    of the raw callable (repairing alpha samples would perturb it)."""
+    if callable(raw):
+        fallbacks = (lambda t: _central_rate(raw, t, tail),
+                     lambda t: _second_difference(raw, t, tail))
+    else:
+        fallbacks = (_frozen(np.zeros(tail), tail),) * 2
+    return tuple(fallback if given is None
+                 else given if callable(given) else _frozen(given, tail)
+                 for given, fallback in zip((first, second), fallbacks))
+
+
+def _spin(alpha, dalpha, t=None) -> np.ndarray:
+    """The spin M = dalpha @ alpha.T, checked antisymmetric (alpha evolving
+    rigidly); t, when given, names the first time at which it is not."""
+    m = dalpha @ tc.transpose(alpha)
+    rate = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    bad = np.abs(m + m.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-4 * rate
+    if bad.any():
+        at = "" if t is None else f" at t={t[bad][0]}"
+        raise InvariantViolationError(f"alpha is not evolving rigidly{at}")
+    return m
+
+
 class RigidFrameMotion:
     """The moving frame s': trajectory, rotation, and their time derivatives.
 
-    The callables map times t (...) to (..., 3) vectors or (..., 3, 3)
-    matrices (a constant is broadcast).  A derivative left out is a finite
-    difference of the raw y or alpha callable (see the module docstring).
+    Each of y, alpha and their four rates is a callable mapping times t
+    (...) to (..., 3) vectors or (..., 3, 3) matrices (a constant output is
+    broadcast), or a constant array of shape (3,) or (3, 3).  A constant is
+    validated once, here (a constant alpha is also re-orthonormalized), and
+    returned as a read-only broadcast view of t's shape, bypassing the memo
+    below; the rates of a constant y or alpha default to zero.  A rate left
+    out of a callable is a finite difference of the raw y or alpha callable
+    (see the module docstring).  A constant alpha with a constant rate has
+    its spin, omega and rigid-evolution check computed here.  Otherwise
     ``alpha(t)`` is validated (and re-orthonormalized where slightly
-    drifted) when it is computed; it is the one place a frame's rotation
-    is checked, and ``state(t)`` the one place its rigid evolution is.
+    drifted) when it is computed, and ``state(t)`` checks rigid evolution.
 
-    Every accessor reads through a one-entry memo of the last time array:
-    its key is the bytes of the times, so t of shape (N,), (N, 1) or
-    (N, 1, 1) holding the same values share it.  Values are computed on
-    the flattened times (every rule is elementwise in t), stored read-only
-    and returned reshaped to t's shape; different times replace the whole
-    entry, and a value whose computation raised is not stored.  The key
-    and its values are bound in one tuple that a new time array replaces
-    in one assignment, so threads sharing a frame can at worst recompute
-    a value, never read another time array's.
+    Every accessor of a callable reads through a one-entry memo of the last
+    time array: its key is the bytes of the times, so t of shape (N,),
+    (N, 1) or (N, 1, 1) holding the same values share it.  Values are
+    computed on the flattened times (every rule is elementwise in t), stored
+    read-only and returned reshaped to t's shape; different times replace
+    the whole entry, and a value whose computation raised is not stored.
+    The key and its values are bound in one tuple that a new time array
+    replaces in one assignment, so threads sharing a frame can at worst
+    recompute a value, never read another time array's.
     """
 
-    def __init__(self, name: str,
-                 y: Callable[[np.ndarray], np.ndarray],
-                 alpha: Callable[[np.ndarray], np.ndarray],
-                 dy_dt: Optional[Callable] = None,
-                 d2y_dt2: Optional[Callable] = None,
-                 dalpha_dt: Optional[Callable] = None,
-                 d2alpha_dt2: Optional[Callable] = None):
+    def __init__(self, name: str, y, alpha, dy_dt=None, d2y_dt2=None,
+                 dalpha_dt=None, d2alpha_dt2=None):
         self.name = name
-        self._y = y
-        self._alpha = alpha
-        # Fallbacks difference the raw callables: repairing the alpha
-        # samples would perturb the difference.
-        self._dy = dy_dt or (lambda t: _central_rate(y, t, (3,)))
-        self._d2y = d2y_dt2 or (lambda t: _second_difference(y, t, (3,)))
-        self._dalpha = dalpha_dt or (lambda t: _central_rate(alpha, t, (3, 3)))
-        self._d2alpha = d2alpha_dt2 or (lambda t: _second_difference(alpha, t, (3, 3)))
+        self._y = y if callable(y) else _frozen(y, (3,))
+        self._alpha = (alpha if callable(alpha)
+                       else _frozen(tc.orthonormalized(alpha), (3, 3)))
+        self._dy, self._d2y = _rates(self._y, dy_dt, d2y_dt2, (3,))
+        self._dalpha, self._d2alpha = _rates(self._alpha, dalpha_dt, d2alpha_dt2, (3, 3))
         self._last = (None, {})     # (key, {quantity: read-only flat values})
+        # (alpha, dalpha, spin, omega) when the rotation and its rate are constant.
+        self._steady = None
+        if not (callable(self._alpha) or callable(self._dalpha)):
+            spin = _spin(self._alpha, self._dalpha)
+            self._steady = (self._alpha, self._dalpha, spin, tc.axial(spin))
 
     def _memo(self, quantity: str, t, compute) -> tuple:
         """``compute(flat times)``, a tuple of (M, ...) arrays, memoized for
@@ -134,17 +176,20 @@ class RigidFrameMotion:
             for v in values:
                 v.flags.writeable = False
             entry[1][quantity] = values
+        if t.ndim == 1:
+            return values
         return tuple(v.reshape(t.shape + v.shape[1:]) for v in values)
 
-    def _read(self, quantity: str, raw, t, tail: tuple) -> np.ndarray:
-        return self._memo(quantity, t, lambda f: (_batched(raw(f), f, tail),))[0]
+    def _read(self, quantity: str, raw, t, tail: tuple, validate=_batched) -> np.ndarray:
+        if not callable(raw):
+            return np.broadcast_to(raw, np.shape(t) + tail)
+        return self._memo(quantity, t, lambda f: (validate(raw(f), f, tail),))[0]
 
     def y(self, t) -> np.ndarray:
         return self._read("y", self._y, t, (3,))
 
     def alpha(self, t) -> np.ndarray:
-        return self._memo("alpha", t, lambda f: (
-            tc.orthonormalized(_batched(self._alpha(f), f, (3, 3))),))[0]
+        return self._read("alpha", self._alpha, t, (3, 3), _rotation_stack)
 
     def dy_dt(self, t) -> np.ndarray:
         return self._read("dy", self._dy, t, (3,))
@@ -160,17 +205,15 @@ class RigidFrameMotion:
 
     def state(self, t) -> FrameState:
         """Validated (alpha, dalpha, spin, y, dy, omega) at every time in t."""
-        return FrameState(*self._memo("state", t, self._rigid_state))
+        if self._steady is None:
+            return FrameState(*self._memo("state", t, self._rigid_state))
+        alpha, dalpha, spin, omega = (np.broadcast_to(c, np.shape(t) + c.shape)
+                                      for c in self._steady)
+        return FrameState(alpha, dalpha, spin, self.y(t), self.dy_dt(t), omega)
 
     def _rigid_state(self, t):
-        alpha = self.alpha(t)
-        dalpha = self.dalpha_dt(t)
-        m = dalpha @ tc.transpose(alpha)
-        rate = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-        bad = np.abs(m + tc.transpose(m)).max(axis=(-2, -1)) > 1e-4 * rate
-        if bad.any():
-            raise InvariantViolationError(
-                f"alpha is not evolving rigidly at t={t[bad][0]}")
+        alpha, dalpha = self.alpha(t), self.dalpha_dt(t)
+        m = _spin(alpha, dalpha, t)
         return alpha, dalpha, m, self.y(t), self.dy_dt(t), tc.axial(m)
 
 
@@ -301,28 +344,23 @@ def _product_rotation(factors):
     return alpha, dalpha, d2alpha
 
 
-_ZERO3 = np.zeros(3)
-_ZERO33 = np.zeros((3, 3))
 _EYE3 = np.eye(3)
 
 
 def _translation_frame(name, y, dy, d2y) -> RigidFrameMotion:
-    return RigidFrameMotion(name, y=y, alpha=lambda t: _EYE3, dy_dt=dy,
-                            d2y_dt2=d2y, dalpha_dt=lambda t: _ZERO33,
-                            d2alpha_dt2=lambda t: _ZERO33)
+    return RigidFrameMotion(name, y=y, alpha=_EYE3, dy_dt=dy, d2y_dt2=d2y)
 
 
 def identity_frame() -> RigidFrameMotion:
     """The trivial frame: s' coincides with s for all time."""
-    return _translation_frame("identity", *[lambda t: _ZERO3] * 3)
+    return RigidFrameMotion("identity", y=np.zeros(3), alpha=_EYE3)
 
 
 def uniform_translation(velocity) -> RigidFrameMotion:
     """Galilean frame translating at constant velocity, no rotation."""
     v = tc.vec3(velocity)
     return _translation_frame("uniform_translation",
-                              lambda t: np.multiply.outer(t, v),
-                              lambda t: v, lambda t: _ZERO3)
+                              lambda t: np.multiply.outer(t, v), v, np.zeros(3))
 
 
 def accelerated_translation(coeffs) -> RigidFrameMotion:
@@ -330,13 +368,10 @@ def accelerated_translation(coeffs) -> RigidFrameMotion:
     return _translation_frame("accelerated_translation", *_vector_poly(coeffs))
 
 
-def _rotation_frame(name, factors, y=None, dy=None, d2y=None) -> RigidFrameMotion:
+def _rotation_frame(name, factors, y=np.zeros(3), dy=None, d2y=None) -> RigidFrameMotion:
     alpha, dalpha, d2alpha = _product_rotation(factors)
-    return RigidFrameMotion(
-        name,
-        y=y or (lambda t: _ZERO3), alpha=alpha,
-        dy_dt=dy or (lambda t: _ZERO3), d2y_dt2=d2y or (lambda t: _ZERO3),
-        dalpha_dt=dalpha, d2alpha_dt2=d2alpha)
+    return RigidFrameMotion(name, y=y, alpha=alpha, dy_dt=dy, d2y_dt2=d2y,
+                            dalpha_dt=dalpha, d2alpha_dt2=d2alpha)
 
 
 def constant_rotation(axis, rate: float) -> RigidFrameMotion:
@@ -358,8 +393,7 @@ def screw(axis, rate: float, velocity) -> RigidFrameMotion:
     v = tc.vec3(velocity)
     return _rotation_frame(
         "screw", [_RotationFactor(axis, [0.0, float(rate)])],
-        y=lambda t: np.multiply.outer(t, v), dy=lambda t: v,
-        d2y=lambda t: _ZERO3)
+        y=lambda t: np.multiply.outer(t, v), dy=v, d2y=np.zeros(3))
 
 
 FRAME_CATALOG = {

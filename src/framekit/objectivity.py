@@ -112,9 +112,9 @@ def sample_points(box, n: int, rng: np.random.Generator):
 
 def _result(check_id, errs, tol, witness=None) -> CheckResult:
     errs = np.atleast_1d(np.asarray(errs, dtype=float))
-    mx = float(np.max(errs))
+    mx = float(errs.max())
     return CheckResult(check_id=check_id, samples=errs.size,
-                       max_abs_err=mx, mean_abs_err=float(np.mean(errs)),
+                       max_abs_err=mx, mean_abs_err=float(errs.mean()),
                        tol=float(tol), passed=bool(mx <= tol),
                        witness=witness)
 

@@ -149,9 +149,11 @@ def _parse_box(raw) -> tuple:
         box = np.empty(0)
     if box.shape == (2,):
         box = np.tile(box, (3, 1))
+    # A width that overflows would make every triple's sampling raise.
     if (box.shape != (3, 2) or not np.all(np.isfinite(box))
-            or not np.all(box[:, 0] < box[:, 1])):
-        raise ScenarioError("'box' must be [lo, hi] or three [lo, hi] pairs")
+            or not all(lo < hi and math.isfinite(hi - lo) for lo, hi in box.tolist())):
+        raise ScenarioError("'box' must be [lo, hi] or three [lo, hi] pairs "
+                            "with lo < hi and a finite width hi - lo")
     return tuple((float(lo), float(hi)) for lo, hi in box)
 
 
@@ -215,8 +217,12 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8 text: {exc}") from exc
+    return parse_scenario(text)
 
 
 # --------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def mat3(entries) -> np.ndarray:
 def transpose(a) -> np.ndarray:
     """Swap the last two axes of a stack of matrices (contiguous: matmul on
     a strided view of a stack of 3x3 matrices is several times slower)."""
-    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+    return np.ascontiguousarray(a.swapaxes(-1, -2))
 
 
 def matvec(a, x) -> np.ndarray:
@@ -102,8 +102,8 @@ def check_orthogonality(alpha):
 
 def _rotations(alpha):
     """Validated (..., 3, 3) stack of proper rotations, and each residual."""
-    a = mat3(alpha)
-    residual = check_orthogonality(a)
+    residual = check_orthogonality(alpha)   # validates the stack
+    a = np.asarray(alpha, dtype=float)
     if (residual > ORTH_REPAIR_LIMIT).any():
         raise InvariantViolationError(
             f"matrix is not orthogonal (residual {np.max(residual):.3e})")
@@ -157,8 +157,7 @@ def skew(w) -> np.ndarray:
 
 def axial(m) -> np.ndarray:
     """Axial vector of the antisymmetric part of m (inverse of skew), for a
-    (..., 3, 3) stack."""
-    a = mat3(m)
-    return 0.5 * np.stack([a[..., 2, 1] - a[..., 1, 2],
-                           a[..., 0, 2] - a[..., 2, 0],
-                           a[..., 1, 0] - a[..., 0, 1]], axis=-1)
+    (..., 3, 3) array built from validated stacks (not validated again)."""
+    return 0.5 * np.stack([m[..., 2, 1] - m[..., 1, 2],
+                           m[..., 0, 2] - m[..., 2, 0],
+                           m[..., 1, 0] - m[..., 0, 1]], axis=-1)

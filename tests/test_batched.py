@@ -195,3 +195,24 @@ def test_fd_operators_match_per_point_loops(name, order):
         assert np.max(np.abs(got - want)) <= FD_TOL, batched.__name__
         single = batched(field, xs[3], ts[3], cfg)
         assert np.max(np.abs(single - want[3])) <= FD_TOL, batched.__name__
+
+
+@pytest.mark.parametrize("order", (2, 4))
+@pytest.mark.parametrize("frame_name", ("wobble", "accelerated_translation"))
+def test_fd_bits_do_not_depend_on_batch_shape(frame_name, order):
+    # The stencil layout must not change a bit: points (12, 3), the same
+    # points as (3, 4, 3), and one point at a time give equal arrays.
+    frame = builtin_frames()[frame_name]
+    vector = pull_back_velocity(frame, builtin_flows()["taylor_green"])
+    scalar = pull_back_scalar(frame, builtin_scalars()["gaussian_T"])
+    cfg = FdConfig(order=order)
+    xs, ts = batch_points(seed=8, n=12)
+    cases = [(diffops.fd_jacobian, vector), (diffops.fd_time_derivative, vector),
+             (diffops.fd_second_derivatives, vector), (diffops.fd_gradient, scalar),
+             (diffops.fd_time_derivative, scalar)]
+    for operator, field in cases:
+        flat = operator(field, xs, ts, cfg)
+        grid = operator(field, xs.reshape(3, 4, 3), ts.reshape(3, 4), cfg)
+        single = np.array([operator(field, x, t, cfg) for x, t in zip(xs, ts)])
+        assert np.array_equal(grid.reshape(flat.shape), flat), operator.__name__
+        assert np.array_equal(single, flat), operator.__name__

@@ -332,7 +332,7 @@ class TestKinematicsMemo:
                 assert value.shape == t.shape + tails[key]
                 assert np.array_equal(value, want[key]), (name, key)
 
-    @pytest.mark.parametrize("name", ["wobble", "fd_wobble"])
+    @pytest.mark.parametrize("name", [*builtin_frames(), "fd_wobble"])
     def test_returned_arrays_are_read_only(self, name):
         frame = build_frame(name)
         for key, value in kinematics(frame, self.A).items():
@@ -389,3 +389,76 @@ class TestKinematicsMemo:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert errors == [] and mismatches == []
+
+
+PARTS = {"y": "_y", "alpha": "_alpha", "dy_dt": "_dy", "d2y_dt2": "_d2y",
+         "dalpha_dt": "_dalpha", "d2alpha_dt2": "_d2alpha"}
+ROTATION = {"alpha", "dalpha_dt", "d2alpha_dt2"}
+# The parts each catalog frame passes as constants: what does not move.
+CONSTANT_PARTS = {
+    "identity": set(PARTS),
+    "uniform_translation": ROTATION | {"dy_dt", "d2y_dt2"},
+    "accelerated_translation": ROTATION,
+    "constant_rotation": {"y", "dy_dt", "d2y_dt2"},
+    "wobble": {"y", "dy_dt", "d2y_dt2"},
+    "screw": {"dy_dt", "d2y_dt2"},
+}
+
+
+class TestConstantKinematics:
+    """A constant frame part is validated once and gives the same bits as
+    the same constant given as a callable of t."""
+
+    A = np.linspace(0.0, 1.0, 9)
+    B = np.linspace(0.3, 1.7, 9)
+
+    @pytest.mark.parametrize("name", sorted(CONSTANT_PARTS))
+    def test_constants_match_callables(self, name):
+        frame = builtin_frames()[name]
+        parts = {part: getattr(frame, attr) for part, attr in PARTS.items()}
+        assert {p for p, v in parts.items() if not callable(v)} == CONSTANT_PARTS[name]
+        twin = RigidFrameMotion("twin", **{
+            part: v if callable(v) else (lambda t, c=v: c) for part, v in parts.items()})
+        for t in (self.A, self.B, self.A.reshape(-1, 1, 1)):
+            want = kinematics(twin, t)
+            for key, value in kinematics(frame, t).items():
+                assert value.shape == want[key].shape, (name, key)
+                assert np.array_equal(value, want[key]), (name, key)
+
+    @pytest.mark.parametrize("alpha", [2 * np.eye(3), np.diag([1.0, 1.0, -1.0])])
+    def test_constant_alpha_must_be_a_proper_rotation(self, alpha):
+        with pytest.raises(InvariantViolationError):
+            RigidFrameMotion("bad", y=np.zeros(3), alpha=alpha)
+
+    @pytest.mark.parametrize("part", sorted(PARTS))
+    def test_malformed_constant_is_a_usage_error(self, part):
+        good = np.eye(3) if part in ROTATION else np.zeros(3)
+        for value in (np.full(good.shape, np.nan), np.zeros(2), np.stack([good] * 4)):
+            with pytest.raises(UsageError):
+                RigidFrameMotion("bad", **{"y": np.zeros(3), "alpha": np.eye(3), part: value})
+
+    def test_constant_rotation_must_evolve_rigidly(self):
+        with pytest.raises(InvariantViolationError, match="rigidly"):
+            RigidFrameMotion("bad", y=np.zeros(3), alpha=np.eye(3), dalpha_dt=np.eye(3))
+
+    def test_constants_are_copied(self):
+        v = np.array([1.0, 2.0, 3.0])
+        frame = RigidFrameMotion("copy", y=np.zeros(3), alpha=np.eye(3), dy_dt=v)
+        v[0] = 9.0
+        assert np.array_equal(frame.dy_dt(self.A)[0], [1.0, 2.0, 3.0])
+
+    def test_constant_rotation_is_not_revalidated(self, monkeypatch):
+        calls = Counter()
+        orthonormalized = tc.orthonormalized
+
+        def counted(alpha):
+            calls["orthonormalized"] += 1
+            return orthonormalized(alpha)
+
+        frame = builtin_frames()["uniform_translation"]
+        monkeypatch.setattr(tc, "orthonormalized", counted)
+        r = obj.check_acceleration_decomposition(
+            frame, builtin_flows()["taylor_green"], samples=20,
+            rng=np.random.default_rng(6))
+        assert r.passed
+        assert calls == Counter()

@@ -91,6 +91,7 @@ MALFORMED = {
     "flow_as_pressure": "pressure: {name: taylor_green}\n",
     "empty_angle_polynomial": ("frames:\n  - name: wobble\n    params: "
                                "{angles_x: [0.0], angles_y: [0.0], angles_z: []}\n"),
+    "huge_box": "box: [-1.0e308, 1.0e308]\n",
 }
 
 
@@ -302,6 +303,15 @@ tolerances: {div_invariance: 1.0e-30}
 
     def test_exit_two_on_missing_file(self, tmp_path):
         assert main(["verify", "--scenario", str(tmp_path / "nope.yaml")]) == 2
+
+    def test_exit_two_on_a_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(MINIMAL.encode() + b"# \xff\n")
+        assert main(["verify", "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "UTF-8" in captured.err
 
     def test_seed_and_samples_overrides(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path, MINIMAL)
