@@ -308,42 +308,6 @@ class _RotationFactor:
             (-sin * k + cos * k2) * dth * dth + dr_dth * d2th))
 
 
-def _product_rotation(factors):
-    """alpha(t) and its analytic derivatives for an ordered product of
-    rotation factors, by the product rule over the factors.  The three share
-    the factors' rates at the last time array: one (key, rates) tuple that
-    one assignment replaces, so threads can at worst recompute them."""
-    last = (None, None)
-
-    def rates(t):   # (values, first, second derivatives) of the factors
-        nonlocal last
-        t = np.asarray(t, dtype=float)
-        key = (t.shape, t.tobytes())
-        entry = last
-        if entry[0] != key:
-            entry = last = (key, tuple(zip(*(f.rates(t) for f in factors))))
-        return entry[1]
-
-    def replaced(vals, subs):
-        return reduce(np.matmul, [subs.get(j, v) for j, v in enumerate(vals)])
-
-    def alpha(t):
-        return reduce(np.matmul, rates(t)[0])
-
-    def dalpha(t):
-        vals, d1, _ = rates(t)
-        return sum(replaced(vals, {i: d}) for i, d in enumerate(d1))
-
-    def d2alpha(t):
-        vals, d1, d2 = rates(t)
-        total = sum(replaced(vals, {i: d}) for i, d in enumerate(d2))
-        for i, k in combinations(range(len(vals)), 2):
-            total = total + 2.0 * replaced(vals, {i: d1[i], k: d1[k]})
-        return total
-
-    return alpha, dalpha, d2alpha
-
-
 _EYE3 = np.eye(3)
 
 
@@ -369,9 +333,34 @@ def accelerated_translation(coeffs) -> RigidFrameMotion:
 
 
 def _rotation_frame(name, factors, y=np.zeros(3), dy=None, d2y=None) -> RigidFrameMotion:
-    alpha, dalpha, d2alpha = _product_rotation(factors)
-    return RigidFrameMotion(name, y=y, alpha=alpha, dy_dt=dy, d2y_dt2=d2y,
-                            dalpha_dt=dalpha, d2alpha_dt2=d2alpha)
+    """A frame rotating by an ordered product of factors.  alpha and its
+    analytic derivatives follow by the product rule from every factor's R,
+    dR/dt and d2R/dt2, which the frame's memo keeps for the last time array."""
+    def rates(t):   # (values, first, second derivatives) of the factors
+        r = frame._memo("factors", t, lambda f: sum((fac.rates(f) for fac in factors), ()))
+        return r[0::3], r[1::3], r[2::3]
+
+    def replaced(vals, subs):
+        return reduce(np.matmul, [subs.get(j, v) for j, v in enumerate(vals)])
+
+    def alpha(t):
+        return reduce(np.matmul, rates(t)[0])
+
+    def dalpha(t):
+        vals, d1, _ = rates(t)
+        return sum(replaced(vals, {i: d}) for i, d in enumerate(d1))
+
+    def d2alpha(t):
+        vals, d1, d2 = rates(t)
+        total = sum(replaced(vals, {i: d}) for i, d in enumerate(d2))
+        for i, k in combinations(range(len(vals)), 2):
+            total = total + 2.0 * replaced(vals, {i: d1[i], k: d1[k]})
+        return total
+
+    # The closures read the memo of this frame; its constructor calls none of them.
+    frame = RigidFrameMotion(name, y=y, alpha=alpha, dy_dt=dy, d2y_dt2=d2y,
+                             dalpha_dt=dalpha, d2alpha_dt2=d2alpha)
+    return frame
 
 
 def constant_rotation(axis, rate: float) -> RigidFrameMotion:

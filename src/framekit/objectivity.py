@@ -240,11 +240,9 @@ def check_stress_tensor_transform(tau_in_s, alpha,
     """
     tau = tc.mat3(tau_in_s)
     algebraic = tc.transform_tensor2(tau, alpha)   # raises on a non-rotation
-    a = np.asarray(alpha, dtype=float)
-    physical = np.empty(algebraic.shape)
-    for j2 in range(3):
-        traction = cauchy_traction(tau, a[..., :, j2])   # face normal e'_{j2}, in s
-        physical[..., :, j2] = tc.matvec(tc.transpose(a), traction)
+    faces = tc.transpose(np.asarray(alpha, dtype=float))   # row j2: e'_{j2}, in s
+    traction = cauchy_traction(tau[..., None, :, :], faces)   # row j2: its traction
+    physical = tc.transpose(tc.matvec(faces[..., None, :, :], traction))
     errs = np.abs(physical - algebraic).max(axis=(-2, -1))
     return _result("stress_transform", errs, tol)
 

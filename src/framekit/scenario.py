@@ -88,7 +88,7 @@ def _named_entries(raw, kind: str, catalog) -> tuple:
             params = item.get("params", {}) or {}
         else:
             raise ScenarioError(f"each '{kind}' entry must be a name or mapping")
-        if name not in catalog:
+        if not isinstance(name, str) or name not in catalog:
             raise ScenarioError(
                 f"unknown {kind[:-1]} id {name!r}; valid ids: {sorted(catalog)}")
         if not isinstance(params, dict):
@@ -161,8 +161,11 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; fill documented defaults."""
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"scenario document is not valid YAML: {exc}") from exc
+    except yaml.YAMLError as exc:   # its message spans lines; the contract is one
+        at = getattr(exc, "problem_mark", None)
+        what = (f"{exc.problem} at line {at.line + 1}, column {at.column + 1}"
+                if at is not None else " ".join(str(exc).split()))
+        raise ScenarioError(f"scenario document is not valid YAML: {what}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     extra = set(doc) - _TOP_KEYS
@@ -179,7 +182,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(checks, list) or not checks:
         raise ScenarioError("'checks' must be a non-empty list")
     for c in checks:
-        if c not in obj.CHECKS:
+        if not isinstance(c, str) or c not in obj.CHECKS:
             raise ScenarioError(
                 f"unknown check id {c!r}; valid ids: {list(obj.CHECKS)}")
 

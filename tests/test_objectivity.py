@@ -394,3 +394,28 @@ class TestSensitivity:
         monkeypatch.setattr(tc, "untransform_tensor2",
                             lambda t_p, alpha: correct(t_p, tc.transpose(alpha)))
         assert not self.run(check, frame_name, flow_name).passed
+
+    @pytest.mark.parametrize("frame_name", ROTATING)
+    def test_stress_transformed_as_vector(self, monkeypatch, frame_name):
+        frame = builtin_frames()[frame_name]
+        check = obj.check_stress_transform_random
+        assert check(frame, rng=seeded()).passed
+        monkeypatch.setattr(tc, "transform_tensor2",
+                            lambda tau, alpha: tc.transpose(alpha) @ tc.mat3(tau))
+        assert not check(frame, rng=seeded()).passed
+
+    @pytest.mark.parametrize("frame_name", ROTATING)
+    def test_dropped_euler_term(self, monkeypatch, frame_name):
+        check = obj.check_acceleration_decomposition
+        assert self.run(check, frame_name, "taylor_green").passed
+        correct = obj.omega_from_alpha
+
+        def no_euler(frame, t):
+            ang = correct(frame, t)
+            return AngularVelocity(omega=ang.omega,
+                                   domega_dt=np.zeros_like(ang.domega_dt))
+
+        monkeypatch.setattr(obj, "omega_from_alpha", no_euler)
+        # At a constant rate domega_dt is 0, so only wobble can show the mutation.
+        passed = self.run(check, frame_name, "taylor_green").passed
+        assert passed == (frame_name != "wobble")

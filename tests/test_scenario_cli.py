@@ -92,6 +92,11 @@ MALFORMED = {
     "empty_angle_polynomial": ("frames:\n  - name: wobble\n    params: "
                                "{angles_x: [0.0], angles_y: [0.0], angles_z: []}\n"),
     "huge_box": "box: [-1.0e308, 1.0e308]\n",
+    "list_as_frame_name": "frames: [{name: [screw]}]\n",
+    "list_as_check_id": "checks: [[div_invariance]]\n",
+    "mapping_as_pressure_name": "pressure: {name: {a: 1}}\n",
+    "yaml_syntax_error": "box: [0, 1\n",
+    "yaml_control_character": "box: \"\x01\"\n",
 }
 
 
