@@ -335,7 +335,9 @@ def accelerated_translation(coeffs) -> RigidFrameMotion:
 def _rotation_frame(name, factors, y=np.zeros(3), dy=None, d2y=None) -> RigidFrameMotion:
     """A frame rotating by an ordered product of factors.  alpha and its
     analytic derivatives follow by the product rule from every factor's R,
-    dR/dt and d2R/dt2, which the frame's memo keeps for the last time array."""
+    dR/dt and d2R/dt2, which the frame's memo keeps for the last time array.
+    The alpha closures read and write that memo, so a frame built from them
+    shares it and evicts this frame's entry when it evaluates another t."""
     def rates(t):   # (values, first, second derivatives) of the factors
         r = frame._memo("factors", t, lambda f: sum((fac.rates(f) for fac in factors), ()))
         return r[0::3], r[1::3], r[2::3]

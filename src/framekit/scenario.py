@@ -162,9 +162,7 @@ def parse_scenario(text: str) -> Scenario:
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:   # its message spans lines; the contract is one
-        at = getattr(exc, "problem_mark", None)
-        what = (f"{exc.problem} at line {at.line + 1}, column {at.column + 1}"
-                if at is not None else " ".join(str(exc).split()))
+        what = " ".join(str(exc).split())
         raise ScenarioError(f"scenario document is not valid YAML: {what}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
