@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -31,6 +30,7 @@ from numpy.polynomial import polynomial as npoly
 from . import tensor_core as tc
 from .errors import InvariantViolationError, UsageError
 
+_EYE3 = np.eye(3)
 # Relative steps for the finite-difference derivative fallbacks.
 FD_TIME_STEP = 1e-6
 SECOND_DIFF_STEP = 1e-4
@@ -296,19 +296,13 @@ class _RotationFactor:
     def rates(self, t):
         """R, dR/dt and d2R/dt2 at times t (...), each (..., 3, 3), from one
         evaluation of each angle polynomial and one sine and cosine."""
-        th, dth, d2th = (np.asarray(f(t)) for f in (self.theta, self.dtheta, self.d2theta))
-        # Entries first, so each operation runs over contiguous times.
-        k, k2, eye = (m.reshape((3, 3) + (1,) * th.ndim) for m in (self.k, self.k2, _EYE3))
+        th, dth, d2th = (np.asarray(f(t))[..., None, None]
+                         for f in (self.theta, self.dtheta, self.d2theta))
         sin, cos = np.sin(th), np.cos(th)
-        dr_dth = cos * k + sin * k2
-        axes = (*range(2, th.ndim + 2), 0, 1)
-        return tuple(np.ascontiguousarray(m.transpose(axes)) for m in (
-            eye + sin * k + (1.0 - cos) * k2,
-            dr_dth * dth,
-            (-sin * k + cos * k2) * dth * dth + dr_dth * d2th))
-
-
-_EYE3 = np.eye(3)
+        dr_dth = cos * self.k + sin * self.k2
+        return (_EYE3 + sin * self.k + (1.0 - cos) * self.k2,
+                dr_dth * dth,
+                (-sin * self.k + cos * self.k2) * dth * dth + dr_dth * d2th)
 
 
 def _translation_frame(name, y, dy, d2y) -> RigidFrameMotion:
@@ -333,32 +327,20 @@ def accelerated_translation(coeffs) -> RigidFrameMotion:
 
 
 def _rotation_frame(name, factors, y=np.zeros(3), dy=None, d2y=None) -> RigidFrameMotion:
-    """A frame rotating by an ordered product of factors.  alpha and its
-    analytic derivatives follow by the product rule from every factor's R,
-    dR/dt and d2R/dt2, which the frame's memo keeps for the last time array.
-    The alpha closures read and write that memo, so a frame built from them
-    shares it and evicts this frame's entry when it evaluates another t."""
-    def rates(t):   # (values, first, second derivatives) of the factors
-        r = frame._memo("factors", t, lambda f: sum((fac.rates(f) for fac in factors), ()))
-        return r[0::3], r[1::3], r[2::3]
+    """A frame rotating by an ordered product P of factors.  alpha and its
+    two rates are P, P' and P'', folded by the product rule in one pass: from
+    the first factor's (R, R', R''), each further factor turns them into
+    (P R, P' R + P R', P'' R + 2 P' R' + P R''), kept in the frame's memo for
+    the last time array.  The closures share that memo with any frame built
+    from them, which evicts this frame's entry when it evaluates another t."""
+    def products(t):
+        p, dp, d2p = factors[0].rates(t)
+        for r, dr, d2r in (factor.rates(t) for factor in factors[1:]):
+            p, dp, d2p = p @ r, dp @ r + p @ dr, d2p @ r + 2.0 * dp @ dr + p @ d2r
+        return p, dp, d2p
 
-    def replaced(vals, subs):
-        return reduce(np.matmul, [subs.get(j, v) for j, v in enumerate(vals)])
-
-    def alpha(t):
-        return reduce(np.matmul, rates(t)[0])
-
-    def dalpha(t):
-        vals, d1, _ = rates(t)
-        return sum(replaced(vals, {i: d}) for i, d in enumerate(d1))
-
-    def d2alpha(t):
-        vals, d1, d2 = rates(t)
-        total = sum(replaced(vals, {i: d}) for i, d in enumerate(d2))
-        for i, k in combinations(range(len(vals)), 2):
-            total = total + 2.0 * replaced(vals, {i: d1[i], k: d1[k]})
-        return total
-
+    alpha, dalpha, d2alpha = (lambda t, i=i: frame._memo("products", t, products)[i]
+                              for i in range(3))
     # The closures read the memo of this frame; its constructor calls none of them.
     frame = RigidFrameMotion(name, y=y, alpha=alpha, dy_dt=dy, d2y_dt2=d2y,
                              dalpha_dt=dalpha, d2alpha_dt2=d2alpha)

@@ -1,12 +1,12 @@
 """Scenario parsing, suite orchestration, and report emission.
 
 A scenario document (YAML; JSON is accepted as a YAML subset) names the
-frames, fields, and checks to run plus sampling/FD parameters.  Unknown
-keys are rejected so typos cannot silently disable a check, and the
+frames, fields, and checks to run plus sampling/FD parameters.  Unknown and
+repeated keys are rejected so typos cannot silently change a run, and the
 numbers and every frame and field (built and evaluated once) are validated
-here, so a malformed one fails before any check runs.  Reports are deterministic for a given (scenario, seed): every
-(frame, field, check) triple gets its own seeded generator, so execution
-order cannot change the numbers.
+here, so a malformed one fails before any check runs.  Reports are
+deterministic for a given (scenario, seed): every (frame, field, check)
+triple gets its own seeded generator, so execution order cannot change them.
 """
 
 from __future__ import annotations
@@ -31,8 +31,24 @@ _TOP_KEYS = {"frames", "fields", "checks", "box", "samples", "seed", "fd",
              "tolerances", "material", "pressure"}
 _FD_KEYS = {"h", "ht", "order"}
 _MATERIAL_KEYS = {"mu", "rho", "g", "conductivity"}
-# libyaml's loader is about ten times faster; not every PyYAML build has it.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+class _StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader (libyaml's, ten times faster, where PyYAML has it), but a
+    key repeated in a mapping is an error; a merged (<<) key may be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)   # rejects unhashable keys
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node, deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
 
 
 @dataclass(frozen=True)
@@ -160,7 +176,7 @@ def _parse_box(raw) -> tuple:
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; fill documented defaults."""
     try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
+        doc = yaml.load(text, Loader=_StrictLoader)
     except yaml.YAMLError as exc:   # its message spans lines; the contract is one
         what = " ".join(str(exc).split())
         raise ScenarioError(f"scenario document is not valid YAML: {what}") from exc

@@ -71,6 +71,14 @@ class TestSecondDerivatives:
         got = diffops.fd_viscous_divergence(flow.velocity, x, 0.0)
         assert np.max(np.abs(got - flow.visc_div(x, 0.0))) <= 1e-5
 
+    def test_viscous_divergence_of_a_compressible_field(self):
+        # v = (x0^2, x1 x2, 0) has div v = 2 x0 + x2, so the grad-div term
+        # (2, 0, 1) adds to the Laplacian (2, 0, 0); catalog flows have none.
+        field = lambda x, t: np.stack(
+            [x[..., 0] ** 2, x[..., 1] * x[..., 2], 0.0 * x[..., 0]], axis=-1)
+        got = diffops.fd_viscous_divergence(field, np.array([0.3, -0.4, 0.2]), 0.0)
+        assert np.max(np.abs(got - [4.0, 0.0, 1.0])) <= 1e-6
+
 
 class TestReductions:
     def test_identity_jacobian(self):

@@ -419,3 +419,13 @@ class TestSensitivity:
         # At a constant rate domega_dt is 0, so only wobble can show the mutation.
         passed = self.run(check, frame_name, "taylor_green").passed
         assert passed == (frame_name != "wobble")
+
+    @pytest.mark.parametrize("flow_name", ("taylor_green", "shear", "rigid_rotation"))
+    def test_origin_moving_off_the_rotation_axis(self, flow_name):
+        # The catalog screw moves along its own axis, where omega x y = 0, so
+        # the sign of y in X = x - y(t) goes unseen there.  Moving across the
+        # axis makes it count: X = x + y fails this check with an error of 2.7.
+        frame = make_frame("screw", axis=[0, 0, 1], rate=1.5, velocity=[0.6, 0, 0])
+        r = obj.check_acceleration_decomposition(
+            frame, builtin_flows()[flow_name], samples=50, rng=seeded())
+        assert r.passed

@@ -75,7 +75,14 @@ tolerances: {strain_rate_invariance: 1.0e-3}
         assert s.tolerance("div_invariance") == 1e-6
 
 
-MALFORMED = {
+def document(frames="[identity]", fields="[uniform]", checks="[div_invariance]"):
+    """A whole scenario document: MINIMAL with one of its lists replaced."""
+    return f"frames: {frames}\nfields: {fields}\nchecks: {checks}\n"
+
+
+# Whole documents.  A case that breaks one of MINIMAL's own keys replaces it
+# rather than repeating it, since a repeated key is an error of its own.
+MALFORMED = {case: MINIMAL + tail for case, tail in {
     "non_numeric_tolerance": "tolerances: {div_invariance: abc}\n",
     "non_numeric_fd_step": "fd: {h: abc}\n",
     "boolean_samples": "samples: true\n",
@@ -83,20 +90,37 @@ MALFORMED = {
     "nan_tolerance": "tolerances: {div_invariance: .nan}\n",
     "negative_tolerance": "tolerances: {div_invariance: -1.0e-6}\n",
     "short_gravity_vector": "material: {g: [0, 1]}\n",
-    "non_numeric_frame_rate": ("frames:\n  - name: constant_rotation\n"
-                               "    params: {axis: [0, 0, 1], rate: abc}\n"),
-    "nan_frame_rate": ("frames:\n  - name: constant_rotation\n"
-                       "    params: {axis: [0, 0, 1], rate: .nan}\n"),
-    "infinite_shear_rate": "fields:\n  - name: shear\n    params: {rate: .inf}\n",
     "flow_as_pressure": "pressure: {name: taylor_green}\n",
-    "empty_angle_polynomial": ("frames:\n  - name: wobble\n    params: "
-                               "{angles_x: [0.0], angles_y: [0.0], angles_z: []}\n"),
     "huge_box": "box: [-1.0e308, 1.0e308]\n",
-    "list_as_frame_name": "frames: [{name: [screw]}]\n",
-    "list_as_check_id": "checks: [[div_invariance]]\n",
     "mapping_as_pressure_name": "pressure: {name: {a: 1}}\n",
     "yaml_syntax_error": "box: [0, 1\n",
     "yaml_control_character": "box: \"\x01\"\n",
+    "duplicate_key": "samples: 5\nsamples: 7\n",
+    "duplicate_nested_key": "fd: {h: 1.0e-3, order: 2, h: 2.0e-3}\n",
+    "unhashable_key": "? [1, 2]\n: 3\n",
+}.items()} | {
+    "non_numeric_frame_rate": document(
+        frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: abc}}]"),
+    "nan_frame_rate": document(
+        frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: .nan}}]"),
+    "infinite_shear_rate": document(fields="[{name: shear, params: {rate: .inf}}]"),
+    "empty_angle_polynomial": document(
+        frames="[{name: wobble, params: {angles_x: [0.0], angles_y: [0.0], angles_z: []}}]"),
+    "list_as_frame_name": document(frames="[{name: [screw]}]"),
+    "list_as_check_id": document(checks="[[div_invariance]]"),
+}
+
+# What each case that the duplicate-key check could mask is rejected for:
+# the documents that replace one of MINIMAL's keys, and an unhashable key,
+# which the loader must still report as such.
+OWN_REASON = {
+    "non_numeric_frame_rate": "bad parameters for frame 'constant_rotation'",
+    "nan_frame_rate": "bad parameters for frame 'constant_rotation'",
+    "infinite_shear_rate": "bad parameters for field 'shear'",
+    "empty_angle_polynomial": "bad parameters for frame 'wobble'",
+    "list_as_frame_name": "unknown frame id ['screw']",
+    "list_as_check_id": "unknown check id ['div_invariance']",
+    "unhashable_key": "found unhashable key",
 }
 
 
@@ -107,17 +131,37 @@ class TestMalformedScenario:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_parse_rejects(self, case):
         with pytest.raises(ScenarioError):
-            parse_scenario(MINIMAL + MALFORMED[case])
+            parse_scenario(MALFORMED[case])
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_cli_exit_two_one_line(self, case, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
-        path.write_text(MINIMAL + MALFORMED[case])
+        path.write_text(MALFORMED[case])
         assert main(["verify", "--scenario", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("case", sorted(OWN_REASON))
+    def test_fails_for_its_own_reason(self, case):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(MALFORMED[case])
+        assert OWN_REASON[case] in str(err.value)
+        assert "duplicate" not in str(err.value)
+
+    @pytest.mark.parametrize("case, key", [("duplicate_key", "samples"),
+                                           ("duplicate_nested_key", "h")])
+    def test_duplicate_key_is_named(self, case, key):
+        with pytest.raises(ScenarioError, match=f"found duplicate key '{key}'"):
+            parse_scenario(MALFORMED[case])
+
+    def test_merged_key_may_be_overridden(self):
+        s = parse_scenario(document(frames=(
+            "[{name: constant_rotation, params: &spin {axis: [0, 0, 1], rate: 2.0}},"
+            " {name: screw, params: {<<: *spin, rate: 1.5, velocity: [0.6, 0, 0]}}]")))
+        assert s.frames[1][1] == {"axis": [0, 0, 1], "rate": 1.5,
+                                  "velocity": [0.6, 0, 0]}
 
 
 class TestRunSuite:
