@@ -14,8 +14,7 @@ from . import objectivity as obj
 from .errors import FramekitError
 from .fields import FIELD_CATALOG
 from .frames import FRAME_CATALOG
-from .scenario import (VERSION, _integer, emit_report, load_scenario,
-                       run_suite)
+from .scenario import _SCENARIO, VERSION, emit_report, load_scenario, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,11 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=_integer(args.seed, "'seed'", 0))
-    if args.samples is not None:
-        scenario = dataclasses.replace(
-            scenario, samples=_integer(args.samples, "'samples'", 1))
+    overrides = {key: _SCENARIO[key](value, f"'{key}'") for key in ("seed", "samples")
+                 if (value := getattr(args, key)) is not None}   # checked as in a document
+    scenario = dataclasses.replace(scenario, **overrides)
     report = run_suite(scenario)
     text = emit_report(report, format=args.format)
     if args.out:

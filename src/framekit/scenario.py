@@ -14,23 +14,19 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import MISSING, dataclass, field as dc_field, fields as dc_fields, is_dataclass
+from functools import partial
 
 import numpy as np
 import yaml
 
 from . import objectivity as obj
-from .diffops import FdConfig
+from .diffops import _OFFSETS, FdConfig
 from .errors import FramekitError, ScenarioError
 from .fields import FIELD_CATALOG, ScalarField, make_field
 from .frames import FRAME_CATALOG, make_frame, omega_from_alpha
 
 VERSION = "0.1.0"
-
-_TOP_KEYS = {"frames", "fields", "checks", "box", "samples", "seed", "fd",
-             "tolerances", "material", "pressure"}
-_FD_KEYS = {"h", "ht", "order"}
-_MATERIAL_KEYS = {"mu", "rho", "g", "conductivity"}
 
 
 class _StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -88,50 +84,58 @@ class Report:
     version: str = VERSION
 
 
-def _named_entries(raw, kind: str, catalog) -> tuple:
-    if not isinstance(raw, list) or not raw:
-        raise ScenarioError(f"'{kind}' must be a non-empty list")
-    entries = []
-    for item in raw:
-        if isinstance(item, str):
-            name, params = item, {}
-        elif isinstance(item, dict):
-            extra = set(item) - {"name", "params"}
-            if extra:
-                raise ScenarioError(
-                    f"unknown key(s) {sorted(extra)} in a '{kind}' entry")
-            name = item.get("name")
-            params = item.get("params", {}) or {}
-        else:
-            raise ScenarioError(f"each '{kind}' entry must be a name or mapping")
-        if not isinstance(name, str) or name not in catalog:
-            raise ScenarioError(
-                f"unknown {kind[:-1]} id {name!r}; valid ids: {sorted(catalog)}")
-        if not isinstance(params, dict):
-            raise ScenarioError(f"'params' for {kind[:-1]} {name!r} must be a mapping")
-        # Build the entry and evaluate it once at x = 0, t = 0, so that bad
-        # params fail here rather than in every triple.
-        try:
-            with np.errstate(all="ignore"):
-                built = catalog[name](**params)
-                if kind == "frames":   # frame values are validated where computed
-                    omega_from_alpha(built, 0.0)
-                    built.d2y_dt2(0.0)
-                elif not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
-                             for f in vars(built).values() if callable(f)):
-                    raise ValueError("non-finite value at x = 0, t = 0")
-        except (FramekitError, TypeError, ValueError, ArithmeticError) as exc:
-            raise ScenarioError(
-                f"bad parameters for {kind[:-1]} {name!r}: {exc}") from exc
-        entries.append((name, dict(params)))
-    return tuple(entries)
+# Validators: each takes its parameters (bound with partial in the tables),
+# a document value and the quoted name of its key (what), and returns the
+# field's value or raises a one-line ScenarioError.
+
+def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
+    """(name, params) of a catalog entry: a name, or a mapping with a name and
+    params.  The entry is built and evaluated once at x = 0, t = 0, so that bad
+    params fail here rather than in every triple."""
+    item = {"name": item} if isinstance(item, str) else item
+    if not isinstance(item, dict):
+        raise ScenarioError(f"{what} must be a name or mapping")
+    extra = set(item) - {"name", "params"}
+    if extra:
+        raise ScenarioError(f"unknown key(s) {sorted(extra, key=repr)} in {what}")
+    name, params = item.get("name"), item.get("params") or {}
+    if not isinstance(name, str) or name not in catalog:
+        raise ScenarioError(f"unknown {noun} id {name!r}; valid ids: {sorted(catalog)}")
+    if not isinstance(params, dict):
+        raise ScenarioError(f"'params' for {noun} {name!r} must be a mapping")
+    try:
+        with np.errstate(all="ignore"):
+            built = catalog[name](**params)
+            if noun == "frame":   # frame values are validated where computed
+                omega_from_alpha(built, 0.0)
+                built.d2y_dt2(0.0)
+            elif not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
+                         for f in vars(built).values() if callable(f)):
+                raise ValueError("non-finite value at x = 0, t = 0")
+    except (FramekitError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ScenarioError(f"bad parameters for {noun} {name!r}: {exc}") from exc
+    if scalar and not isinstance(built, ScalarField):
+        raise ScenarioError(f"{what} must name a scalar field")
+    return name, dict(params)
+
+
+def _check_id(value, what: str) -> str:
+    if not isinstance(value, str) or value not in obj.CHECKS:
+        raise ScenarioError(f"unknown check id {value!r}; valid ids: {list(obj.CHECKS)}")
+    return value
+
+
+def _list_of(entry, value, what: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(f"{what} must be a non-empty list")
+    return tuple(entry(item, f"a {what} entry") for item in value)
 
 
 def _number(value, what: str, low: float = -math.inf, strict: bool = False) -> float:
     """A finite real (YAML bools rejected) that is >= low, or > low if strict."""
     try:
         x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not (math.isfinite(x) and (x > low if strict else x >= low)):
         bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
@@ -139,38 +143,84 @@ def _number(value, what: str, low: float = -math.inf, strict: bool = False) -> f
     return x
 
 
-def _integer(value, what: str, low: int) -> int:
+def _integer(low: int, value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ScenarioError(f"{what} must be an integer >= {low}, got {value!r}")
     return value
 
 
-def _mapping(doc: dict, key: str, allowed) -> dict:
-    raw = doc.get(key) or {}
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"'{key}' must be a mapping")
-    extra = set(raw) - set(allowed)
-    if extra:
-        raise ScenarioError(f"unknown '{key}' key(s) {sorted(extra)}; "
-                            f"valid keys: {sorted(allowed)}")
-    return raw
+def _order(value, what: str) -> int:
+    if type(value) is not int or value not in _OFFSETS:   # the orders diffops has
+        raise ScenarioError(f"{what} must be one of {sorted(_OFFSETS)}, got {value!r}")
+    return value
 
 
-def _parse_box(raw) -> tuple:
-    if raw is None:
-        return obj.DEFAULT_BOX
+def _vector(value, what: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ScenarioError(f"{what} must be a list of 3 numbers, got {value!r}")
+    return tuple(_number(v, f"{what} entry") for v in value)
+
+
+def _box(value, what: str) -> tuple:
     try:
-        box = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+        box = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
         box = np.empty(0)
     if box.shape == (2,):
         box = np.tile(box, (3, 1))
     # A width that overflows would make every triple's sampling raise.
     if (box.shape != (3, 2) or not np.all(np.isfinite(box))
             or not all(lo < hi and math.isfinite(hi - lo) for lo, hi in box.tolist())):
-        raise ScenarioError("'box' must be [lo, hi] or three [lo, hi] pairs "
+        raise ScenarioError(f"{what} must be [lo, hi] or three [lo, hi] pairs "
                             "with lo < hi and a finite width hi - lo")
     return tuple((float(lo), float(hi)) for lo, hi in box)
+
+
+_DEFAULT = object()   # returned by a validator to keep the field's default
+
+
+def _or_default(valid):   # valid, but a null value keeps the field's default
+    return lambda value, what: _DEFAULT if value is None else valid(value, what)
+
+
+def _mapping(table: dict, cls, prefix: str, value, what: str):
+    """cls from a mapping of table's keys, each checked by its validator in table
+    order, so that a document's first error is deterministic.  A key left out
+    keeps its field's default; a field without one is required."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a mapping")
+    extra = set(value) - set(table)
+    if extra:
+        raise ScenarioError(f"unknown {what} key(s) {sorted(extra, key=repr)}; "
+                            f"valid keys: {sorted(table)}")
+    for f in dc_fields(cls) if is_dataclass(cls) else ():
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in value:
+            raise ScenarioError(f"{what} is missing required key '{f.name}'")
+    values = {_FIELD.get(key, key): valid(value[key], f"'{prefix}{key}'")
+              for key, valid in table.items() if key in value}
+    return cls(**{k: v for k, v in values.items() if v is not _DEFAULT})
+
+
+# The document's keys, each with its validator, in the order of the fields
+# they fill.  A key names its field, but for the renames in _FIELD.
+_nonnegative = partial(_number, low=0.0)
+_positive = partial(_number, low=0.0, strict=True)
+_FIELD = {"ht": "h_t"}
+_FD = {"h": _positive, "ht": _positive, "order": _order}
+_MATERIAL = {"mu": _nonnegative, "rho": _positive, "g": _vector, "conductivity": _nonnegative}
+_TOLERANCES = dict.fromkeys(sorted(obj.CHECKS), _nonnegative)
+_SCENARIO = {
+    "frames": partial(_list_of, partial(_entry, "frame", FRAME_CATALOG)),
+    "fields": partial(_list_of, partial(_entry, "field", FIELD_CATALOG)),
+    "checks": partial(_list_of, _check_id),
+    "box": _or_default(_box),
+    "samples": partial(_integer, 1),
+    "seed": partial(_integer, 0),
+    "fd": _or_default(partial(_mapping, _FD, FdConfig, "fd.")),
+    "tolerances": _or_default(partial(_mapping, _TOLERANCES, dict, "tolerances.")),
+    "material": _or_default(partial(_mapping, _MATERIAL, Material, "material.")),
+    "pressure": _or_default(partial(_entry, "field", FIELD_CATALOG, scalar=True)),
+}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -180,57 +230,7 @@ def parse_scenario(text: str) -> Scenario:
     except yaml.YAMLError as exc:   # its message spans lines; the contract is one
         what = " ".join(str(exc).split())
         raise ScenarioError(f"scenario document is not valid YAML: {what}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a mapping")
-    extra = set(doc) - _TOP_KEYS
-    if extra:
-        raise ScenarioError(f"unknown scenario key(s): {sorted(extra)}")
-    for key in ("frames", "fields", "checks"):
-        if key not in doc:
-            raise ScenarioError(f"scenario is missing required key '{key}'")
-
-    frames = _named_entries(doc["frames"], "frames", FRAME_CATALOG)
-    fields = _named_entries(doc["fields"], "fields", FIELD_CATALOG)
-
-    checks = doc["checks"]
-    if not isinstance(checks, list) or not checks:
-        raise ScenarioError("'checks' must be a non-empty list")
-    for c in checks:
-        if not isinstance(c, str) or c not in obj.CHECKS:
-            raise ScenarioError(
-                f"unknown check id {c!r}; valid ids: {list(obj.CHECKS)}")
-
-    samples = _integer(doc.get("samples", 100), "'samples'", 1)
-    seed = _integer(doc.get("seed", 42), "'seed'", 0)
-
-    fd_doc = _mapping(doc, "fd", _FD_KEYS)
-    fd = FdConfig(h=_number(fd_doc.get("h", 1e-3), "'fd.h'", 0.0, strict=True),
-                  h_t=_number(fd_doc.get("ht", 1e-5), "'fd.ht'", 0.0, strict=True),
-                  order=_integer(fd_doc.get("order", 4), "'fd.order'", 2))
-
-    tols = {c: _number(v, f"tolerance for {c!r}", 0.0)
-            for c, v in _mapping(doc, "tolerances", obj.CHECKS).items()}
-
-    mat_doc = _mapping(doc, "material", _MATERIAL_KEYS)
-    g = mat_doc.get("g", Material.g)
-    if not isinstance(g, (list, tuple)) or len(g) != 3:
-        raise ScenarioError(f"'material.g' must be a list of 3 numbers, got {g!r}")
-    material = Material(
-        mu=_number(mat_doc.get("mu", Material.mu), "'material.mu'", 0.0),
-        rho=_number(mat_doc.get("rho", Material.rho), "'material.rho'", 0.0, strict=True),
-        g=tuple(_number(v, "'material.g' entry") for v in g),
-        conductivity=_number(mat_doc.get("conductivity", Material.conductivity),
-                             "'material.conductivity'", 0.0))
-
-    pressure_doc = doc.get("pressure")
-    pressure = (Scenario.pressure if pressure_doc is None
-                else _named_entries([pressure_doc], "fields", FIELD_CATALOG)[0])
-    if not isinstance(make_field(pressure[0], **pressure[1]), ScalarField):
-        raise ScenarioError("'pressure' must name a scalar field")
-
-    return Scenario(frames=frames, fields=fields, checks=tuple(checks),
-                    box=_parse_box(doc.get("box")), samples=samples, seed=seed,
-                    fd=fd, tolerances=tols, material=material, pressure=pressure)
+    return _mapping(_SCENARIO, Scenario, "", doc, "scenario")
 
 
 def load_scenario(path) -> Scenario:
@@ -259,24 +259,18 @@ def _run_triple(scenario: Scenario, frame, field_obj, check_id: str,
                  box=scenario.box, fd=scenario.fd, **common)
 
 
-def _scenario_echo(scenario: Scenario) -> dict:
-    return {
-        "frames": [{"name": n, "params": p} for n, p in scenario.frames],
-        "fields": [{"name": n, "params": p} for n, p in scenario.fields],
-        "checks": list(scenario.checks),
-        "box": [list(b) for b in scenario.box],
-        "samples": scenario.samples,
-        "seed": scenario.seed,
-        "fd": {"h": scenario.fd.h, "ht": scenario.fd.h_t,
-               "order": scenario.fd.order},
-        "tolerances": {k: scenario.tolerances[k]
-                       for k in sorted(scenario.tolerances)},
-        "material": {"mu": scenario.material.mu, "rho": scenario.material.rho,
-                     "g": list(scenario.material.g),
-                     "conductivity": scenario.material.conductivity},
-        "pressure": {"name": scenario.pressure[0],
-                     "params": scenario.pressure[1]},
-    }
+def _echo(value):
+    """The report's form of a scenario value: a dataclass as the mapping of its
+    document keys, a (name, params) entry as a mapping, a tuple as a list.
+    Tolerances keep their parsed order, which is sorted."""
+    if is_dataclass(value):
+        key = {f: k for k, f in _FIELD.items()}
+        return {key.get(f.name, f.name): _echo(getattr(value, f.name))
+                for f in dc_fields(value)}
+    if isinstance(value, tuple):
+        named = len(value) == 2 and isinstance(value[1], dict)
+        return {"name": value[0], "params": value[1]} if named else [_echo(v) for v in value]
+    return value
 
 
 def run_suite(scenario: Scenario) -> Report:
@@ -318,7 +312,7 @@ def run_suite(scenario: Scenario) -> Report:
                 rows.append(row)
 
     passed = all(r["status"] == "pass" for r in rows)
-    return Report(scenario=_scenario_echo(scenario), results=tuple(rows),
+    return Report(scenario=_echo(scenario), results=tuple(rows),
                   passed=passed, wall_time_s=time.perf_counter() - start)
 
 
@@ -352,26 +346,25 @@ def _fmt(value, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _report_dict(report: Report, include_wall_time: bool) -> dict:
-    out = {"version": report.version,
-           "scenario": report.scenario,
+def _report_json(report: Report, include_wall_time: bool) -> str:
+    out = {"version": report.version, "scenario": report.scenario,
            "results": list(report.results),
            "suite_verdict": "pass" if report.passed else "fail"}
     if include_wall_time:
         out["wall_time_s"] = report.wall_time_s
-    return out
+    return _fmt(out, 0) + "\n"
 
 
 def canonical_report_json(report: Report) -> str:
     """Byte-stable JSON form with the wall-time field excluded."""
-    return _fmt(_report_dict(report, include_wall_time=False), 0) + "\n"
+    return _report_json(report, include_wall_time=False)
 
 
 def emit_report(report: Report, format: str = "json") -> str:
     """Render a report as JSON (stable key order, 17 significant digits)
     or as a human-readable table."""
     if format == "json":
-        return _fmt(_report_dict(report, include_wall_time=True), 0) + "\n"
+        return _report_json(report, include_wall_time=True)
     if format != "table":
         raise ScenarioError(f"unknown report format {format!r}")
     header = (f"{'frame':<24} {'field':<14} {'check':<27} "

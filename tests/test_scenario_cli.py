@@ -98,6 +98,7 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
     "duplicate_key": "samples: 5\nsamples: 7\n",
     "duplicate_nested_key": "fd: {h: 1.0e-3, order: 2, h: 2.0e-3}\n",
     "unhashable_key": "? [1, 2]\n: 3\n",
+    "fd_order_three": "fd: {order: 3}\n",
 }.items()} | {
     "non_numeric_frame_rate": document(
         frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: abc}}]"),
@@ -121,6 +122,7 @@ OWN_REASON = {
     "list_as_frame_name": "unknown frame id ['screw']",
     "list_as_check_id": "unknown check id ['div_invariance']",
     "unhashable_key": "found unhashable key",
+    "fd_order_three": "'fd.order' must be one of [2, 4]",
 }
 
 
@@ -162,6 +164,30 @@ class TestMalformedScenario:
             " {name: screw, params: {<<: *spin, rate: 1.5, velocity: [0.6, 0, 0]}}]")))
         assert s.frames[1][1] == {"axis": [0, 0, 1], "rate": 1.5,
                                   "velocity": [0.6, 0, 0]}
+
+
+# A null value keeps the default of these keys ...
+NULL_IS_DEFAULT = ("box", "fd", "tolerances", "material", "pressure")
+# ... and is an error for these.
+NULL_IS_ERROR = ("samples", "seed", "frames", "fields", "checks")
+
+
+@pytest.mark.parametrize("key", NULL_IS_DEFAULT + NULL_IS_ERROR)
+def test_null_value(key, tmp_path, capsys):
+    if key in ("frames", "fields", "checks"):
+        text = document(**{key: "null"})
+    else:
+        text = MINIMAL + f"{key}: null\n"
+    if key in NULL_IS_DEFAULT:
+        assert parse_scenario(text) == parse_scenario(MINIMAL)
+        return
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text)
+    assert main(["verify", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert f"'{key}'" in captured.err
 
 
 class TestRunSuite:
