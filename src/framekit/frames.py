@@ -14,9 +14,10 @@ which in matrix form reads: M = d(alpha)/dt @ alpha.T is antisymmetric and
 omega = axial-vector of M (M[i,k] = eps_ijk omega_j).
 
 A frame quantity may be a constant array, validated once when the frame is
-built, with zero derivatives.  What a frame's callables give is remembered
-for the last time array (see ``RigidFrameMotion``), so the several
-pull-backs of one check evaluate and validate alpha(t) once per time array.
+built, with zero derivatives.  Every frame quantity, constant or computed,
+is remembered for the last time array (see ``RigidFrameMotion``), so the
+several pull-backs of one check evaluate and validate alpha(t) once per
+time array.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class FrameState:
     """Validated kinematics of a frame at times t of shape (...): alpha,
     dalpha and the spin M = dalpha @ alpha.T of shape (..., 3, 3); y, dy
     and omega (the axial vector of spin) of shape (..., 3).  The arrays are
-    read-only: the frame's memo of its last time array, or its constants."""
+    read-only: the frame's memo of its last time array."""
     alpha: np.ndarray
     dalpha: np.ndarray
     spin: np.ndarray
@@ -126,16 +127,15 @@ class RigidFrameMotion:
     Each of y, alpha and their four rates is a callable mapping times t
     (...) to (..., 3) vectors or (..., 3, 3) matrices (a constant output is
     broadcast), or a constant array of shape (3,) or (3, 3).  A constant is
-    validated once, here (a constant alpha is also re-orthonormalized), and
-    returned as a read-only broadcast view of t's shape, bypassing the memo
-    below; the rates of a constant y or alpha default to zero.  A rate left
-    out of a callable is a finite difference of the raw y or alpha callable
-    (see the module docstring).  A constant alpha with a constant rate has
-    its spin, omega and rigid-evolution check computed here.  Otherwise
-    ``alpha(t)`` is validated (and re-orthonormalized where slightly
-    drifted) when it is computed, and ``state(t)`` checks rigid evolution.
+    validated once, here (a constant alpha is also re-orthonormalized, and
+    checked to evolve rigidly with a constant rate), and read as a
+    read-only broadcast view of t's shape; the rates of a constant y or
+    alpha default to zero.  A rate left out of a callable is a finite
+    difference of the raw y or alpha callable (see the module docstring).
+    A computed ``alpha(t)`` is validated (and re-orthonormalized where
+    slightly drifted), and ``state(t)`` checks rigid evolution.
 
-    Every accessor of a callable reads through a one-entry memo of the last
+    Every accessor and ``state`` read through a one-entry memo of the last
     time array: its key is the bytes of the times, so t of shape (N,),
     (N, 1) or (N, 1, 1) holding the same values share it.  Values are
     computed on the flattened times (every rule is elementwise in t), stored
@@ -155,11 +155,8 @@ class RigidFrameMotion:
         self._dy, self._d2y = _rates(self._y, dy_dt, d2y_dt2, (3,))
         self._dalpha, self._d2alpha = _rates(self._alpha, dalpha_dt, d2alpha_dt2, (3, 3))
         self._last = (None, {})     # (key, {quantity: read-only flat values})
-        # (alpha, dalpha, spin, omega) when the rotation and its rate are constant.
-        self._steady = None
         if not (callable(self._alpha) or callable(self._dalpha)):
-            spin = _spin(self._alpha, self._dalpha)
-            self._steady = (self._alpha, self._dalpha, spin, tc.axial(spin))
+            _spin(self._alpha, self._dalpha)    # a constant rotation must be rigid
 
     def _memo(self, quantity: str, t, compute) -> tuple:
         """``compute(flat times)``, a tuple of (M, ...) arrays, memoized for
@@ -181,9 +178,9 @@ class RigidFrameMotion:
         return tuple(v.reshape(t.shape + v.shape[1:]) for v in values)
 
     def _read(self, quantity: str, raw, t, tail: tuple, validate=_batched) -> np.ndarray:
-        if not callable(raw):
-            return np.broadcast_to(raw, np.shape(t) + tail)
-        return self._memo(quantity, t, lambda f: (validate(raw(f), f, tail),))[0]
+        if callable(raw):
+            return self._memo(quantity, t, lambda f: (validate(raw(f), f, tail),))[0]
+        return self._memo(quantity, t, lambda f: (np.broadcast_to(raw, f.shape + tail),))[0]
 
     def y(self, t) -> np.ndarray:
         return self._read("y", self._y, t, (3,))
@@ -205,11 +202,7 @@ class RigidFrameMotion:
 
     def state(self, t) -> FrameState:
         """Validated (alpha, dalpha, spin, y, dy, omega) at every time in t."""
-        if self._steady is None:
-            return FrameState(*self._memo("state", t, self._rigid_state))
-        alpha, dalpha, spin, omega = (np.broadcast_to(c, np.shape(t) + c.shape)
-                                      for c in self._steady)
-        return FrameState(alpha, dalpha, spin, self.y(t), self.dy_dt(t), omega)
+        return FrameState(*self._memo("state", t, self._rigid_state))
 
     def _rigid_state(self, t):
         alpha, dalpha = self.alpha(t), self.dalpha_dt(t)
@@ -221,11 +214,11 @@ def omega_from_alpha(frame: RigidFrameMotion, t) -> AngularVelocity:
     """Angular velocity (and its rate) of the frame at times t.
 
     omega is the axial vector of the spin M = alpha_dot @ alpha.T, and
-    omega_dot that of M_dot = alpha_ddot @ alpha.T + alpha_dot @ alpha_dot.T.
+    omega_dot that of M_dot = alpha_ddot @ alpha.T + alpha_dot @ alpha_dot.T,
+    whose second term is symmetric, so its axial vector is zero: it is left out.
     """
     st = frame.state(t)
-    mdot = (frame.d2alpha_dt2(t) @ tc.transpose(st.alpha)
-            + st.dalpha @ tc.transpose(st.dalpha))
+    mdot = frame.d2alpha_dt2(t) @ tc.transpose(st.alpha)
     return AngularVelocity(omega=st.omega, domega_dt=tc.axial(mdot))
 
 

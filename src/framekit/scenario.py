@@ -98,9 +98,10 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
     extra = set(item) - {"name", "params"}
     if extra:
         raise ScenarioError(f"unknown key(s) {sorted(extra, key=repr)} in {what}")
-    name, params = item.get("name"), item.get("params") or {}
+    name, params = item.get("name"), item.get("params")
     if not isinstance(name, str) or name not in catalog:
         raise ScenarioError(f"unknown {noun} id {name!r}; valid ids: {sorted(catalog)}")
+    params = {} if params is None else params    # only null means no params
     if not isinstance(params, dict):
         raise ScenarioError(f"'params' for {noun} {name!r} must be a mapping")
     try:

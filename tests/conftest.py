@@ -2,8 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import Verbosity, settings
 
 from framekit import make_field, make_frame
+
+# One hypothesis profile for every test: derandomized and without an example
+# database, so a run is repeatable and writes nothing; no deadline, since the
+# host's speed varies.  Quiet, because hypothesis's note on a falsifying
+# example makes its pytest plugin import libcst, which, where it is
+# installed, warns on import and so aborts a run under -W error before the
+# remaining tests report.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
+                          verbosity=Verbosity.quiet)
+settings.load_profile("tier1")
 
 
 def builtin_frames():

@@ -425,6 +425,15 @@ class TestConstantKinematics:
                 assert value.shape == want[key].shape, (name, key)
                 assert np.array_equal(value, want[key]), (name, key)
 
+    @pytest.mark.parametrize("name", sorted(CONSTANT_PARTS))
+    def test_constants_read_through_the_memo(self, name):
+        # A second read at the same times returns the stored arrays: a
+        # constant is broadcast once per time array, like a computed value.
+        frame = builtin_frames()[name]
+        first = kinematics(frame, self.A)
+        for key, value in kinematics(frame, self.A).items():
+            assert value is first[key], (name, key)
+
     @pytest.mark.parametrize("alpha", [2 * np.eye(3), np.diag([1.0, 1.0, -1.0])])
     def test_constant_alpha_must_be_a_proper_rotation(self, alpha):
         with pytest.raises(InvariantViolationError):

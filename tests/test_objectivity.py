@@ -1,13 +1,19 @@
 """Per-check behavior: invariance residuals, variance corrections,
 stress/traction machinery, constitutive laws."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from framekit import (AngularVelocity, BodyForce, UsageError, cauchy_traction,
                       fourier_heat_flux, make_field, make_frame,
                       map_position_to_prime, newtonian_stress,
-                      omega_from_alpha, pull_back_velocity)
+                      omega_from_alpha, parse_scenario, pull_back_velocity,
+                      run_suite)
 from framekit import diffops, objectivity as obj
 from framekit import tensor_core as tc
 
@@ -429,3 +435,28 @@ class TestSensitivity:
         r = obj.check_acceleration_decomposition(
             frame, builtin_flows()[flow_name], samples=50, rng=seeded())
         assert r.passed
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, the seeded scenario generators of the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_seeded_rotating_frames_pass_at_default_tolerances(workloads, seed):
+    """Over the benchmark's ranges of constant_rotation, wobble and screw
+    params (off-axis screws included), the nested and time-FD checks pass at
+    their default tolerances.  A failing seed is a finding, not a range to
+    narrow."""
+    doc = yaml.safe_load(workloads.nested_fd(seed))
+    doc["samples"] = 20
+    report = run_suite(parse_scenario(yaml.safe_dump(doc)))
+    failed = [(r["frame"], r["field"], r["check"], r["max_abs_err"])
+              for r in report.results if r["status"] != "pass"]
+    assert not failed, (seed, failed)

@@ -74,6 +74,13 @@ tolerances: {strain_rate_invariance: 1.0e-3}
         assert s.tolerance("strain_rate_invariance") == 1e-3
         assert s.tolerance("div_invariance") == 1e-6
 
+    def test_null_params_mean_no_params(self):
+        s = parse_scenario(document(frames="[{name: identity, params: null}]",
+                                    fields="[{name: uniform, params: null}]")
+                           + "pressure: {name: gaussian_T, params: null}\n")
+        assert s.frames == (("identity", {}),) and s.fields == (("uniform", {}),)
+        assert s.pressure == ("gaussian_T", {})
+
 
 def document(frames="[identity]", fields="[uniform]", checks="[div_invariance]"):
     """A whole scenario document: MINIMAL with one of its lists replaced."""
@@ -99,6 +106,7 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
     "duplicate_nested_key": "fd: {h: 1.0e-3, order: 2, h: 2.0e-3}\n",
     "unhashable_key": "? [1, 2]\n: 3\n",
     "fd_order_three": "fd: {order: 3}\n",
+    "false_pressure_params": "pressure: {name: gaussian_T, params: false}\n",
 }.items()} | {
     "non_numeric_frame_rate": document(
         frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: abc}}]"),
@@ -109,11 +117,16 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
         frames="[{name: wobble, params: {angles_x: [0.0], angles_y: [0.0], angles_z: []}}]"),
     "list_as_frame_name": document(frames="[{name: [screw]}]"),
     "list_as_check_id": document(checks="[[div_invariance]]"),
+    "false_frame_params": document(frames="[{name: identity, params: false}]"),
+    "zero_frame_params": document(frames="[{name: identity, params: 0}]"),
+    "empty_list_field_params": document(fields="[{name: uniform, params: []}]"),
+    "empty_string_field_params": document(fields="[{name: uniform, params: ''}]"),
 }
 
 # What each case that the duplicate-key check could mask is rejected for:
 # the documents that replace one of MINIMAL's keys, and an unhashable key,
-# which the loader must still report as such.
+# which the loader must still report as such; and a false params value, which
+# must not read as no params.
 OWN_REASON = {
     "non_numeric_frame_rate": "bad parameters for frame 'constant_rotation'",
     "nan_frame_rate": "bad parameters for frame 'constant_rotation'",
@@ -123,6 +136,11 @@ OWN_REASON = {
     "list_as_check_id": "unknown check id ['div_invariance']",
     "unhashable_key": "found unhashable key",
     "fd_order_three": "'fd.order' must be one of [2, 4]",
+    "false_pressure_params": "'params' for field 'gaussian_T' must be a mapping",
+    "false_frame_params": "'params' for frame 'identity' must be a mapping",
+    "zero_frame_params": "'params' for frame 'identity' must be a mapping",
+    "empty_list_field_params": "'params' for field 'uniform' must be a mapping",
+    "empty_string_field_params": "'params' for field 'uniform' must be a mapping",
 }
 
 

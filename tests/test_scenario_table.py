@@ -8,7 +8,7 @@ import math
 
 import pytest
 import yaml
-from hypothesis import Verbosity, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from framekit import CHECK_IDS, Scenario, ScenarioError, parse_scenario
 from framekit import scenario as sc
@@ -94,11 +94,9 @@ def mapping_for(draw, valid: dict, odd: str = ""):
 PATHS = [key for key in sc._SCENARIO] + [
     f"{key}.{sub}" for key in sc._SCENARIO if isinstance(VALID[key], dict)
     for sub in VALID[key]]
-# Quiet: a failure names its document itself.  (Hypothesis's note on a
-# falsifying example makes its pytest plugin import libcst, which, where it is
-# installed, warns on import and so aborts a run under -W error.)
-FUZZ = settings(derandomize=True, database=None, max_examples=10, deadline=None,
-                verbosity=Verbosity.quiet)
+# The suite's profile is quiet (see conftest.py): a failure names its
+# document itself.
+FUZZ = settings(max_examples=10)
 
 
 @pytest.fixture(scope="module")
