@@ -27,7 +27,7 @@ from .objectivity import (CHECK_IDS, DEFAULT_TOLERANCES, BodyForce,
                           check_stress_tensor_transform,
                           check_stress_transform_random,
                           check_velocity_gradient_relation,
-                          check_vorticity_relation, fourier_heat_flux,
+                          check_vorticity_relation,
                           inertial_acceleration, inertial_ns_rhs,
                           newtonian_stress, velocity_gradient_correction)
 from .scenario import VERSION as __version__

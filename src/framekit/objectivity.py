@@ -250,10 +250,9 @@ def check_stress_tensor_transform(tau_in_s, alpha,
 def check_stress_transform_random(frame: RigidFrameMotion, *, samples=100,
                                   rng: np.random.Generator,
                                   tol=CHECKS["stress_transform"].tol) -> CheckResult:
-    """Random symmetric stresses against the frame's rotation at random times."""
+    """Random 3x3 stresses against the frame's rotation at random times."""
     ts = rng.uniform(TIME_WINDOW[0], TIME_WINDOW[1], size=samples)
-    raw = rng.uniform(-1.0, 1.0, size=(samples, 3, 3))
-    tau = 0.5 * (raw + tc.transpose(raw))
+    tau = rng.uniform(-1.0, 1.0, size=(samples, 3, 3))
     return check_stress_tensor_transform(tau, frame.alpha(ts), tol=tol)
 
 
@@ -265,13 +264,6 @@ def newtonian_stress(p, mu: float, j) -> np.ndarray:
     j = tc.mat3(j)
     p = np.asarray(p, dtype=float)
     return -p[..., None, None] * np.eye(3) + mu * (j + tc.transpose(j))
-
-
-def fourier_heat_flux(k: float, grad_t) -> np.ndarray:
-    """Isotropic Fourier law q = -k grad T (objective because grad T is)."""
-    if k < 0.0:
-        raise UsageError("conductivity must be nonnegative")
-    return -k * tc.vec3(grad_t, batch=True)
 
 
 @_sampled

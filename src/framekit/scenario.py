@@ -53,7 +53,7 @@ class Material:
     mu: float = 1.0
     rho: float = 1.0
     g: tuple = (0.0, 0.0, -9.81)
-    conductivity: float = 1.0
+    conductivity: float = 1.0    # validated and echoed; no check reads it
 
 
 @dataclass(frozen=True)
@@ -291,26 +291,27 @@ def run_suite(scenario: Scenario) -> Report:
               "force": obj.BodyForce(g=np.asarray(material.g), rho=material.rho)}
 
     rows = []
-    for fi, fname, frame in frames:
-        for gi, gname, field_obj in fields:
-            for ci, check_id in enumerate(scenario.checks):
-                if not isinstance(field_obj, obj.CHECKS[check_id].field):
-                    continue
-                rng = np.random.default_rng([scenario.seed, fi, gi, ci])
-                row = {"frame": fname, "field": gname, "check": check_id}
-                try:
-                    res = _run_triple(scenario, frame, field_obj, check_id, rng, values)
-                    row.update(samples=res.samples, max_abs_err=res.max_abs_err,
-                               mean_abs_err=res.mean_abs_err, tol=res.tol,
-                               witness=res.witness,
-                               status="pass" if res.passed else "fail")
-                    if not math.isfinite(res.max_abs_err):
-                        row["message"] = "non-finite residual: the check's arithmetic overflowed"
-                except Exception as exc:  # captured per-triple by contract
-                    row.update(samples=0, max_abs_err=None, mean_abs_err=None,
-                               tol=scenario.tolerance(check_id), witness=None,
-                               status="error", message=f"{type(exc).__name__}: {exc}")
-                rows.append(row)
+    with np.errstate(all="ignore"):   # a row reports its own overflow
+        for fi, fname, frame in frames:
+            for gi, gname, field_obj in fields:
+                for ci, check_id in enumerate(scenario.checks):
+                    if not isinstance(field_obj, obj.CHECKS[check_id].field):
+                        continue
+                    rng = np.random.default_rng([scenario.seed, fi, gi, ci])
+                    row = {"frame": fname, "field": gname, "check": check_id}
+                    try:
+                        res = _run_triple(scenario, frame, field_obj, check_id, rng, values)
+                        row.update(samples=res.samples, max_abs_err=res.max_abs_err,
+                                   mean_abs_err=res.mean_abs_err, tol=res.tol,
+                                   witness=res.witness,
+                                   status="pass" if res.passed else "fail")
+                        if not math.isfinite(res.max_abs_err):
+                            row["message"] = "non-finite residual: the check's arithmetic overflowed"
+                    except Exception as exc:  # captured per-triple by contract
+                        row.update(samples=0, max_abs_err=None, mean_abs_err=None,
+                                   tol=scenario.tolerance(check_id), witness=None,
+                                   status="error", message=f"{type(exc).__name__}: {exc}")
+                    rows.append(row)
 
     passed = all(r["status"] == "pass" for r in rows)
     return Report(scenario=_echo(scenario), results=tuple(rows),

@@ -7,13 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from framekit import (AngularVelocity, BodyForce, UsageError, cauchy_traction,
-                      fourier_heat_flux, make_field, make_frame,
-                      map_position_to_prime, newtonian_stress,
-                      omega_from_alpha, parse_scenario, pull_back_velocity,
-                      run_suite)
+                      make_field, make_frame, map_position_to_prime,
+                      newtonian_stress, omega_from_alpha, parse_scenario,
+                      pull_back_velocity, run_suite)
 from framekit import diffops, objectivity as obj
 from framekit import tensor_core as tc
 
@@ -197,7 +196,7 @@ class TestStressTransform:
         assert np.allclose(tc.transform_tensor2(tau, alpha),
                            np.diag([2.0, 1.0, 3.0]), atol=1e-15)
 
-    def test_random_symmetric_stresses(self):
+    def test_random_stresses(self):
         rng = seeded()
         frame = builtin_frames()["wobble"]
         r = obj.check_stress_transform_random(frame, samples=100, rng=rng)
@@ -232,31 +231,6 @@ class TestNewtonianStress:
     def test_negative_viscosity_rejected(self):
         with pytest.raises(UsageError):
             newtonian_stress(1.0, -0.1, np.zeros((3, 3)))
-
-
-class TestFourierHeatFlux:
-    def test_zero_gradient(self):
-        assert np.all(fourier_heat_flux(3.0, np.zeros(3)) == 0.0)
-
-    def test_direct_substitution(self):
-        assert np.allclose(fourier_heat_flux(2.0, [1, 0, 0]), [-2.0, 0, 0])
-
-    def test_negative_conductivity_rejected(self):
-        with pytest.raises(UsageError):
-            fourier_heat_flux(-1.0, [1, 0, 0])
-
-    def test_frame_invariance_corollary(self):
-        # q built from the primed gradient, transformed back, equals q from
-        # the inertial gradient
-        frame = builtin_frames()["screw"]
-        scalar = builtin_scalars()["gaussian_T"]
-        from framekit import pull_back_scalar
-        observed = pull_back_scalar(frame, scalar)
-        t, x = 0.35, np.array([0.3, -0.4, 0.2])
-        xp = map_position_to_prime(frame, x, t)
-        q_s = fourier_heat_flux(2.0, scalar.gradient(x, t))
-        q_sp = fourier_heat_flux(2.0, diffops.fd_gradient(observed, xp, t))
-        assert np.max(np.abs(q_s - frame.alpha(t) @ q_sp)) <= 1e-10
 
 
 class TestConstitutiveInvariance:
@@ -410,6 +384,20 @@ class TestSensitivity:
                             lambda tau, alpha: tc.transpose(alpha) @ tc.mat3(tau))
         assert not check(frame, rng=seeded()).passed
 
+    @pytest.mark.parametrize("frame_name", ("identity",) + ROTATING)
+    @pytest.mark.parametrize("module, name", ((obj, "cauchy_traction"),
+                                              (tc, "transform_tensor2")),
+                             ids=("traction", "transform"))
+    def test_transposed_stress(self, monkeypatch, module, name, frame_name):
+        # Only a non-symmetric stress tells tau from its transpose.
+        frame = builtin_frames()[frame_name]
+        check = obj.check_stress_transform_random
+        assert check(frame, rng=seeded()).passed
+        correct = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda tau, other: correct(tc.transpose(tc.mat3(tau)), other))
+        assert not check(frame, rng=seeded()).passed
+
     @pytest.mark.parametrize("frame_name", ROTATING)
     def test_dropped_euler_term(self, monkeypatch, frame_name):
         check = obj.check_acceleration_decomposition
@@ -447,16 +435,57 @@ def workloads():
     return module
 
 
-@settings(max_examples=15)
+# A failing draw is reported as drawn: shrinking would rerun the whole
+# scenario at every step.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+def assert_every_row_passes(doc, draw):
+    """Run a scenario document at N=20; every row must pass."""
+    doc["samples"] = 20
+    report = run_suite(parse_scenario(yaml.safe_dump(doc)))
+    failed = [(r["frame"], r["field"], r["check"], r["max_abs_err"])
+              for r in report.results if r["status"] != "pass"]
+    assert not failed, (draw, failed)
+
+
+@settings(max_examples=15, phases=NO_SHRINK)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_seeded_rotating_frames_pass_at_default_tolerances(workloads, seed):
     """Over the benchmark's ranges of constant_rotation, wobble and screw
     params (off-axis screws included), the nested and time-FD checks pass at
     their default tolerances.  A failing seed is a finding, not a range to
     narrow."""
-    doc = yaml.safe_load(workloads.nested_fd(seed))
-    doc["samples"] = 20
-    report = run_suite(parse_scenario(yaml.safe_dump(doc)))
-    failed = [(r["frame"], r["field"], r["check"], r["max_abs_err"])
-              for r in report.results if r["status"] != "pass"]
-    assert not failed, (seed, failed)
+    assert_every_row_passes(yaml.safe_load(workloads.nested_fd(seed)), seed)
+
+
+def _floats(lo, hi, n=None):
+    one = st.floats(lo, hi)
+    return one if n is None else st.lists(one, min_size=n, max_size=n)
+
+
+FIELD_RANGES = {
+    "uniform": {"velocity": _floats(-2, 2, 3)},
+    "shear": {"rate": _floats(-5, 5)},
+    "rigid_rotation": {"omega": _floats(-3, 3, 3)},
+    "taylor_green": {"amplitude": _floats(0.5, 2), "wavenumber": _floats(0.5, 2)},
+    "poly_linear": {"scale": _floats(-2, 2)},
+    "gaussian_T": {"amplitude": _floats(0.5, 2), "width": _floats(0.5, 1.5),
+                   "center": _floats(-0.5, 0.5, 3)},
+    "linear_T": {"coeffs": _floats(-2, 2, 3), "offset": _floats(-1, 1)},
+}
+FIELD_PARAMS = st.tuples(*(
+    st.fixed_dictionaries({**ranges, "mod_amp": _floats(0, 0.5), "mod_freq": _floats(0, 3)})
+    for ranges in FIELD_RANGES.values()))
+
+
+@settings(max_examples=10, phases=NO_SHRINK)
+@given(params=FIELD_PARAMS)
+def test_drawn_field_params_pass_at_default_tolerances(params):
+    """On the frames of scenarios/full_matrix.yaml, every catalog field with
+    params drawn from fixed ranges passes every check at its default
+    tolerance.  A failing draw is a finding, not a range to narrow."""
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "full_matrix.yaml"
+    doc = yaml.safe_load(path.read_text())
+    doc["fields"] = [{"name": name, "params": p} for name, p in zip(FIELD_RANGES, params)]
+    assert_every_row_passes(doc, params)

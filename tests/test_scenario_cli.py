@@ -1,6 +1,7 @@
 """Scenario parsing, suite determinism, report emission, CLI contract."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -240,16 +241,36 @@ fields:
 checks: [div_invariance]
 samples: 5
 """)
-        # The overflow is the subject here: keep -W error::RuntimeWarning
-        # from turning it into an error row.
-        with np.errstate(all="ignore"):
-            report = run_suite(s)
+        report = run_suite(s)
         row = json.loads(emit_report(report, "json"))["results"][0]
         assert row["status"] == "fail"
         assert row["max_abs_err"] is None
         message = "non-finite residual: the check's arithmetic overflowed"
         assert row["message"] == message
         assert f"\n    {message}\n" in emit_report(report, "table")
+
+    def test_overflow_rows_do_not_depend_on_the_warnings_filter(self):
+        # An overflow is reported by its row, so a caller's -W error or
+        # np.seterr(all="raise") must not turn that row into an "error" row.
+        s = parse_scenario("""
+frames: [identity]
+fields:
+  - name: shear
+    params: {rate: 1.0e308}
+checks: [div_invariance, ns_rhs_equivalence]
+samples: 5
+""")
+
+        def report(numpy_policy, warnings_policy):
+            with warnings.catch_warnings(), np.errstate(all=numpy_policy):
+                warnings.simplefilter(warnings_policy)
+                return run_suite(s)
+
+        quiet = report("warn", "ignore")
+        message = "non-finite residual: the check's arithmetic overflowed"
+        assert [(r["status"], r["message"]) for r in quiet.results] == [("fail", message)] * 2
+        for loud in (report("warn", "error"), report("raise", "ignore")):
+            assert canonical_report_json(loud) == canonical_report_json(quiet)
 
     def test_scalar_checks_apply_to_scalar_fields_only(self):
         s = parse_scenario("""
