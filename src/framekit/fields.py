@@ -63,14 +63,8 @@ class ObservedScalarField:
         return self.scalar.value(map_position_from_prime(self.frame, x_prime, t), t)
 
 
-def pull_back_velocity(frame: RigidFrameMotion, flow: FlowField) -> ObservedVectorField:
-    """Package the observed velocity as a field over (X', t)."""
-    return ObservedVectorField(frame, flow)
-
-
-def pull_back_scalar(frame: RigidFrameMotion, scalar: ScalarField) -> ObservedScalarField:
-    """Package the scalar, evaluated at the mapped inertial point."""
-    return ObservedScalarField(frame, scalar)
+# The pull-backs over (X', t): pull_back_velocity(frame, flow), pull_back_scalar(frame, scalar).
+pull_back_velocity, pull_back_scalar = ObservedVectorField, ObservedScalarField
 
 
 # --------------------------------------------------------------------------
@@ -102,6 +96,12 @@ def _steady_flow(name, v0, j0, visc0, mod_amp, mod_freq) -> FlowField:
         visc_div=lambda x, t: _per_point(m(t), visc0(x), x))
 
 
+def _affine_flow(name, u, j, mod_amp, mod_freq) -> FlowField:
+    """v_i = u_i + x_k J[k, i]: a constant Jacobian j, so zero viscous divergence."""
+    return _steady_flow(name, lambda x: u + np.asarray(x, dtype=float) @ j,
+                        lambda x: j, lambda x: np.zeros(3), mod_amp, mod_freq)
+
+
 def _steady_scalar(name, f0, g0, mod_amp, mod_freq) -> ScalarField:
     m, _ = _modulation(float(mod_amp), float(mod_freq))
     return ScalarField(
@@ -112,28 +112,20 @@ def _steady_scalar(name, f0, g0, mod_amp, mod_freq) -> ScalarField:
 
 def uniform_flow(velocity=(1.0, 0.0, 0.0), mod_amp=0.0, mod_freq=1.0) -> FlowField:
     """Constant velocity everywhere: irrotational, shear-free."""
-    u = tc.vec3(velocity)
-    z3, z33 = np.zeros(3), np.zeros((3, 3))
-    return _steady_flow("uniform", lambda x: u, lambda x: z33,
-                        lambda x: z3, mod_amp, mod_freq)
+    return _affine_flow("uniform", tc.vec3(velocity), np.zeros((3, 3)), mod_amp, mod_freq)
 
 
 def shear_flow(rate=3.0, mod_amp=0.0, mod_freq=1.0) -> FlowField:
     """Plane shear v = (rate * x2, 0, 0)."""
-    g = float(rate)
     j = np.zeros((3, 3))
-    j[1, 0] = g                  # d v_1 / d x_2
-    # Linear, so v_i = x_k J[k, i].
-    return _steady_flow("shear", lambda x: np.asarray(x, dtype=float) @ j,
-                        lambda x: j, lambda x: np.zeros(3), mod_amp, mod_freq)
+    j[1, 0] = float(rate)        # d v_1 / d x_2
+    return _affine_flow("shear", np.zeros(3), j, mod_amp, mod_freq)
 
 
 def rigid_rotation_flow(omega=(0.0, 0.0, 2.0), mod_amp=0.0, mod_freq=1.0) -> FlowField:
     """Solid-body rotation v = omega x x: zero divergence and strain rate."""
-    w = tc.vec3(omega)
-    j = -tc.skew(w)              # J[k,i] = d_k (w x x)_i = skew(w).T = -skew(w)
-    return _steady_flow("rigid_rotation", lambda x: tc.cross(w, x),
-                        lambda x: j, lambda x: np.zeros(3), mod_amp, mod_freq)
+    j = -tc.skew(tc.vec3(omega))   # J[k,i] = d_k (w x x)_i = skew(w).T = -skew(w)
+    return _affine_flow("rigid_rotation", np.zeros(3), j, mod_amp, mod_freq)
 
 
 def taylor_green_flow(amplitude=1.0, wavenumber=1.0, mod_amp=0.0, mod_freq=1.0) -> FlowField:
@@ -164,10 +156,8 @@ def taylor_green_flow(amplitude=1.0, wavenumber=1.0, mod_amp=0.0, mod_freq=1.0) 
 
 def poly_linear_flow(scale=1.0, mod_amp=0.0, mod_freq=1.0) -> FlowField:
     """v = scale * (x1, x2, x3): constant divergence 3*scale, zero curl."""
-    c = float(scale)
-    j = c * np.eye(3)
-    return _steady_flow("poly_linear", lambda x: c * np.asarray(x, dtype=float),
-                        lambda x: j, lambda x: np.zeros(3), mod_amp, mod_freq)
+    return _affine_flow("poly_linear", np.zeros(3), float(scale) * np.eye(3),
+                        mod_amp, mod_freq)
 
 
 def gaussian_scalar(amplitude=1.0, width=0.8, center=(0.0, 0.0, 0.0),

@@ -105,6 +105,8 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
     if not isinstance(params, dict):
         raise ScenarioError(f"'params' for {noun} {name!r} must be a mapping")
     try:
+        if _has_bool(params):   # a catalog would read it as 0 or 1
+            raise ValueError("a boolean is not a number")
         with np.errstate(all="ignore"):
             built = catalog[name](**params)
             if noun == "frame":   # frame values are validated where computed
@@ -113,7 +115,7 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
             elif not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
                          for f in vars(built).values() if callable(f)):
                 raise ValueError("non-finite value at x = 0, t = 0")
-    except (FramekitError, TypeError, ValueError, ArithmeticError) as exc:
+    except (FramekitError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
         raise ScenarioError(f"bad parameters for {noun} {name!r}: {exc}") from exc
     if scalar and not isinstance(built, ScalarField):
         raise ScenarioError(f"{what} must name a scalar field")
@@ -130,6 +132,13 @@ def _list_of(entry, value, what: str) -> tuple:
     if not isinstance(value, list) or not value:
         raise ScenarioError(f"{what} must be a non-empty list")
     return tuple(entry(item, f"a {what} entry") for item in value)
+
+
+def _has_bool(value) -> bool:
+    """Whether a YAML bool (yes, on, true, ...) is anywhere in value; RecursionError on a cycle."""
+    if isinstance(value, (dict, list, tuple)):
+        return any(map(_has_bool, value.values() if isinstance(value, dict) else value))
+    return isinstance(value, bool)
 
 
 def _number(value, what: str, low: float = -math.inf, strict: bool = False) -> float:
@@ -164,15 +173,15 @@ def _vector(value, what: str) -> tuple:
 
 def _box(value, what: str) -> tuple:
     try:
-        box = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        box = np.empty(0) if _has_bool(value) else np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError, RecursionError):
         box = np.empty(0)
     if box.shape == (2,):
         box = np.tile(box, (3, 1))
     # A width that overflows would make every triple's sampling raise.
     if (box.shape != (3, 2) or not np.all(np.isfinite(box))
             or not all(lo < hi and math.isfinite(hi - lo) for lo, hi in box.tolist())):
-        raise ScenarioError(f"{what} must be [lo, hi] or three [lo, hi] pairs "
+        raise ScenarioError(f"{what} must be [lo, hi] or three [lo, hi] pairs of numbers "
                             "with lo < hi and a finite width hi - lo")
     return tuple((float(lo), float(hi)) for lo, hi in box)
 

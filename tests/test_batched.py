@@ -201,7 +201,9 @@ def test_fd_operators_match_per_point_loops(name, order):
 @pytest.mark.parametrize("frame_name", ("wobble", "accelerated_translation"))
 def test_fd_bits_do_not_depend_on_batch_shape(frame_name, order):
     # The stencil layout must not change a bit: points (12, 3), the same
-    # points as (3, 4, 3), and one point at a time give equal arrays.
+    # points as (3, 4, 3), and one point at a time give equal arrays, and so
+    # do the broadcast layouts of 12 points at one time and one point at 12
+    # times against their per-point calls.
     frame = builtin_frames()[frame_name]
     vector = pull_back_velocity(frame, builtin_flows()["taylor_green"])
     scalar = pull_back_scalar(frame, builtin_scalars()["gaussian_T"])
@@ -216,3 +218,7 @@ def test_fd_bits_do_not_depend_on_batch_shape(frame_name, order):
         single = np.array([operator(field, x, t, cfg) for x, t in zip(xs, ts)])
         assert np.array_equal(grid.reshape(flat.shape), flat), operator.__name__
         assert np.array_equal(single, flat), operator.__name__
+        for mixed, pairs in ((operator(field, xs, ts[0], cfg), [(x, ts[0]) for x in xs]),
+                             (operator(field, xs[0], ts, cfg), [(xs[0], t) for t in ts])):
+            single = np.array([operator(field, x, t, cfg) for x, t in pairs])
+            assert np.array_equal(mixed, single), operator.__name__

@@ -6,6 +6,7 @@ import pytest
 from framekit import (UsageError, make_field, make_frame, pull_back_scalar,
                       pull_back_velocity)
 from framekit import diffops
+from framekit import tensor_core as tc
 from framekit.fields import FIELD_CATALOG, FlowField, ScalarField
 
 from conftest import builtin_flows, builtin_scalars
@@ -109,6 +110,28 @@ class TestHandValues:
     def test_uniform_has_no_gradients(self):
         flow = make_field("uniform", velocity=[1, 2, 3])
         assert np.all(flow.jacobian(np.ones(3), 0.0) == 0.0)
+
+    def test_linear_flows_match_their_closed_forms(self, rng):
+        # v = m(t) v0(x) and dv/dt = m'(t) v0(x), with v0 each flow's closed
+        # form; the cross product may differ from x @ J in round-off only.
+        a, f = 0.4, 1.7
+        xs, ts = rng.uniform(-3.0, 3.0, (1000, 3)), rng.uniform(-2.0, 2.0, 1000)
+        m = (1.0 + a * np.sin(f * ts))[:, None]
+        dm = (a * f * np.cos(f * ts))[:, None]
+        u, rate, scale, omega = np.array([0.5, -1.0, 2.0]), 3.0, -1.3, [0.3, -0.8, 2.0]
+        zero = np.zeros(len(ts))
+        cases = [
+            ("uniform", dict(velocity=u), np.broadcast_to(u, xs.shape), 0.0),
+            ("shear", dict(rate=rate), np.stack([rate * xs[:, 1], zero, zero], axis=-1), 0.0),
+            ("poly_linear", dict(scale=scale), scale * xs, 0.0),
+            ("rigid_rotation", dict(omega=omega), tc.cross(omega, xs), 1e-14),
+        ]
+        for name, params, v0, tol in cases:
+            flow = make_field(name, mod_amp=a, mod_freq=f, **params)
+            for got, want in ((flow.velocity(xs, ts), m * v0),
+                              (flow.dv_dt(xs, ts), dm * v0)):
+                assert got.shape == want.shape, name
+                assert np.max(np.abs(got - want)) <= tol, name
 
 
 class TestPullBacks:

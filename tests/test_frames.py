@@ -231,6 +231,18 @@ class TestMakeFrame:
         with pytest.raises(UsageError, match="bad parameters for frame"):
             make_frame("constant_rotation", axis=[0, 0, 1], rate=10**400)
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("accelerated_translation", {"coeffs": [[0.0, 1.0], [0.0, 1.0]]},
+         "expected polynomial coefficients for 3 axes"),
+        ("constant_rotation", {"axis": [0, 0, 0], "rate": 1.0},
+         "rotation axis must be nonzero"),
+        ("spinning_top", {}, "unknown frame 'spinning_top'; valid frames: ["),
+    ])
+    def test_construction_error_is_a_usage_error(self, name, params, message):
+        with pytest.raises(UsageError) as err:
+            make_frame(name, **params)
+        assert message in str(err.value)
+
 
 class TestNonRigidRejection:
     def test_stretching_alpha_rejected(self):

@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from framekit import (CHECK_IDS, Report, ScenarioError, canonical_report_json,
-                      emit_report, parse_scenario, run_suite)
+from framekit import (CHECK_IDS, InvariantViolationError, Report, ScenarioError,
+                      canonical_report_json, emit_report, parse_scenario, run_suite)
+from framekit import objectivity as obj
 from framekit.cli import main
 
 MINIMAL = """
@@ -108,6 +109,9 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
     "unhashable_key": "? [1, 2]\n: 3\n",
     "fd_order_three": "fd: {order: 3}\n",
     "false_pressure_params": "pressure: {name: gaussian_T, params: false}\n",
+    "boolean_pressure_param": "pressure: {name: gaussian_T, params: {width: yes}}\n",
+    "boolean_box": "box: [no, yes]\n",
+    "self_containing_box": "box: &box [*box, 1]\n",
 }.items()} | {
     "non_numeric_frame_rate": document(
         frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: abc}}]"),
@@ -122,12 +126,19 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
     "zero_frame_params": document(frames="[{name: identity, params: 0}]"),
     "empty_list_field_params": document(fields="[{name: uniform, params: []}]"),
     "empty_string_field_params": document(fields="[{name: uniform, params: ''}]"),
+    "yes_as_frame_rate": document(
+        frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: yes}}]"),
+    "boolean_field_velocity": document(
+        fields="[{name: uniform, params: {velocity: [true, 0, 0]}}]"),
+    "self_containing_field_velocity": document(
+        fields="[{name: uniform, params: {velocity: &v [*v, 0, 0]}}]"),
 }
 
 # What each case that the duplicate-key check could mask is rejected for:
 # the documents that replace one of MINIMAL's keys, and an unhashable key,
-# which the loader must still report as such; and a false params value, which
-# must not read as no params.
+# which the loader must still report as such; a false params value, which
+# must not read as no params; and a boolean (YAML reads yes/no/on/off as one)
+# where a number is expected, which must not read as 0 or 1.
 OWN_REASON = {
     "non_numeric_frame_rate": "bad parameters for frame 'constant_rotation'",
     "nan_frame_rate": "bad parameters for frame 'constant_rotation'",
@@ -142,6 +153,10 @@ OWN_REASON = {
     "zero_frame_params": "'params' for frame 'identity' must be a mapping",
     "empty_list_field_params": "'params' for field 'uniform' must be a mapping",
     "empty_string_field_params": "'params' for field 'uniform' must be a mapping",
+    "yes_as_frame_rate": "bad parameters for frame 'constant_rotation'",
+    "boolean_field_velocity": "bad parameters for field 'uniform'",
+    "boolean_pressure_param": "bad parameters for field 'gaussian_T'",
+    "boolean_box": "'box' must be [lo, hi]",
 }
 
 
@@ -326,6 +341,33 @@ tolerances: {velgrad_relation: 1.0e-18}
         with pytest.raises(Exception):
             # construction errors surface before any triple runs
             run_suite(s)
+
+    def test_a_raising_check_gives_one_error_row(self, monkeypatch):
+        s = parse_scenario(document(
+            frames="[identity, {name: uniform_translation, params: {velocity: [1, 0, 0]}}]",
+            checks="[div_invariance, velgrad_relation]")
+            + "samples: 5\ntolerances: {div_invariance: 1.0e-7}\n")
+        clean = json.loads(emit_report(run_suite(s), "json"))["results"]
+        check = obj.check_divergence_invariance
+
+        def raising(frame, *args, **kwargs):
+            if frame.name == "uniform_translation":
+                raise InvariantViolationError("alpha is not a rotation")
+            return check(frame, *args, **kwargs)
+
+        monkeypatch.setattr(obj, "check_divergence_invariance", raising)
+        report = json.loads(emit_report(run_suite(s), "json"))
+        assert report["suite_verdict"] == "fail"
+        assert len(report["results"]) == len(clean) == 4
+        for row, before in zip(report["results"], clean):
+            if (row["frame"], row["check"]) != ("uniform_translation", "div_invariance"):
+                assert row == before
+                continue
+            assert row == {"frame": "uniform_translation", "field": "uniform",
+                           "check": "div_invariance", "samples": 0, "max_abs_err": None,
+                           "mean_abs_err": None, "tol": 1e-7, "witness": None,
+                           "status": "error",
+                           "message": "InvariantViolationError: alpha is not a rotation"}
 
     def test_suite_verdict_matches_rows(self):
         s = parse_scenario(MINIMAL + "samples: 5\n")
