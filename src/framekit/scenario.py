@@ -105,8 +105,8 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
     if not isinstance(params, dict):
         raise ScenarioError(f"'params' for {noun} {name!r} must be a mapping")
     try:
-        if _has_bool(params):   # a catalog would read it as 0 or 1
-            raise ValueError("a boolean is not a number")
+        if _has_bool_or_nonfinite(params):   # a catalog would read a bool as 0 or 1
+            raise ValueError("a boolean, NaN or infinity is not a parameter value")
         with np.errstate(all="ignore"):
             built = catalog[name](**params)
             if noun == "frame":   # frame values are validated where computed
@@ -134,11 +134,13 @@ def _list_of(entry, value, what: str) -> tuple:
     return tuple(entry(item, f"a {what} entry") for item in value)
 
 
-def _has_bool(value) -> bool:
-    """Whether a YAML bool (yes, on, true, ...) is anywhere in value; RecursionError on a cycle."""
+def _has_bool_or_nonfinite(value) -> bool:
+    """Whether a YAML bool (yes, on, true, ...), a NaN or an infinity is anywhere in
+    value, a mapping's keys included; RecursionError on a cycle."""
     if isinstance(value, (dict, list, tuple)):
-        return any(map(_has_bool, value.values() if isinstance(value, dict) else value))
-    return isinstance(value, bool)
+        items = [*value, *value.values()] if isinstance(value, dict) else value
+        return any(map(_has_bool_or_nonfinite, items))
+    return isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value)
 
 
 def _number(value, what: str, low: float = -math.inf, strict: bool = False) -> float:
@@ -173,7 +175,7 @@ def _vector(value, what: str) -> tuple:
 
 def _box(value, what: str) -> tuple:
     try:
-        box = np.empty(0) if _has_bool(value) else np.asarray(value, dtype=float)
+        box = np.empty(0) if _has_bool_or_nonfinite(value) else np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError, RecursionError):
         box = np.empty(0)
     if box.shape == (2,):
@@ -331,30 +333,13 @@ def run_suite(scenario: Scenario) -> Report:
 # Report emission
 # --------------------------------------------------------------------------
 
-def _fmt(value, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None or isinstance(value, float) and not math.isfinite(value):
-        return "null"           # JSON has no nan or inf
-    if isinstance(value, int):
-        return repr(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
+def _jsonable(value):
+    """value with every non-finite float as None, since JSON has no nan or inf."""
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f'{pad}  {json.dumps(str(k))}: {_fmt(v, indent + 1)}'
-                 for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        items = [f"{pad}  {_fmt(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        return [_jsonable(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _report_json(report: Report, include_wall_time: bool) -> str:
@@ -363,7 +348,7 @@ def _report_json(report: Report, include_wall_time: bool) -> str:
            "suite_verdict": "pass" if report.passed else "fail"}
     if include_wall_time:
         out["wall_time_s"] = report.wall_time_s
-    return _fmt(out, 0) + "\n"
+    return json.dumps(_jsonable(out), indent=2, allow_nan=False) + "\n"
 
 
 def canonical_report_json(report: Report) -> str:
@@ -372,8 +357,8 @@ def canonical_report_json(report: Report) -> str:
 
 
 def emit_report(report: Report, format: str = "json") -> str:
-    """Render a report as JSON (stable key order, 17 significant digits)
-    or as a human-readable table."""
+    """Render a report as JSON (stable key order, shortest round-trip float
+    text) or as a human-readable table."""
     if format == "json":
         return _report_json(report, include_wall_time=True)
     if format != "table":

@@ -118,6 +118,8 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
     "nan_frame_rate": document(
         frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: .nan}}]"),
     "infinite_shear_rate": document(fields="[{name: shear, params: {rate: .inf}}]"),
+    # Finite at x = 0, t = 0, so only the parse-time walk of params rejects it.
+    "inf_param": document(fields="[{name: gaussian_T, params: {width: .inf}}]"),
     "empty_angle_polynomial": document(
         frames="[{name: wobble, params: {angles_x: [0.0], angles_y: [0.0], angles_z: []}}]"),
     "list_as_frame_name": document(frames="[{name: [screw]}]"),
@@ -130,6 +132,9 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
         frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: yes}}]"),
     "boolean_field_velocity": document(
         fields="[{name: uniform, params: {velocity: [true, 0, 0]}}]"),
+    # A mapping iterates as its keys, so the catalog would read true as 1.
+    "boolean_coefficient_key": document(
+        frames="[{name: accelerated_translation, params: {coeffs: {true: 0, 2: 0, 3: 0}}}]"),
     "self_containing_field_velocity": document(
         fields="[{name: uniform, params: {velocity: &v [*v, 0, 0]}}]"),
 }
@@ -143,6 +148,7 @@ OWN_REASON = {
     "non_numeric_frame_rate": "bad parameters for frame 'constant_rotation'",
     "nan_frame_rate": "bad parameters for frame 'constant_rotation'",
     "infinite_shear_rate": "bad parameters for field 'shear'",
+    "inf_param": "bad parameters for field 'gaussian_T'",
     "empty_angle_polynomial": "bad parameters for frame 'wobble'",
     "list_as_frame_name": "unknown frame id ['screw']",
     "list_as_check_id": "unknown check id ['div_invariance']",
@@ -155,6 +161,7 @@ OWN_REASON = {
     "empty_string_field_params": "'params' for field 'uniform' must be a mapping",
     "yes_as_frame_rate": "bad parameters for frame 'constant_rotation'",
     "boolean_field_velocity": "bad parameters for field 'uniform'",
+    "boolean_coefficient_key": "bad parameters for frame 'accelerated_translation'",
     "boolean_pressure_param": "bad parameters for field 'gaussian_T'",
     "boolean_box": "'box' must be [lo, hi]",
 }
@@ -334,7 +341,7 @@ tolerances: {velgrad_relation: 1.0e-18}
         assert row["status"] == "fail"
         assert row["max_abs_err"] > 1e-18
 
-    def test_check_errors_are_captured_per_triple(self):
+    def test_construction_errors_raise_before_any_triple(self):
         s = parse_scenario(MINIMAL + "samples: 5\n")
         s = type(s)(**{**s.__dict__, "fields": (("gaussian_T", {"width": -1.0}),),
                        "checks": ("scalar_grad_invariance",)})
@@ -399,19 +406,30 @@ class TestEmitReport:
         assert parsed["results"] == []
         assert parsed["suite_verdict"] == "pass"
 
+    @staticmethod
+    def one_row_report(scenario=None, **values):
+        row = {"frame": "identity", "field": "shear", "check": "div_invariance",
+               "samples": 1, "max_abs_err": 0.0, "mean_abs_err": 0.0, "tol": 1e-6,
+               "witness": None, "status": "fail"} | values
+        return Report(scenario=scenario or {}, results=(row,), passed=False,
+                      wall_time_s=0.0)
+
     def test_non_finite_residual_is_null(self):
         # Built directly: running an overflowing scenario under
         # -W error::RuntimeWarning would give an error row instead.
-        row = {"frame": "identity", "field": "shear", "check": "div_invariance",
-               "samples": 1, "max_abs_err": float("nan"),
-               "mean_abs_err": float("inf"), "tol": 1e-6, "witness": None,
-               "status": "fail"}
-        report = Report(scenario={}, results=(row,), passed=False,
-                        wall_time_s=0.0)
+        report = self.one_row_report(scenario={"box": [(float("nan"), 1.0)]},
+                                     max_abs_err=float("nan"), mean_abs_err=float("inf"))
         for text in (emit_report(report, "json"), canonical_report_json(report)):
-            parsed = json.loads(text)["results"][0]
-            assert parsed["max_abs_err"] is None
-            assert parsed["mean_abs_err"] is None
+            parsed = json.loads(text)
+            assert parsed["results"][0]["max_abs_err"] is None
+            assert parsed["results"][0]["mean_abs_err"] is None
+            assert parsed["scenario"]["box"] == [[None, 1.0]]
+
+    def test_float_text_is_its_repr(self):
+        # The shortest text that reads back as the same float.
+        text = emit_report(self.one_row_report(tol=1e-6, max_abs_err=-1.0), "json")
+        assert '\n      "tol": 1e-06,\n' in text
+        assert '\n      "max_abs_err": -1.0,\n' in text
 
     def test_table_contains_verdict_row(self):
         text = emit_report(self.run_small(), format="table")
