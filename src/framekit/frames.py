@@ -71,6 +71,11 @@ def _rotation_stack(value, t, tail: tuple) -> np.ndarray:
     return tc.orthonormalized(_batched(value, t, tail))
 
 
+def _tiled(a, shape: tuple) -> np.ndarray:
+    """A read-only zero-stride view of frozen a over leading axes shape."""
+    return np.ndarray(shape + a.shape, a.dtype, a, 0, (0,) * len(shape) + a.strides)
+
+
 def _frozen(value, tail: tuple) -> np.ndarray:
     """A constant frame quantity of shape tail: validated, copied, read-only."""
     a = (tc.vec3(value) if tail == (3,) else tc.mat3(value)).copy()
@@ -109,16 +114,17 @@ def _rates(raw, first, second, tail: tuple) -> tuple:
                  for given, fallback in zip((first, second), fallbacks))
 
 
-def _spin(alpha, dalpha, t=None) -> np.ndarray:
+def _spin(alpha, dalpha, t=None) -> tuple:
     """The spin M = dalpha @ alpha.T, checked antisymmetric (alpha evolving
-    rigidly); t, when given, names the first time at which it is not."""
+    rigidly; t, when given, names the first time at which it is not), and
+    omega, its axial vector."""
     m = dalpha @ tc.transpose(alpha)
-    rate = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    bad = np.abs(m + m.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-4 * rate
+    rate = np.maximum(1.0, tc.max_abs_entry(m))
+    bad = tc.max_abs_entry(m + m.swapaxes(-1, -2)) > 1e-4 * rate
     if bad.any():
         at = "" if t is None else f" at t={t[bad][0]}"
         raise InvariantViolationError(f"alpha is not evolving rigidly{at}")
-    return m
+    return m, tc.axial(m)
 
 
 class RigidFrameMotion:
@@ -128,17 +134,18 @@ class RigidFrameMotion:
     (...) to (..., 3) vectors or (..., 3, 3) matrices (a constant output is
     broadcast), or a constant array of shape (3,) or (3, 3).  A constant is
     validated once, here (a constant alpha is also re-orthonormalized, and
-    checked to evolve rigidly with a constant rate), and read as a
-    read-only broadcast view of t's shape; the rates of a constant y or
-    alpha default to zero.  A rate left out of a callable is a finite
-    difference of the raw y or alpha callable (see the module docstring).
-    A computed ``alpha(t)`` is validated (and re-orthonormalized where
-    slightly drifted), and ``state(t)`` checks rigid evolution.
+    checked to evolve rigidly with a constant rate, whose spin and omega are
+    kept), and read as a read-only zero-stride view of t's shape; the rates
+    of a constant y or alpha default to zero.  A rate left out of a callable
+    is a finite difference of the raw y or alpha callable (see the module
+    docstring).  A computed ``alpha(t)`` is validated (and re-orthonormalized
+    where slightly drifted), and ``state(t)`` checks rigid evolution.
 
     Every accessor and ``state`` read through a one-entry memo of the last
     time array: its key is the bytes of the times, so t of shape (N,),
     (N, 1) or (N, 1, 1) holding the same values share it.  Values are
-    computed on the flattened times (every rule is elementwise in t), stored
+    computed on the flattened times (every rule is elementwise in t; a read
+    at those very flat times, as inside a computation, skips the key), stored
     read-only and returned reshaped to t's shape; different times replace
     the whole entry, and a value whose computation raised is not stored.
     The key and its values are bound in one tuple that a new time array
@@ -154,22 +161,24 @@ class RigidFrameMotion:
                        else _frozen(tc.orthonormalized(alpha), (3, 3)))
         self._dy, self._d2y = _rates(self._y, dy_dt, d2y_dt2, (3,))
         self._dalpha, self._d2alpha = _rates(self._alpha, dalpha_dt, d2alpha_dt2, (3, 3))
-        self._last = (None, {})     # (key, {quantity: read-only flat values})
+        self._last = (None, {}, None)   # (key, {quantity: flat values}, flat times)
+        self._steady_spin = None    # (spin, omega) of a constant rotation: it must be rigid
         if not (callable(self._alpha) or callable(self._dalpha)):
-            _spin(self._alpha, self._dalpha)    # a constant rotation must be rigid
+            spin = _spin(self._alpha, self._dalpha)
+            self._steady_spin = tuple(_frozen(v, v.shape) for v in spin)
 
     def _memo(self, quantity: str, t, compute) -> tuple:
         """``compute(flat times)``, a tuple of (M, ...) arrays, memoized for
         the last time array and returned reshaped to t's shape."""
-        t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        key = flat.tobytes()
         entry = self._last
-        if entry[0] != key:
-            entry = self._last = (key, {})
+        if t is not entry[2]:   # the entry's own times, as compute gets them
+            t = np.asarray(t, dtype=float)
+            key = t.tobytes()
+            if entry[0] != key:
+                entry = self._last = (key, {}, np.frombuffer(key))
         values = entry[1].get(quantity)
         if values is None:
-            values = compute(flat)
+            values = compute(entry[2])
             for v in values:
                 v.flags.writeable = False
             entry[1][quantity] = values
@@ -180,7 +189,7 @@ class RigidFrameMotion:
     def _read(self, quantity: str, raw, t, tail: tuple, validate=_batched) -> np.ndarray:
         if callable(raw):
             return self._memo(quantity, t, lambda f: (validate(raw(f), f, tail),))[0]
-        return self._memo(quantity, t, lambda f: (np.broadcast_to(raw, f.shape + tail),))[0]
+        return self._memo(quantity, t, lambda f: (_tiled(raw, f.shape),))[0]
 
     def y(self, t) -> np.ndarray:
         return self._read("y", self._y, t, (3,))
@@ -206,8 +215,9 @@ class RigidFrameMotion:
 
     def _rigid_state(self, t):
         alpha, dalpha = self.alpha(t), self.dalpha_dt(t)
-        m = _spin(alpha, dalpha, t)
-        return alpha, dalpha, m, self.y(t), self.dy_dt(t), tc.axial(m)
+        m, omega = ((_tiled(c, t.shape) for c in self._steady_spin) if self._steady_spin
+                    else _spin(alpha, dalpha, t))
+        return alpha, dalpha, m, self.y(t), self.dy_dt(t), omega
 
 
 def omega_from_alpha(frame: RigidFrameMotion, t) -> AngularVelocity:
@@ -267,35 +277,46 @@ def _poly_funcs(coeffs):
 
 
 def _vector_poly(coeffs_per_axis):
+    if not isinstance(coeffs_per_axis, (list, tuple, np.ndarray)) or len(coeffs_per_axis) != 3:
+        raise UsageError("expected polynomial coefficients for 3 axes, as a list of 3 lists")
     rows = [_poly_funcs(c) for c in coeffs_per_axis]
-    if len(rows) != 3:
-        raise UsageError("expected polynomial coefficients for 3 axes")
     return tuple((lambda t, d=d: np.stack([r[d](t) for r in rows], axis=-1))
                  for d in range(3))
 
 
+# Where the matrices (I, K, K^2, K, K^2, K, K^2) of the seven coefficients
+# sit: block[j, a, c, b, d] = _PLACES[j, a, b] * matrix_j[c, d].
+_PLACES = np.array([np.eye(3)] * 3 + [[[0, 0, 0], [2, 0, 0], [0, 1, 0]]] * 2
+                   + [[[0, 0, 0], [0, 0, 0], [1, 0, 0]]] * 2)
+
+
 class _RotationFactor:
-    """One factor R(theta(t)) about a fixed axis, with time derivatives."""
+    """One factor R(theta(t)) about a fixed axis, with time derivatives.
+
+    For the axis' skew matrix K, R = I + sin K + (1 - cos) K^2, so R, R' and
+    R'' are sums of I, K and K^2 with seven per-time coefficients, and the
+    product-rule block [[R, 0, 0], [2R', R, 0], [R'', R', R]] is those
+    coefficients times a constant (7, 81) basis."""
 
     def __init__(self, axis, angle_coeffs):
         n = tc.vec3(axis)
         norm = np.linalg.norm(n)
         if norm == 0.0:
             raise UsageError("rotation axis must be nonzero")
-        self.k = tc.skew(n / norm)
-        self.k2 = self.k @ self.k
+        k = tc.skew(n / norm)
+        k2 = k @ k
+        self.block = np.einsum("jab,jcd->jacbd", _PLACES,
+                               np.array([_EYE3, k, k2, k, k2, k, k2])).reshape(7, 81)
         self.theta, self.dtheta, self.d2theta = _poly_funcs(angle_coeffs)
 
-    def rates(self, t):
-        """R, dR/dt and d2R/dt2 at times t (...), each (..., 3, 3), from one
+    def coefficients(self, t):
+        """The (M, 7) weights of the basis at flat times t (M,), from one
         evaluation of each angle polynomial and one sine and cosine."""
-        th, dth, d2th = (np.asarray(f(t))[..., None, None]
-                         for f in (self.theta, self.dtheta, self.d2theta))
+        th, dth, d2th = (f(t) for f in (self.theta, self.dtheta, self.d2theta))
         sin, cos = np.sin(th), np.cos(th)
-        dr_dth = cos * self.k + sin * self.k2
-        return (_EYE3 + sin * self.k + (1.0 - cos) * self.k2,
-                dr_dth * dth,
-                (-sin * self.k + cos * self.k2) * dth * dth + dr_dth * d2th)
+        dth2 = dth * dth
+        return np.array([np.ones(th.shape), sin, 1.0 - cos, cos * dth, sin * dth,
+                         cos * d2th - sin * dth2, sin * d2th + cos * dth2]).T
 
 
 def _translation_frame(name, y, dy, d2y) -> RigidFrameMotion:
@@ -322,15 +343,17 @@ def accelerated_translation(coeffs) -> RigidFrameMotion:
 def _rotation_frame(name, factors, y=np.zeros(3), dy=None, d2y=None) -> RigidFrameMotion:
     """A frame rotating by an ordered product P of factors.  alpha and its
     two rates are P, P' and P'', folded by the product rule in one pass: from
-    the first factor's (R, R', R''), each further factor turns them into
-    (P R, P' R + P R', P'' R + 2 P' R' + P R''), kept in the frame's memo for
-    the last time array.  The closures share that memo with any frame built
-    from them, which evicts this frame's entry when it evaluates another t."""
+    the first factor's [R'' | R' | R], each further factor turns the (M, 3, 9)
+    row [P'' | P' | P] into [P'' R + 2 P' R' + P R'' | P' R + P R' | P R] =
+    [P'' | P' | P] @ [[R, 0, 0], [2R', R, 0], [R'', R', R]], one stacked
+    product, kept in the frame's memo for the last time array.  The closures
+    share that memo with any frame built from them, which evicts this
+    frame's entry when it evaluates another t."""
     def products(t):
-        p, dp, d2p = factors[0].rates(t)
-        for r, dr, d2r in (factor.rates(t) for factor in factors[1:]):
-            p, dp, d2p = p @ r, dp @ r + p @ dr, d2p @ r + 2.0 * dp @ dr + p @ d2r
-        return p, dp, d2p
+        row = (factors[0].coefficients(t) @ factors[0].block[:, 54:]).reshape(-1, 3, 9)
+        for factor in factors[1:]:
+            row = row @ (factor.coefficients(t) @ factor.block).reshape(-1, 9, 9)
+        return np.ascontiguousarray(row[:, :, 6:]), row[:, :, 3:6], row[:, :, :3]
 
     alpha, dalpha, d2alpha = (lambda t, i=i: frame._memo("products", t, products)[i]
                               for i in range(3))

@@ -91,13 +91,19 @@ def levi_civita(i: int, j: int, k: int) -> float:
     return -1.0
 
 
+def max_abs_entry(m):
+    """max |m_ij| of each matrix of a (..., 3, 3) stack, over a contiguous
+    entries-first copy: reducing two trailing length-3 axes is slower."""
+    e = np.abs(m.reshape(-1, 9).T, order="C")
+    return np.maximum.reduce(e).reshape(m.shape[:-2])
+
+
 def check_orthogonality(alpha):
     """Max deviation of alpha.T@alpha and alpha@alpha.T from the identity,
     one value per matrix of a (..., 3, 3) stack."""
     a = mat3(alpha)
-    r1 = np.abs(transpose(a) @ a - _I3).max(axis=(-2, -1))
-    r2 = np.abs(a @ transpose(a) - _I3).max(axis=(-2, -1))
-    return np.maximum(r1, r2)
+    at = transpose(a)
+    return np.maximum(max_abs_entry(at @ a - _I3), max_abs_entry(a @ at - _I3))
 
 
 def _rotations(alpha):

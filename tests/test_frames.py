@@ -483,3 +483,77 @@ class TestConstantKinematics:
             rng=np.random.default_rng(6))
         assert r.passed
         assert calls == Counter()
+
+
+def rodrigues(axis, angle_coeffs, t):
+    """R, R' and R'' about a fixed axis at times t (...), each (..., 3, 3),
+    differentiated term by term from R = I + sin K + (1 - cos) K^2."""
+    n = np.asarray(axis, dtype=float)
+    k = tc.skew(n / np.linalg.norm(n))
+    k2 = k @ k
+    c = np.polynomial.Polynomial(angle_coeffs)
+    th, dth, d2th = (np.asarray(p(t))[..., None, None] for p in (c, c.deriv(1), c.deriv(2)))
+    sin, cos = np.sin(th), np.cos(th)
+    return (np.eye(3) + sin * k + (1.0 - cos) * k2,
+            (cos * k + sin * k2) * dth,
+            (-sin * k + cos * k2) * dth * dth + (cos * k + sin * k2) * d2th)
+
+
+def product_rule(factors, t):
+    """alpha, alpha' and alpha'' of the ordered product of (axis, angle
+    coefficients) factors, by np.matmul of each factor's Rodrigues rates."""
+    p, dp, d2p = rodrigues(*factors[0], t)
+    for r, dr, d2r in (rodrigues(*f, t) for f in factors[1:]):
+        p, dp, d2p = (np.matmul(p, r), np.matmul(dp, r) + np.matmul(p, dr),
+                      np.matmul(d2p, r) + 2.0 * np.matmul(dp, dr) + np.matmul(p, d2r))
+    return p, dp, d2p
+
+
+def seeded_rotation(name, seed):
+    """A rotating catalog frame with seeded params, and its factors."""
+    rng = np.random.default_rng(seed)
+    axis = rng.normal(size=3)
+    rate = rng.uniform(0.5, 3.0)
+    if name == "wobble":
+        angles = {k: rng.uniform(-1.0, 1.0, 4).tolist()
+                  for k in ("angles_x", "angles_y", "angles_z")}
+        factors = list(zip(np.eye(3), angles.values()))
+        return make_frame(name, **angles), factors
+    params = {"axis": axis.tolist(), "rate": rate}
+    if name == "screw":
+        params["velocity"] = rng.uniform(-1.0, 1.0, 3).tolist()
+    return make_frame(name, **params), [(axis, [0.0, rate])]
+
+
+class TestRotationKinematicsOracle:
+    """alpha and its rates against the product rule formed factor by factor
+    with np.matmul, at every batch shape a frame accepts.  A basis built
+    from K.T = -K turns every factor the other way: a rigid frame on which
+    every full_matrix row passes, and which this test fails."""
+
+    SHAPES = ((), (7,), (4, 5), (3, 1, 2))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", ROTATING)
+    def test_alpha_and_rates_match_the_matmul_product_rule(self, name, seed):
+        frame, factors = seeded_rotation(name, seed)
+        rng = np.random.default_rng(100 + seed)
+        for shape in self.SHAPES:
+            t = rng.uniform(-1.5, 1.5, shape)
+            want = product_rule(factors, t)
+            got = (frame.alpha(t), frame.dalpha_dt(t), frame.d2alpha_dt2(t))
+            for rate, (g, w) in enumerate(zip(got, want)):
+                assert g.shape == shape + (3, 3)
+                assert np.max(np.abs(g - w)) <= 1e-14 * max(1.0, np.max(np.abs(w))), \
+                    (name, seed, shape, rate)
+
+    @pytest.mark.parametrize("name", ["identity", "uniform_translation",
+                                      "accelerated_translation"])
+    def test_constant_rotation_spin_is_a_frozen_zero(self, name):
+        frame = builtin_frames()[name]
+        for shape in self.SHAPES:
+            st = frame.state(np.linspace(0.0, 1.0, int(np.prod(shape))).reshape(shape))
+            for value, tail in ((st.spin, (3, 3)), (st.omega, (3,))):
+                assert value.shape == shape + tail
+                assert not value.flags.writeable
+                assert np.array_equal(value, np.zeros(shape + tail))

@@ -135,6 +135,9 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
     # A mapping iterates as its keys, so the catalog would read true as 1.
     "boolean_coefficient_key": document(
         frames="[{name: accelerated_translation, params: {coeffs: {true: 0, 2: 0, 3: 0}}}]"),
+    # A mapping of numbers, which would run as the coefficients 1, 2, 3.
+    "mapping_of_coefficients": document(
+        frames="[{name: accelerated_translation, params: {coeffs: {1: 2, 2: 3, 3: 4}}}]"),
     "self_containing_field_velocity": document(
         fields="[{name: uniform, params: {velocity: &v [*v, 0, 0]}}]"),
 }
@@ -162,6 +165,7 @@ OWN_REASON = {
     "yes_as_frame_rate": "bad parameters for frame 'constant_rotation'",
     "boolean_field_velocity": "bad parameters for field 'uniform'",
     "boolean_coefficient_key": "bad parameters for frame 'accelerated_translation'",
+    "mapping_of_coefficients": "expected polynomial coefficients for 3 axes, as a list",
     "boolean_pressure_param": "bad parameters for field 'gaussian_T'",
     "boolean_box": "'box' must be [lo, hi]",
 }

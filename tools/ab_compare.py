@@ -1,0 +1,113 @@
+"""Interleaved A/B timing of two versions of framekit in one process.
+
+    python tools/ab_compare.py BASE [--workload NAME] [--seed N] [--rounds R]
+                               [--scratch DIR]
+
+Exports ``src/framekit`` of commit BASE (side A) with ``git archive`` into a
+scratch directory, next to a copy of the working tree's (side B).  Each side
+is imported under its own package name, which framekit's relative imports
+allow, and so is a second copy of A, the A/A control.  Every round then times parse -> run -> emit (``parse_scenario``,
+``run_suite``, ``emit_report(..., "json")``) once per copy, the order of the
+three rotating from round to round, so the host's slow and fast phases fall
+on all of them alike.
+
+Prints, for B against A and for the A/A control: the median of the per-round
+ratios time(A) / time(B) (above 1: B is faster), their interquartile range
+and the number of rounds B won; then each side's median time, and how B's
+first report differs from A's (``tools/compare_reports.py``).  The workload
+is one of perfbench's seeded documents (default: ``full_matrix`` at seed
+42).  Needs git and no network; it is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import io
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+from compare_reports import compare  # noqa: E402
+
+
+def export(rev: str | None, dest: Path, name: str) -> None:
+    """src/framekit at commit rev (the working tree's if None) as package dest/name."""
+    if rev is None:
+        shutil.copytree(ROOT / "src" / "framekit", dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev,
+                          "src/framekit"], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest / "_archive", filter="data")
+    (dest / "_archive" / "src" / "framekit").rename(dest / name)
+    shutil.rmtree(dest / "_archive")
+
+
+def repetition(package, text: str) -> tuple[float, str]:
+    """Seconds for parse -> run -> emit, and the emitted JSON report."""
+    fs = package.scenario
+    t0 = time.perf_counter()
+    emitted = fs.emit_report(fs.run_suite(fs.parse_scenario(text)), "json")
+    return time.perf_counter() - t0, emitted
+
+
+def summary(label: str, ratios: list) -> str:
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    won = sum(r > 1.0 for r in ratios)
+    return (f"{label}: median ratio {median:.3f}, IQR {q1:.3f}-{q3:.3f}, "
+            f"won {won} of {len(ratios)}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="commit of side A")
+    parser.add_argument("--workload", default="full_matrix", choices=("full_matrix", "nested_fd"))
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--scratch", help="directory for the exported copies "
+                        "(default: a temporary one, removed at exit)")
+    args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2")
+    text = workloads.WORKLOADS[args.workload](args.seed)
+
+    with tempfile.TemporaryDirectory(dir=args.scratch) as tmp:
+        dest = Path(tmp)
+        for rev, name in ((args.base, "framekit_a"), (args.base, "framekit_a2"),
+                          (None, "framekit_b")):
+            export(rev, dest, name)
+        sys.path.insert(0, str(dest))
+        sides = {name: importlib.import_module(name)
+                 for name in ("framekit_a", "framekit_b", "framekit_a2")}
+        reports = {name: repetition(pkg, text)[1] for name, pkg in sides.items()}  # warm-up
+        times = {name: [] for name in sides}
+        order = list(sides)
+        for k in range(args.rounds):
+            for name in order[k % 3:] + order[:k % 3]:
+                times[name].append(repetition(sides[name], text)[0])
+    a, b, a2 = (times[name] for name in ("framekit_a", "framekit_b", "framekit_a2"))
+    print(f"workload: {args.workload} seed {args.seed}; A = {args.base}, B = working tree; "
+          f"{args.rounds} rounds")
+    print(summary("B vs A", [x / y for x, y in zip(a, b)]))
+    print(summary("A/A control", [x / y for x, y in zip(a, a2)]))
+    print(f"median s: A {statistics.median(a):.4f}, B {statistics.median(b):.4f}, "
+          f"A/A {statistics.median(a2):.4f}")
+    lines, _ = compare(reports["framekit_a"], reports["framekit_b"])
+    print("\n".join(["report B vs A:"] + [f"  {line}" for line in lines]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
