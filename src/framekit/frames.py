@@ -23,7 +23,8 @@ time array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
+from itertools import zip_longest
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -261,27 +262,20 @@ def observed_velocity(frame: RigidFrameMotion, flow, x_prime, t) -> np.ndarray:
 # Built-in frame families
 # --------------------------------------------------------------------------
 
-def _horner(c):
-    """t -> the polynomial with ascending coefficients c at t, by Horner's
-    rule in the operation order of numpy.polynomial.polynomial.polyval."""
-    c = [float(v) for v in c]
-    return lambda t: reduce(lambda v, ci: ci + v * t, c[-2::-1], c[-1] + t * 0.0)
-
-
-def _poly_funcs(coeffs):
-    """Value/first/second derivative callables for ascending poly coeffs."""
+def _polynomial(coeffs, tail: tuple = ()) -> tuple:
+    """The value and two rates of the polynomial with 1 to 4 ascending
+    coefficients, numbers or (3,) vectors (tail (3,)): the constant
+    coefficient where the degree is 0, else a callable of times t (...) by
+    Horner's rule in polyval's order, less its first step c[-1] + 0 t."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if c.ndim != 1 or not 1 <= c.size <= 4:
+    if c.shape[1:] != tail or not 1 <= len(c) <= 4:
         raise UsageError("polynomial coefficients must be 1 to 4 numbers (degree <= 3)")
-    return tuple(_horner(npoly.polyder(c, m)) for m in range(3))
 
-
-def _vector_poly(coeffs_per_axis):
-    if not isinstance(coeffs_per_axis, (list, tuple, np.ndarray)) or len(coeffs_per_axis) != 3:
-        raise UsageError("expected polynomial coefficients for 3 axes, as a list of 3 lists")
-    rows = [_poly_funcs(c) for c in coeffs_per_axis]
-    return tuple((lambda t, d=d: np.stack([r[d](t) for r in rows], axis=-1))
-                 for d in range(3))
+    def at(c, t):
+        x = t[..., None] if tail else t
+        return reduce(lambda v, ci: ci + v * x, c[-2::-1], c[-1])
+    return tuple(d[0] if len(d) == 1 else partial(at, list(d))
+                 for d in (npoly.polyder(c, m) for m in range(3)))
 
 
 # Where the matrices (I, K, K^2, K, K^2, K, K^2) of the seven coefficients
@@ -307,82 +301,78 @@ class _RotationFactor:
         k2 = k @ k
         self.block = np.einsum("jab,jcd->jacbd", _PLACES,
                                np.array([_EYE3, k, k2, k, k2, k, k2])).reshape(7, 81)
-        self.theta, self.dtheta, self.d2theta = _poly_funcs(angle_coeffs)
+        self.angle = _polynomial(angle_coeffs)
 
     def coefficients(self, t):
         """The (M, 7) weights of the basis at flat times t (M,), from one
-        evaluation of each angle polynomial and one sine and cosine."""
-        th, dth, d2th = (f(t) for f in (self.theta, self.dtheta, self.d2theta))
-        sin, cos = np.sin(th), np.cos(th)
+        evaluation of each angle polynomial and one sine and cosine (a
+        constant angle or rate is a number, broadcast over t)."""
+        th, dth, d2th = (f(t) if callable(f) else f for f in self.angle)
+        sin, cos = np.sin(th, out=np.empty(t.shape)), np.cos(th, out=np.empty(t.shape))
         dth2 = dth * dth
-        return np.array([np.ones(th.shape), sin, 1.0 - cos, cos * dth, sin * dth,
+        return np.array([np.ones(t.shape), sin, 1.0 - cos, cos * dth, sin * dth,
                          cos * d2th - sin * dth2, sin * d2th + cos * dth2]).T
 
 
-def _translation_frame(name, y, dy, d2y) -> RigidFrameMotion:
-    return RigidFrameMotion(name, y=y, alpha=_EYE3, dy_dt=dy, d2y_dt2=d2y)
-
-
-def identity_frame() -> RigidFrameMotion:
-    """The trivial frame: s' coincides with s for all time."""
-    return RigidFrameMotion("identity", y=np.zeros(3), alpha=_EYE3)
-
-
-def uniform_translation(velocity) -> RigidFrameMotion:
-    """Galilean frame translating at constant velocity, no rotation."""
-    v = tc.vec3(velocity)
-    return _translation_frame("uniform_translation",
-                              lambda t: np.multiply.outer(t, v), v, np.zeros(3))
-
-
-def accelerated_translation(coeffs) -> RigidFrameMotion:
-    """Translation with per-axis polynomial trajectory (degree <= 3)."""
-    return _translation_frame("accelerated_translation", *_vector_poly(coeffs))
-
-
-def _rotation_frame(name, factors, y=np.zeros(3), dy=None, d2y=None) -> RigidFrameMotion:
-    """A frame rotating by an ordered product P of factors.  alpha and its
-    two rates are P, P' and P'', folded by the product rule in one pass: from
-    the first factor's [R'' | R' | R], each further factor turns the (M, 3, 9)
-    row [P'' | P' | P] into [P'' R + 2 P' R' + P R'' | P' R + P R' | P R] =
+def _rigid_motion(name, factors=(), y=((0.0, 0.0, 0.0),)) -> RigidFrameMotion:
+    """The frame on the trajectory with ascending (3,) coefficients y, turned
+    by the ordered product P of factors (alpha = I without any).  alpha and
+    its rates P, P', P'' are folded by the product rule in one pass: from the
+    first factor's [R'' | R' | R], each further factor turns the (M, 3, 9) row
+    [P'' | P' | P] into [P'' R + 2 P' R' + P R'' | P' R + P R' | P R] =
     [P'' | P' | P] @ [[R, 0, 0], [2R', R, 0], [R'', R', R]], one stacked
     product, kept in the frame's memo for the last time array.  The closures
-    share that memo with any frame built from them, which evicts this
-    frame's entry when it evaluates another t."""
+    (the constructor calls none) share that memo with any frame built from
+    them, which evicts this frame's entry when it evaluates another t."""
     def products(t):
         row = (factors[0].coefficients(t) @ factors[0].block[:, 54:]).reshape(-1, 3, 9)
         for factor in factors[1:]:
             row = row @ (factor.coefficients(t) @ factor.block).reshape(-1, 9, 9)
         return np.ascontiguousarray(row[:, :, 6:]), row[:, :, 3:6], row[:, :, :3]
 
-    alpha, dalpha, d2alpha = (lambda t, i=i: frame._memo("products", t, products)[i]
-                              for i in range(3))
-    # The closures read the memo of this frame; its constructor calls none of them.
-    frame = RigidFrameMotion(name, y=y, alpha=alpha, dy_dt=dy, d2y_dt2=d2y,
-                             dalpha_dt=dalpha, d2alpha_dt2=d2alpha)
+    rotation = ({key: lambda t, i=i: frame._memo("products", t, products)[i]
+                 for i, key in enumerate(("alpha", "dalpha_dt", "d2alpha_dt2"))}
+                if factors else {"alpha": _EYE3})
+    y, dy, d2y = _polynomial(y, (3,))
+    frame = RigidFrameMotion(name, y=y, dy_dt=dy, d2y_dt2=d2y, **rotation)
     return frame
+
+
+def identity_frame() -> RigidFrameMotion:
+    """The trivial frame: s' coincides with s for all time."""
+    return _rigid_motion("identity")
+
+
+def uniform_translation(velocity) -> RigidFrameMotion:
+    """Galilean frame translating at constant velocity, no rotation."""
+    return _rigid_motion("uniform_translation", y=[np.zeros(3), tc.vec3(velocity)])
+
+
+def accelerated_translation(coeffs) -> RigidFrameMotion:
+    """Translation with per-axis polynomial trajectory (degree <= 3)."""
+    if not isinstance(coeffs, (list, tuple, np.ndarray)) or len(coeffs) != 3:
+        raise UsageError("expected polynomial coefficients for 3 axes, as a list of 3 lists")
+    axes = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
+    # Shorter axes are padded with zeros; an empty one is no polynomial.
+    y = list(zip_longest(*axes, fillvalue=0.0)) if all(map(len, axes)) else []
+    return _rigid_motion("accelerated_translation", y=y)
 
 
 def constant_rotation(axis, rate: float) -> RigidFrameMotion:
     """Frame spinning at constant rate about a fixed axis through o."""
-    return _rotation_frame(
-        "constant_rotation", [_RotationFactor(axis, [0.0, float(rate)])])
+    return _rigid_motion("constant_rotation", [_RotationFactor(axis, [0.0, float(rate)])])
 
 
 def wobble(angles_x, angles_y, angles_z) -> RigidFrameMotion:
     """Rx(a(t)) @ Ry(b(t)) @ Rz(c(t)) with polynomial angles (degree <= 3)."""
-    factors = [_RotationFactor([1, 0, 0], angles_x),
-               _RotationFactor([0, 1, 0], angles_y),
-               _RotationFactor([0, 0, 1], angles_z)]
-    return _rotation_frame("wobble", factors)
+    return _rigid_motion("wobble", [_RotationFactor(axis, angles) for axis, angles
+                                    in zip(_EYE3, (angles_x, angles_y, angles_z))])
 
 
 def screw(axis, rate: float, velocity) -> RigidFrameMotion:
     """Constant rotation about an axis combined with uniform translation."""
-    v = tc.vec3(velocity)
-    return _rotation_frame(
-        "screw", [_RotationFactor(axis, [0.0, float(rate)])],
-        y=lambda t: np.multiply.outer(t, v), dy=v, d2y=np.zeros(3))
+    return _rigid_motion("screw", [_RotationFactor(axis, [0.0, float(rate)])],
+                         y=[np.zeros(3), tc.vec3(velocity)])
 
 
 FRAME_CATALOG = {

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from dataclasses import MISSING, dataclass, field as dc_field, fields as dc_fields, is_dataclass
 from functools import partial
@@ -45,6 +46,11 @@ class _StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                     f"found duplicate key {key!r}", key_node.start_mark)
             seen.add(key)
         return mapping
+
+
+# YAML 1.2 floats that YAML 1.1 reads as strings, such as 1e-6 and 1.0e308.
+_StrictLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
 
 @dataclass(frozen=True)
@@ -105,8 +111,8 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
     if not isinstance(params, dict):
         raise ScenarioError(f"'params' for {noun} {name!r} must be a mapping")
     try:
-        if _has_bool_or_nonfinite(params):   # a catalog would read a bool as 0 or 1
-            raise ValueError("a boolean, NaN or infinity is not a parameter value")
+        if _not_numbers(list(params.values())):   # a catalog reads true as 1, '2' as 2
+            raise ValueError("parameter values must be finite numbers, not booleans or strings")
         with np.errstate(all="ignore"):
             built = catalog[name](**params)
             if noun == "frame":   # frame values are validated where computed
@@ -134,20 +140,21 @@ def _list_of(entry, value, what: str) -> tuple:
     return tuple(entry(item, f"a {what} entry") for item in value)
 
 
-def _has_bool_or_nonfinite(value) -> bool:
-    """Whether a YAML bool (yes, on, true, ...), a NaN or an infinity is anywhere in
-    value, a mapping's keys included; RecursionError on a cycle."""
+def _not_numbers(value) -> bool:
+    """Whether anything but an int or a finite float (a YAML bool: yes, on, true,
+    ...; a string, bytes, a NaN, a null) is anywhere in the lists and mappings
+    of value, a mapping's keys included; RecursionError on a cycle."""
     if isinstance(value, (dict, list, tuple)):
         items = [*value, *value.values()] if isinstance(value, dict) else value
-        return any(map(_has_bool_or_nonfinite, items))
-    return isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value)
+        return any(map(_not_numbers, items))
+    return type(value) is not int and not (type(value) is float and math.isfinite(value))
 
 
 def _number(value, what: str, low: float = -math.inf, strict: bool = False) -> float:
-    """A finite real (YAML bools rejected) that is >= low, or > low if strict."""
+    """A finite int or float (not a YAML bool) >= low, or > low if strict."""
     try:
-        x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
+        x = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
         x = math.nan
     if not (math.isfinite(x) and (x > low if strict else x >= low)):
         bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
@@ -175,7 +182,7 @@ def _vector(value, what: str) -> tuple:
 
 def _box(value, what: str) -> tuple:
     try:
-        box = np.empty(0) if _has_bool_or_nonfinite(value) else np.asarray(value, dtype=float)
+        box = np.empty(0) if _not_numbers(value) else np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError, RecursionError):
         box = np.empty(0)
     if box.shape == (2,):

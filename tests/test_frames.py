@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from framekit import (InvariantViolationError, RigidFrameMotion, UsageError,
                       make_field, make_frame, map_position_from_prime,
@@ -310,24 +311,26 @@ class TestKinematicsMemo:
         # rotation factor's angle polynomials, evaluated once per factor.
         calls = Counter()
         made = []
-        poly_funcs = frames._poly_funcs
+        polynomial = frames._polynomial
 
-        def counted_poly_funcs(coeffs):
-            factor = len(made)
-            made.append(factor)
+        def counted_polynomial(coeffs, *tail):
+            index = len(made)
+            made.append(tail)
 
             def counted(rate, f):
                 def g(t):
-                    calls[factor, rate] += 1
+                    calls[index, rate] += 1
                     return f(t)
                 return g
-            return tuple(counted(rate, f) for rate, f in enumerate(poly_funcs(coeffs)))
+            return tuple(counted(rate, f) if callable(f) else f
+                         for rate, f in enumerate(polynomial(coeffs, *tail)))
 
-        monkeypatch.setattr(frames, "_poly_funcs", counted_poly_funcs)
+        monkeypatch.setattr(frames, "_polynomial", counted_polynomial)
         frame = make_frame("wobble", angles_x=[0.0, 0.9, 0.4, 0.0],
                            angles_y=[0.3, 0.7, 0.0, 0.2],
                            angles_z=[0.0, 1.1, -0.3, 0.0])
-        assert made == [0, 1, 2]
+        # The three angles, then the trajectory, whose parts are constants.
+        assert made == [(), (), (), ((3,),)]
         frame.alpha(self.A)
         frame.dalpha_dt(self.A)
         frame.d2alpha_dt2(self.A)
@@ -525,11 +528,26 @@ def seeded_rotation(name, seed):
     return make_frame(name, **params), [(axis, [0.0, rate])]
 
 
+def seeded_translation(name, seed):
+    """A translating catalog frame with seeded params, and the ascending
+    coefficients of each axis of its trajectory (of unequal degrees for
+    accelerated_translation)."""
+    rng = np.random.default_rng(seed)
+    if name == "accelerated_translation":
+        axes = [rng.uniform(-1.0, 1.0, n).tolist() for n in rng.permutation([4, 2, 1])]
+        return make_frame(name, coeffs=axes), axes
+    params = {"velocity": rng.uniform(-1.0, 1.0, 3).tolist()}
+    if name == "screw":
+        params.update(axis=rng.normal(size=3).tolist(), rate=rng.uniform(0.5, 3.0))
+    return make_frame(name, **params), [[0.0, v] for v in params["velocity"]]
+
+
 class TestRotationKinematicsOracle:
     """alpha and its rates against the product rule formed factor by factor
-    with np.matmul, at every batch shape a frame accepts.  A basis built
-    from K.T = -K turns every factor the other way: a rigid frame on which
-    every full_matrix row passes, and which this test fails."""
+    with np.matmul, and y and its rates against numpy's polyval, at every
+    batch shape a frame accepts.  A basis built from K.T = -K turns every
+    factor the other way: a rigid frame on which every full_matrix row
+    passes, and which the product-rule test fails."""
 
     SHAPES = ((), (7,), (4, 5), (3, 1, 2))
 
@@ -546,6 +564,22 @@ class TestRotationKinematicsOracle:
                 assert g.shape == shape + (3, 3)
                 assert np.max(np.abs(g - w)) <= 1e-14 * max(1.0, np.max(np.abs(w))), \
                     (name, seed, shape, rate)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", ["uniform_translation", "accelerated_translation",
+                                      "screw"])
+    def test_trajectory_and_rates_match_polyval(self, name, seed):
+        # y, y' and y'' against numpy's polyval of each axis' coefficients
+        # and their derivatives, bit for bit up to the sign of a zero.
+        frame, axes = seeded_translation(name, seed)
+        rng = np.random.default_rng(200 + seed)
+        for shape in self.SHAPES:
+            t = rng.uniform(-1.5, 1.5, shape)
+            got = (frame.y(t), frame.dy_dt(t), frame.d2y_dt2(t))
+            for rate, g in enumerate(got):
+                want = np.stack([npoly.polyval(t, npoly.polyder(c, rate)) for c in axes], -1)
+                assert g.shape == shape + (3,)
+                assert np.array_equal(g, want), (name, seed, shape, rate)
 
     @pytest.mark.parametrize("name", ["identity", "uniform_translation",
                                       "accelerated_translation"])

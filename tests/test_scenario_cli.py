@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 from framekit import (CHECK_IDS, InvariantViolationError, Report, ScenarioError,
                       canonical_report_json, emit_report, parse_scenario, run_suite)
@@ -76,6 +77,19 @@ tolerances: {strain_rate_invariance: 1.0e-3}
         assert s.tolerance("strain_rate_invariance") == 1e-3
         assert s.tolerance("div_invariance") == 1e-6
 
+    def test_exponent_without_a_dot_is_a_float(self):
+        # YAML 1.1 reads 1e-6 and 1.0e308 as strings; a scenario reads them,
+        # like YAML 1.2, as floats, and echoes them as floats.
+        s = parse_scenario(document(fields="[{name: shear, params: {rate: 3e0}}]")
+                           + "samples: 2\nfd: {h: 1E-3}\ntolerances: {div_invariance: 1e-6}\n")
+        assert s.fields == (("shear", {"rate": 3.0}),)
+        assert s.fd.h == 1e-3 and s.tolerance("div_invariance") == 1e-6
+        echo = json.loads(emit_report(run_suite(s), "json"))["scenario"]
+        assert echo["fields"] == [{"name": "shear", "params": {"rate": 3.0}}]
+        assert echo["tolerances"] == {"div_invariance": 1e-6}
+        # The float rule is the scenario loader's own.
+        assert yaml.safe_load("1e-6") == "1e-6"
+
     def test_null_params_mean_no_params(self):
         s = parse_scenario(document(frames="[{name: identity, params: null}]",
                                     fields="[{name: uniform, params: null}]")
@@ -112,6 +126,16 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
     "boolean_pressure_param": "pressure: {name: gaussian_T, params: {width: yes}}\n",
     "boolean_box": "box: [no, yes]\n",
     "self_containing_box": "box: &box [*box, 1]\n",
+    # A quoted number is a string wherever a number is expected.
+    "quoted_fd_step": "fd: {h: '1.0e-3'}\n",
+    "quoted_box_bound": "box: ['-1', 1]\n",
+    "quoted_tolerance": "tolerances: {div_invariance: '1e-6'}\n",
+    "quoted_viscosity": "material: {mu: '1.0'}\n",
+    "quoted_gravity_entry": "material: {g: [0, 0, '-9.81']}\n",
+    "quoted_pressure_param": "pressure: {name: gaussian_T, params: {width: '0.8'}}\n",
+    # Bytes, which float() would read as a number; in params they would
+    # reach the report, which JSON cannot write.
+    "binary_tolerance": "tolerances: {div_invariance: !!binary MQ==}\n",
 }.items()} | {
     "non_numeric_frame_rate": document(
         frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: abc}}]"),
@@ -140,6 +164,18 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
         frames="[{name: accelerated_translation, params: {coeffs: {1: 2, 2: 3, 3: 4}}}]"),
     "self_containing_field_velocity": document(
         fields="[{name: uniform, params: {velocity: &v [*v, 0, 0]}}]"),
+    "quoted_frame_rate": document(
+        frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: '0.5'}}]"),
+    "quoted_angle_coefficient": document(
+        frames="[{name: wobble, params: {angles_x: '0.5', angles_y: [0], angles_z: [0]}}]"),
+    "quoted_axis_coefficient": document(
+        frames="[{name: accelerated_translation, params: {coeffs: [['1', 2], [0], [0]]}}]"),
+    "quoted_field_velocity": document(fields="[{name: uniform, params: {velocity: ['1', 0, 0]}}]"),
+    "binary_frame_rate": document(
+        frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: !!binary MQ==}}]"),
+    # Finite params whose field is not finite where the parse probes it.
+    "underflowing_gaussian_width": document(
+        fields="[{name: gaussian_T, params: {width: 1.0e-200}}]"),
 }
 
 # What each case that the duplicate-key check could mask is rejected for:
@@ -168,6 +204,19 @@ OWN_REASON = {
     "mapping_of_coefficients": "expected polynomial coefficients for 3 axes, as a list",
     "boolean_pressure_param": "bad parameters for field 'gaussian_T'",
     "boolean_box": "'box' must be [lo, hi]",
+    "quoted_fd_step": "'fd.h' must be a finite number > 0, got '1.0e-3'",
+    "quoted_box_bound": "'box' must be [lo, hi]",
+    "quoted_tolerance": "'tolerances.div_invariance' must be a finite number >= 0, got '1e-6'",
+    "quoted_viscosity": "'material.mu' must be a finite number >= 0, got '1.0'",
+    "quoted_gravity_entry": "'material.g' entry must be a finite number, got '-9.81'",
+    "quoted_pressure_param": "bad parameters for field 'gaussian_T'",
+    "quoted_frame_rate": "bad parameters for frame 'constant_rotation'",
+    "quoted_angle_coefficient": "bad parameters for frame 'wobble'",
+    "quoted_axis_coefficient": "bad parameters for frame 'accelerated_translation'",
+    "quoted_field_velocity": "bad parameters for field 'uniform'",
+    "underflowing_gaussian_width": "non-finite value at x = 0, t = 0",
+    "binary_tolerance": "'tolerances.div_invariance' must be a finite number >= 0, got b'1'",
+    "binary_frame_rate": "bad parameters for frame 'constant_rotation': parameter values must",
 }
 
 
@@ -434,6 +483,10 @@ class TestEmitReport:
         text = emit_report(self.one_row_report(tol=1e-6, max_abs_err=-1.0), "json")
         assert '\n      "tol": 1e-06,\n' in text
         assert '\n      "max_abs_err": -1.0,\n' in text
+
+    def test_unknown_format_is_a_scenario_error(self):
+        with pytest.raises(ScenarioError, match="unknown report format 'xml'"):
+            emit_report(self.one_row_report(), "xml")
 
     def test_table_contains_verdict_row(self):
         text = emit_report(self.run_small(), format="table")

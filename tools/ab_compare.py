@@ -76,12 +76,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="full_matrix", choices=("full_matrix", "nested_fd"))
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--scratch", help="directory for the exported copies "
-                        "(default: a temporary one, removed at exit)")
+    parser.add_argument("--scratch", help="directory for the exported copies, made if "
+                        "missing (default: a temporary one, removed at exit)")
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
     text = workloads.WORKLOADS[args.workload](args.seed)
+    if args.scratch:
+        Path(args.scratch).mkdir(parents=True, exist_ok=True)
 
     with tempfile.TemporaryDirectory(dir=args.scratch) as tmp:
         dest = Path(tmp)
