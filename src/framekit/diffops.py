@@ -8,10 +8,11 @@ tolerance budget.
 
 Jacobians follow the package convention J[k, i] = d v_i / d x_k.
 
-Operators take points x' (..., 3) and times t (...) and call the field once,
-with the stencil offsets as a leading axis of the points (or times), so no
-axis is moved; spatial stencils keep one entry of t per sample, so an
-observed field builds its frame state per sample.
+Operators take points x' (..., 3) and times t (...) as given and call the
+field once, with the stencil offsets as a leading axis of the points (or
+times); the field broadcasts points against times, so an observed field
+builds its frame state once per time, not once per point.  curl is -2
+``tensor_core.axial`` of J; the Newtonian law is built from D, ``strain_rate``.
 """
 
 from __future__ import annotations
@@ -62,13 +63,11 @@ def _central(f, h, order):
     return (-f[0] + 8.0 * f[1] - 8.0 * f[2] + f[3]) / (12.0 * h)
 
 
-def _broadcast(x_prime, t):
-    """Points (..., 3) and times (...) broadcast to one batch shape."""
+def _batch(x_prime, t):
+    """Points (..., 3) and times (...) as float arrays, unbroadcast, and the
+    rank of the batch shape they broadcast to."""
     x, t = np.asarray(x_prime, dtype=float), np.asarray(t, dtype=float)
-    if x.shape[:-1] == t.shape:
-        return x, t
-    batch = np.broadcast_shapes(x.shape[:-1], t.shape)
-    return np.broadcast_to(x, batch + (3,)), np.broadcast_to(t, batch)
+    return x, t, max(x.ndim - 1, t.ndim)
 
 
 def _first(offsets, batch_ndim: int):
@@ -79,9 +78,9 @@ def _first(offsets, batch_ndim: int):
 
 def _spatial_derivative(field, x_prime, t, cfg):
     """d field / d x'_k by central differences, k on the axis after the batch."""
-    x, t = _broadcast(x_prime, t)
+    x, t, rank = _batch(x_prime, t)
     # Points (n, ..., k, 3): stencil offset n, axis k.
-    steps = _first(cfg.h * _OFFSETS[cfg.order][:, None, None] * _AXES, t.ndim)
+    steps = _first(cfg.h * _OFFSETS[cfg.order][:, None, None] * _AXES, rank)
     return _central(field(x[..., None, :] + steps, t[..., None]), cfg.h, cfg.order)
 
 
@@ -97,8 +96,8 @@ def fd_gradient(field, x_prime, t, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
 
 def fd_time_derivative(field, x_prime, t, cfg: FdConfig = DEFAULT_FD):
     """Eulerian time derivative at fixed observed coordinates."""
-    x, t = _broadcast(x_prime, t)
-    f = field(x, t + _first(cfg.h_t * _OFFSETS[cfg.order], t.ndim))
+    x, t, rank = _batch(x_prime, t)
+    f = field(x, t + _first(cfg.h_t * _OFFSETS[cfg.order], rank))
     return _central(f, cfg.h_t, cfg.order)
 
 
@@ -108,16 +107,16 @@ def fd_second_derivatives(field, x_prime, t,
 
     Order-2 stencils; symmetric in (a, b) by construction.
     """
-    x, t = _broadcast(x_prime, t)
+    x, t, rank = _batch(x_prime, t)
     h = cfg.h
-    f = field(x + _first(h * _HESS_OFFSETS, t.ndim), t)
+    f = field(x + _first(h * _HESS_OFFSETS, rank), t)
     hess = np.empty((3, 3) + f.shape[1:])
     for a in range(3):
         hess[a, a] = (f[1 + 2 * a] - 2.0 * f[0] + f[2 + 2 * a]) / (h * h)
     for p, (a, b) in enumerate(_PAIRS):
         fpp, fpm, fmp, fmm = f[7 + 4 * p: 11 + 4 * p]
         hess[a, b] = hess[b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-    return np.moveaxis(hess, (0, 1), (x.ndim - 1, x.ndim))
+    return np.moveaxis(hess, (0, 1), (rank, rank + 1))
 
 
 def fd_viscous_divergence(field, x_prime, t,
@@ -136,11 +135,9 @@ def divergence(j) -> np.ndarray:
 
 
 def curl(j) -> np.ndarray:
-    """Curl from a Jacobian with J[..., k, i] = d_k v_i."""
-    j = np.asarray(j, dtype=float)
-    return np.stack([j[..., 1, 2] - j[..., 2, 1],
-                     j[..., 2, 0] - j[..., 0, 2],
-                     j[..., 0, 1] - j[..., 1, 0]], axis=-1)
+    """Curl from a Jacobian with J[..., k, i] = d_k v_i: the axial vector of
+    the antisymmetric part of J.T, so -2 axial(J)."""
+    return -2.0 * tc.axial(np.asarray(j, dtype=float))
 
 
 def strain_rate(j) -> np.ndarray:

@@ -78,11 +78,10 @@ def _modulation(mod_amp: float, mod_freq: float):
 
 
 def _per_point(scale, value, x, tail=(3,)) -> np.ndarray:
-    """scale (...) times value broadcast to one tail-shaped entry per point."""
-    scale = np.asarray(scale)
-    shape = np.shape(x)[:-1] + tail
+    """scale (...) times value: one entry per point of x, or a constant tiled."""
+    scale, lead = np.asarray(scale), np.shape(x)[:-1]
     return (scale.reshape(scale.shape + (1,) * len(tail))
-            * (value if np.shape(value) == shape else np.broadcast_to(value, shape)))
+            * (value if np.shape(value) == lead + tail else tc.tiled(value, lead)))
 
 
 def _steady_flow(name, v0, j0, visc0, mod_amp, mod_freq) -> FlowField:
@@ -182,7 +181,7 @@ def gaussian_scalar(amplitude=1.0, width=0.8, center=(0.0, 0.0, 0.0),
 def linear_scalar(coeffs=(1.0, -2.0, 0.5), offset=0.0,
                   mod_amp=0.0, mod_freq=1.0) -> ScalarField:
     """Affine scalar T = coeffs . x + offset with constant gradient."""
-    c = tc.vec3(coeffs)
+    c = tc.vec3(coeffs).copy()   # contiguous, so the gradient tiles it
     b = float(offset)
     return _steady_scalar("linear_T", lambda x: np.asarray(x, dtype=float) @ c + b,
                           lambda x: c, mod_amp, mod_freq)

@@ -72,11 +72,6 @@ def _rotation_stack(value, t, tail: tuple) -> np.ndarray:
     return tc.orthonormalized(_batched(value, t, tail))
 
 
-def _tiled(a, shape: tuple) -> np.ndarray:
-    """A read-only zero-stride view of frozen a over leading axes shape."""
-    return np.ndarray(shape + a.shape, a.dtype, a, 0, (0,) * len(shape) + a.strides)
-
-
 def _frozen(value, tail: tuple) -> np.ndarray:
     """A constant frame quantity of shape tail: validated, copied, read-only."""
     a = (tc.vec3(value) if tail == (3,) else tc.mat3(value)).copy()
@@ -190,7 +185,7 @@ class RigidFrameMotion:
     def _read(self, quantity: str, raw, t, tail: tuple, validate=_batched) -> np.ndarray:
         if callable(raw):
             return self._memo(quantity, t, lambda f: (validate(raw(f), f, tail),))[0]
-        return self._memo(quantity, t, lambda f: (_tiled(raw, f.shape),))[0]
+        return self._memo(quantity, t, lambda f: (tc.tiled(raw, f.shape),))[0]
 
     def y(self, t) -> np.ndarray:
         return self._read("y", self._y, t, (3,))
@@ -216,7 +211,7 @@ class RigidFrameMotion:
 
     def _rigid_state(self, t):
         alpha, dalpha = self.alpha(t), self.dalpha_dt(t)
-        m, omega = ((_tiled(c, t.shape) for c in self._steady_spin) if self._steady_spin
+        m, omega = ((tc.tiled(c, t.shape) for c in self._steady_spin) if self._steady_spin
                     else _spin(alpha, dalpha, t))
         return alpha, dalpha, m, self.y(t), self.dy_dt(t), omega
 

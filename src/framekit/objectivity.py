@@ -111,7 +111,6 @@ def sample_points(box, n: int, rng: np.random.Generator):
 
 
 def _result(check_id, errs, tol, witness=None) -> CheckResult:
-    errs = np.atleast_1d(np.asarray(errs, dtype=float))
     mx = float(errs.max())
     return CheckResult(check_id=check_id, samples=errs.size,
                        max_abs_err=mx, mean_abs_err=float(errs.mean()),
@@ -243,8 +242,7 @@ def check_stress_tensor_transform(tau_in_s, alpha,
     faces = tc.transpose(np.asarray(alpha, dtype=float))   # row j2: e'_{j2}, in s
     traction = cauchy_traction(tau[..., None, :, :], faces)   # row j2: its traction
     physical = tc.transpose(tc.matvec(faces[..., None, :, :], traction))
-    errs = np.abs(physical - algebraic).max(axis=(-2, -1))
-    return _result("stress_transform", errs, tol)
+    return _result("stress_transform", tc.max_abs_entry(physical - algebraic), tol)
 
 
 def check_stress_transform_random(frame: RigidFrameMotion, *, samples=100,
@@ -257,13 +255,12 @@ def check_stress_transform_random(frame: RigidFrameMotion, *, samples=100,
 
 
 def newtonian_stress(p, mu: float, j) -> np.ndarray:
-    """Cauchy stress tau = -p I + mu (grad v + (grad v)^T), (..., 3, 3),
-    from pressures (...) and velocity gradients (..., 3, 3)."""
+    """Cauchy stress tau = -p I + 2 mu D, (..., 3, 3), from pressures (...)
+    and velocity gradients (..., 3, 3) through their strain rates D."""
     if mu < 0.0:
         raise UsageError("dynamic viscosity must be nonnegative")
-    j = tc.mat3(j)
     p = np.asarray(p, dtype=float)
-    return -p[..., None, None] * np.eye(3) + mu * (j + tc.transpose(j))
+    return -p[..., None, None] * np.eye(3) + 2.0 * mu * diffops.strain_rate(tc.mat3(j))
 
 
 @_sampled

@@ -15,9 +15,9 @@ components of the primed basis vectors, so component transforms read
 Gradient-like matrices everywhere in this package store the derivative
 direction on the row: ``J[k, i] = d v_i / d x_k``.
 
-``orthonormalized`` validates a stack of rotations and replaces a slightly
-drifted one by its polar factor, the nearest rotation; ``require_rotation``
-validates without repair.
+``orthonormalized`` validates a stack of rotations and replaces one that
+has drifted beyond round-off by its polar factor, the nearest rotation;
+``require_rotation`` validates without repair.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import InvariantViolationError, UsageError
 
-# Residual below which a matrix is accepted as orthogonal outright.
-ORTH_TOL = 1e-9
+# Residual below which a matrix is accepted as orthogonal outright: round-off.
+ORTH_TOL = 1e-13
 # Residual up to which a drifted rotation is re-orthonormalized; above it
 # the matrix is rejected as not a rotation at all.
 ORTH_REPAIR_LIMIT = 1e-6
@@ -59,6 +59,11 @@ def transpose(a) -> np.ndarray:
     """Swap the last two axes of a stack of matrices (contiguous: matmul on
     a strided view of a stack of 3x3 matrices is several times slower)."""
     return np.ascontiguousarray(a.swapaxes(-1, -2))
+
+
+def tiled(a, lead: tuple) -> np.ndarray:
+    """A zero-stride view of C-contiguous a over leading axes lead."""
+    return np.ndarray(lead + a.shape, a.dtype, a, 0, (0,) * len(lead) + a.strides)
 
 
 def matvec(a, x) -> np.ndarray:

@@ -39,6 +39,22 @@ def builtin_frames():
     }
 
 
+def seeded_rotation(name, seed):
+    """A rotating catalog frame with seeded params, and its factors."""
+    rng = np.random.default_rng(seed)
+    axis = rng.normal(size=3)
+    rate = rng.uniform(0.5, 3.0)
+    if name == "wobble":
+        angles = {k: rng.uniform(-1.0, 1.0, 4).tolist()
+                  for k in ("angles_x", "angles_y", "angles_z")}
+        factors = list(zip(np.eye(3), angles.values()))
+        return make_frame(name, **angles), factors
+    params = {"axis": axis.tolist(), "rate": rate}
+    if name == "screw":
+        params["velocity"] = rng.uniform(-1.0, 1.0, 3).tolist()
+    return make_frame(name, **params), [(axis, [0.0, rate])]
+
+
 def builtin_flows():
     return {
         "uniform": make_field("uniform", velocity=[1.0, 0.0, 0.0]),

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from framekit import FdConfig, UsageError, make_field
+from framekit import (FdConfig, RigidFrameMotion, UsageError, make_field,
+                      pull_back_velocity)
 from framekit import diffops
+
+from conftest import builtin_flows, builtin_frames
 
 
 class TestFdJacobian:
@@ -107,12 +110,44 @@ class TestReductions:
         assert diffops.divergence(j) == pytest.approx(
             np.trace(diffops.strain_rate(j)), abs=1e-12)
 
+    def test_curl_is_the_explicit_contraction(self):
+        # -2 axial(J), equal to (d_2 v_3 - d_3 v_2, ...) up to the sign of a zero.
+        j = np.random.default_rng(4).normal(size=(200, 3, 3))
+        j[:20] = 0.5 * (j[:20] + j[:20].swapaxes(-1, -2))
+        want = np.stack([j[..., 1, 2] - j[..., 2, 1], j[..., 2, 0] - j[..., 0, 2],
+                         j[..., 0, 1] - j[..., 1, 0]], axis=-1)
+        assert np.array_equal(diffops.curl(j), want)
+
     @given(st.lists(st.floats(-100, 100), min_size=9, max_size=9))
     def test_curl_ignores_symmetric_part(self, entries):
         j = np.array(entries).reshape(3, 3)
         sym = 0.5 * (j + j.T)
         assert np.allclose(diffops.curl(j), diffops.curl(j - sym),
                            rtol=1e-12, atol=1e-9)
+
+
+class TestStencilsLeaveBroadcastingToTheField:
+    """12 points at one time: an observed field gets the one time, so its
+    frame evaluates alpha at 1, 4 (the order-4 time stencil) and 1 times,
+    not at 12, 48 and 12, once per point."""
+
+    @pytest.mark.parametrize("operator, most", [(diffops.fd_jacobian, 1),
+                                                (diffops.fd_time_derivative, 4),
+                                                (diffops.fd_second_derivatives, 1)])
+    def test_frame_evaluated_once_per_time(self, operator, most):
+        wobble, times = builtin_frames()["wobble"], []
+
+        def alpha(t):
+            times.append(np.size(t))
+            return wobble.alpha(t)
+
+        frame = RigidFrameMotion("counted", y=np.zeros(3), alpha=alpha,
+                                 dalpha_dt=wobble.dalpha_dt, d2alpha_dt2=wobble.d2alpha_dt2)
+        field = pull_back_velocity(frame, builtin_flows()["taylor_green"])
+        xs = np.random.default_rng(6).uniform(-1.0, 1.0, (12, 3))
+        got = operator(field, xs, 0.4)
+        assert sum(times) <= most
+        assert np.array_equal(got, operator(field, xs, np.full(12, 0.4)))
 
 
 class TestSubstantialDerivative:

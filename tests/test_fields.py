@@ -185,6 +185,13 @@ class TestCatalogApi:
         with pytest.raises(UsageError):
             make_field("shear", rate=10**400)
 
+    def test_strided_coefficients(self):
+        # The constant gradient is tiled over the points from a copy.
+        coeffs = np.arange(6.0)[::2]
+        xs = np.random.default_rng(2).uniform(-1.0, 1.0, (5, 3))
+        g = make_field("linear_T", coeffs=coeffs).gradient(xs, np.zeros(5))
+        assert np.array_equal(g, np.broadcast_to(coeffs, (5, 3)))
+
     def test_catalog_coverage(self):
         # at least: compressible, incompressible, rotational, irrotational
         # uniform, and a scalar with nonuniform gradient

@@ -16,7 +16,7 @@ from framekit import frames
 from framekit import objectivity as obj
 from framekit import tensor_core as tc
 
-from conftest import builtin_flows, builtin_frames
+from conftest import builtin_flows, builtin_frames, seeded_rotation
 
 
 def omega_by_index_summation(alpha, dalpha):
@@ -510,22 +510,6 @@ def product_rule(factors, t):
         p, dp, d2p = (np.matmul(p, r), np.matmul(dp, r) + np.matmul(p, dr),
                       np.matmul(d2p, r) + 2.0 * np.matmul(dp, dr) + np.matmul(p, d2r))
     return p, dp, d2p
-
-
-def seeded_rotation(name, seed):
-    """A rotating catalog frame with seeded params, and its factors."""
-    rng = np.random.default_rng(seed)
-    axis = rng.normal(size=3)
-    rate = rng.uniform(0.5, 3.0)
-    if name == "wobble":
-        angles = {k: rng.uniform(-1.0, 1.0, 4).tolist()
-                  for k in ("angles_x", "angles_y", "angles_z")}
-        factors = list(zip(np.eye(3), angles.values()))
-        return make_frame(name, **angles), factors
-    params = {"axis": axis.tolist(), "rate": rate}
-    if name == "screw":
-        params["velocity"] = rng.uniform(-1.0, 1.0, 3).tolist()
-    return make_frame(name, **params), [(axis, [0.0, rate])]
 
 
 def seeded_translation(name, seed):

@@ -2,6 +2,7 @@
 stress/traction machinery, constitutive laws."""
 
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 import yaml
 from hypothesis import Phase, given, settings, strategies as st
 
-from framekit import (AngularVelocity, BodyForce, UsageError, cauchy_traction,
+from framekit import (AngularVelocity, BodyForce, RigidFrameMotion, UsageError,
+                      cauchy_traction,
                       make_field, make_frame, map_position_to_prime,
                       newtonian_stress, omega_from_alpha, parse_scenario,
                       pull_back_velocity, run_suite)
@@ -202,6 +204,20 @@ class TestStressTransform:
         r = obj.check_stress_transform_random(frame, samples=100, rng=rng)
         assert r.passed and r.max_abs_err <= 1e-12
 
+    @pytest.mark.parametrize("drift", [4e-10, 3e-8, 2e-7])
+    def test_drifted_alpha_is_repaired_to_round_off(self, drift):
+        # A relative drift of 4e-10 leaves a residual of 8e-10: were it taken
+        # as a rotation, the check would fail at 6.9e-10 and cauchy_traction
+        # would warn about a non-unit face normal.
+        wobble = builtin_frames()["wobble"]
+        frame = RigidFrameMotion("drift", y=np.zeros(3),
+                                 alpha=lambda t: wobble.alpha(t) * (1.0 + drift))
+        assert np.max(tc.check_orthogonality(frame.alpha(np.linspace(0.0, 1.0, 50)))) <= 1e-15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = obj.check_stress_transform_random(frame, samples=100, rng=seeded())
+        assert r.passed and r.max_abs_err <= 1e-12
+
 
 class TestNewtonianStress:
     def test_static_fluid(self):
@@ -227,6 +243,14 @@ class TestNewtonianStress:
         tau = newtonian_stress(0.8, 1.3, j)
         assert np.isclose(np.trace(tau), -3 * 0.8 + 2 * 1.3 * np.trace(j))
         assert np.max(np.abs(tau - tau.T)) <= 1e-12
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-3, 0.7, 1.3, 4.0, 1e3])
+    def test_built_from_the_strain_rate(self, mu):
+        # -p I + 2 mu D has the bits of -p I + mu (J + J.T).
+        rng = seeded()
+        j, p = rng.normal(size=(1000, 3, 3)), rng.normal(size=1000)
+        want = -p[:, None, None] * np.eye(3) + mu * (j + j.swapaxes(-1, -2))
+        assert np.array_equal(newtonian_stress(p, mu, j), want)
 
     def test_negative_viscosity_rejected(self):
         with pytest.raises(UsageError):

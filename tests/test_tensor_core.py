@@ -151,6 +151,17 @@ class TestSkewAxial:
         assert np.allclose(tc.axial(tc.skew(w)), w)
 
 
+class TestTiled:
+    def test_zero_stride_view_of_a_constant(self):
+        a = np.arange(9.0).reshape(3, 3)
+        view = tc.tiled(a, (4, 5))
+        assert view.shape == (4, 5, 3, 3) and view.strides[:2] == (0, 0)
+        assert np.array_equal(view, np.broadcast_to(a, (4, 5, 3, 3)))
+        assert view.flags.writeable
+        a.flags.writeable = False
+        assert not tc.tiled(a, (2,)).flags.writeable
+
+
 class TestBatchShapeBits:
     """A stacked primitive gives each entry the bits of its single call."""
 
