@@ -14,10 +14,10 @@ which in matrix form reads: M = d(alpha)/dt @ alpha.T is antisymmetric and
 omega = axial-vector of M (M[i,k] = eps_ijk omega_j).
 
 A frame quantity may be a constant array, validated once when the frame is
-built, with zero derivatives.  Every frame quantity, constant or computed,
-is remembered for the last time array (see ``RigidFrameMotion``), so the
-several pull-backs of one check evaluate and validate alpha(t) once per
-time array.
+built, with zero derivatives.  A frame evaluates its whole kinematics at
+a time array as one validated jet (``FrameState``) and remembers the jet of
+the last time array (see ``RigidFrameMotion``), so the several pull-backs of
+one check evaluate and validate each part once per time array.
 """
 
 from __future__ import annotations
@@ -47,15 +47,17 @@ class AngularVelocity:
 
 @dataclass(frozen=True)
 class FrameState:
-    """Validated kinematics of a frame at times t of shape (...): alpha,
-    dalpha and the spin M = dalpha @ alpha.T of shape (..., 3, 3); y, dy
-    and omega (the axial vector of spin) of shape (..., 3).  The arrays are
-    read-only: the frame's memo of its last time array."""
+    """The validated kinematics jet of a frame at times t of shape (...):
+    alpha, its rates dalpha, d2alpha and the spin M = dalpha @ alpha.T, each
+    (..., 3, 3); y, its rates dy, d2y and omega, the axial vector of spin,
+    each (..., 3).  Read-only: the frame's memo of its last time array."""
     alpha: np.ndarray
     dalpha: np.ndarray
+    d2alpha: np.ndarray
     spin: np.ndarray
     y: np.ndarray
     dy: np.ndarray
+    d2y: np.ndarray
     omega: np.ndarray
 
 
@@ -67,9 +69,10 @@ def _batched(value, t, tail: tuple) -> np.ndarray:
     return a.view() if a.shape == shape else np.broadcast_to(a, shape)
 
 
-def _rotation_stack(value, t, tail: tuple) -> np.ndarray:
-    """An alpha callable's output as validated (re-orthonormalized) rotations."""
-    return tc.orthonormalized(_batched(value, t, tail))
+def _evaluated(part, t, tail: tuple) -> np.ndarray:
+    """A frame part at flat times t: a callable's validated output, or a
+    constant as a zero-stride view."""
+    return _batched(part(t), t, tail) if callable(part) else tc.tiled(part, t.shape)
 
 
 def _frozen(value, tail: tuple) -> np.ndarray:
@@ -137,16 +140,15 @@ class RigidFrameMotion:
     docstring).  A computed ``alpha(t)`` is validated (and re-orthonormalized
     where slightly drifted), and ``state(t)`` checks rigid evolution.
 
-    Every accessor and ``state`` read through a one-entry memo of the last
-    time array: its key is the bytes of the times, so t of shape (N,),
-    (N, 1) or (N, 1, 1) holding the same values share it.  Values are
-    computed on the flattened times (every rule is elementwise in t; a read
-    at those very flat times, as inside a computation, skips the key), stored
-    read-only and returned reshaped to t's shape; different times replace
-    the whole entry, and a value whose computation raised is not stored.
-    The key and its values are bound in one tuple that a new time array
-    replaces in one assignment, so threads sharing a frame can at worst
-    recompute a value, never read another time array's.
+    ``state(t)`` is the frame's one memo: at a new time array it evaluates
+    every part once on the flattened times (every rule is elementwise in t),
+    validates the jet, freezes its arrays and keeps it with a key, the bytes
+    of the times, so t of shape (N,), (N, 1) or (N, 1, 1) holding the same
+    values share it.  Each accessor is a read of that jet, reshaped to t's
+    shape.  A jet whose computation raised is not kept.  The key and its jet
+    are bound in one tuple that a new time array replaces in one assignment,
+    so threads sharing a frame can at worst recompute a jet, never read
+    another time array's.
     """
 
     def __init__(self, name: str, y, alpha, dy_dt=None, d2y_dt2=None,
@@ -157,63 +159,50 @@ class RigidFrameMotion:
                        else _frozen(tc.orthonormalized(alpha), (3, 3)))
         self._dy, self._d2y = _rates(self._y, dy_dt, d2y_dt2, (3,))
         self._dalpha, self._d2alpha = _rates(self._alpha, dalpha_dt, d2alpha_dt2, (3, 3))
-        self._last = (None, {}, None)   # (key, {quantity: flat values}, flat times)
+        self._last = (None, None)   # (key, FrameState at the flattened times)
         self._steady_spin = None    # (spin, omega) of a constant rotation: it must be rigid
         if not (callable(self._alpha) or callable(self._dalpha)):
             spin = _spin(self._alpha, self._dalpha)
             self._steady_spin = tuple(_frozen(v, v.shape) for v in spin)
 
-    def _memo(self, quantity: str, t, compute) -> tuple:
-        """``compute(flat times)``, a tuple of (M, ...) arrays, memoized for
-        the last time array and returned reshaped to t's shape."""
-        entry = self._last
-        if t is not entry[2]:   # the entry's own times, as compute gets them
-            t = np.asarray(t, dtype=float)
-            key = t.tobytes()
-            if entry[0] != key:
-                entry = self._last = (key, {}, np.frombuffer(key))
-        values = entry[1].get(quantity)
-        if values is None:
-            values = compute(entry[2])
-            for v in values:
+    def state(self, t) -> FrameState:
+        """The validated kinematics jet at every time in t."""
+        t = np.asarray(t, dtype=float)
+        key = t.tobytes()
+        last = self._last
+        if last[0] != key:
+            f = np.frombuffer(key)
+            alpha = (tc.orthonormalized(_batched(self._alpha(f), f, (3, 3)))
+                     if callable(self._alpha) else tc.tiled(self._alpha, f.shape))
+            dalpha, d2alpha = (_evaluated(p, f, (3, 3)) for p in (self._dalpha, self._d2alpha))
+            y, dy, d2y = (_evaluated(p, f, (3,)) for p in (self._y, self._dy, self._d2y))
+            spin, omega = ((tc.tiled(c, f.shape) for c in self._steady_spin)
+                           if self._steady_spin else _spin(alpha, dalpha, f))
+            jet = FrameState(alpha, dalpha, d2alpha, spin, y, dy, d2y, omega)
+            for v in vars(jet).values():
                 v.flags.writeable = False
-            entry[1][quantity] = values
+            last = self._last = (key, jet)
         if t.ndim == 1:
-            return values
-        return tuple(v.reshape(t.shape + v.shape[1:]) for v in values)
-
-    def _read(self, quantity: str, raw, t, tail: tuple, validate=_batched) -> np.ndarray:
-        if callable(raw):
-            return self._memo(quantity, t, lambda f: (validate(raw(f), f, tail),))[0]
-        return self._memo(quantity, t, lambda f: (tc.tiled(raw, f.shape),))[0]
+            return last[1]
+        return FrameState(*(v.reshape(t.shape + v.shape[1:]) for v in vars(last[1]).values()))
 
     def y(self, t) -> np.ndarray:
-        return self._read("y", self._y, t, (3,))
+        return self.state(t).y
 
     def alpha(self, t) -> np.ndarray:
-        return self._read("alpha", self._alpha, t, (3, 3), _rotation_stack)
+        return self.state(t).alpha
 
     def dy_dt(self, t) -> np.ndarray:
-        return self._read("dy", self._dy, t, (3,))
+        return self.state(t).dy
 
     def d2y_dt2(self, t) -> np.ndarray:
-        return self._read("d2y", self._d2y, t, (3,))
+        return self.state(t).d2y
 
     def dalpha_dt(self, t) -> np.ndarray:
-        return self._read("dalpha", self._dalpha, t, (3, 3))
+        return self.state(t).dalpha
 
     def d2alpha_dt2(self, t) -> np.ndarray:
-        return self._read("d2alpha", self._d2alpha, t, (3, 3))
-
-    def state(self, t) -> FrameState:
-        """Validated (alpha, dalpha, spin, y, dy, omega) at every time in t."""
-        return FrameState(*self._memo("state", t, self._rigid_state))
-
-    def _rigid_state(self, t):
-        alpha, dalpha = self.alpha(t), self.dalpha_dt(t)
-        m, omega = ((tc.tiled(c, t.shape) for c in self._steady_spin) if self._steady_spin
-                    else _spin(alpha, dalpha, t))
-        return alpha, dalpha, m, self.y(t), self.dy_dt(t), omega
+        return self.state(t).d2alpha
 
 
 def omega_from_alpha(frame: RigidFrameMotion, t) -> AngularVelocity:
@@ -316,21 +305,26 @@ def _rigid_motion(name, factors=(), y=((0.0, 0.0, 0.0),)) -> RigidFrameMotion:
     first factor's [R'' | R' | R], each further factor turns the (M, 3, 9) row
     [P'' | P' | P] into [P'' R + 2 P' R' + P R'' | P' R + P R' | P R] =
     [P'' | P' | P] @ [[R, 0, 0], [2R', R, 0], [R'', R', R]], one stacked
-    product, kept in the frame's memo for the last time array.  The closures
-    (the constructor calls none) share that memo with any frame built from
-    them, which evicts this frame's entry when it evaluates another t."""
-    def products(t):
-        row = (factors[0].coefficients(t) @ factors[0].block[:, 54:]).reshape(-1, 3, 9)
-        for factor in factors[1:]:
-            row = row @ (factor.coefficients(t) @ factor.block).reshape(-1, 9, 9)
-        return np.ascontiguousarray(row[:, :, 6:]), row[:, :, 3:6], row[:, :, :3]
+    product.  The three rotation closures take flat times (M,), as a frame's
+    jet passes one array to all three, and share the product through a
+    one-slot cache keyed by that array itself; a writable array, which could
+    change under the key, is never a hit."""
+    last = (None, None)   # (flat times, their products), replaced in one assignment
 
-    rotation = ({key: lambda t, i=i: frame._memo("products", t, products)[i]
-                 for i, key in enumerate(("alpha", "dalpha_dt", "d2alpha_dt2"))}
-                if factors else {"alpha": _EYE3})
+    def rotation(i, t):
+        nonlocal last
+        hit = last
+        if hit[0] is not t or t.flags.writeable:
+            row = (factors[0].coefficients(t) @ factors[0].block[:, 54:]).reshape(-1, 3, 9)
+            for factor in factors[1:]:
+                row = row @ (factor.coefficients(t) @ factor.block).reshape(-1, 9, 9)
+            hit = last = (t, (np.ascontiguousarray(row[:, :, 6:]), row[:, :, 3:6], row[:, :, :3]))
+        return hit[1][i]
+
     y, dy, d2y = _polynomial(y, (3,))
-    frame = RigidFrameMotion(name, y=y, dy_dt=dy, d2y_dt2=d2y, **rotation)
-    return frame
+    return RigidFrameMotion(name, y=y, dy_dt=dy, d2y_dt2=d2y, **(
+        {key: partial(rotation, i) for i, key in enumerate(("alpha", "dalpha_dt", "d2alpha_dt2"))}
+        if factors else {"alpha": _EYE3}))
 
 
 def identity_frame() -> RigidFrameMotion:

@@ -175,7 +175,7 @@ def velocity_gradient_correction(frame: RigidFrameMotion, t) -> np.ndarray:
     transpose of the spin matrix (minus it, for a rigid rotation), so its
     rotational content is exactly 2*omega.
     """
-    return tc.transpose(frame.state(t).spin)
+    return frame.alpha(t) @ tc.transpose(frame.dalpha_dt(t))
 
 
 @_sampled
@@ -238,8 +238,9 @@ def check_stress_tensor_transform(tau_in_s, alpha,
     Each (tau, alpha) pair of the (..., 3, 3) stacks is one sample.
     """
     tau = tc.mat3(tau_in_s)
-    algebraic = tc.transform_tensor2(tau, alpha)   # raises on a non-rotation
-    faces = tc.transpose(np.asarray(alpha, dtype=float))   # row j2: e'_{j2}, in s
+    alpha = tc.orthonormalized(alpha)   # for both routes; raises on a non-rotation
+    algebraic = tc.transform_tensor2(tau, alpha)
+    faces = tc.transpose(alpha)   # row j2: e'_{j2}, in s
     traction = cauchy_traction(tau[..., None, :, :], faces)   # row j2: its traction
     physical = tc.transpose(tc.matvec(faces[..., None, :, :], traction))
     return _result("stress_transform", tc.max_abs_entry(physical - algebraic), tol)
@@ -288,13 +289,14 @@ def check_acceleration_decomposition(s: SampleSet):
     """Inertial acceleration vs translational + observed + Coriolis +
     Euler + centrifugal terms, all reduced to unprimed components."""
     ang = omega_from_alpha(s.frame, s.ts)
+    st = s.frame.state(s.ts)   # read before the time stencil replaces the frame's jet
     lhs = inertial_acceleration(s.field, s.xs, s.ts)
 
     v_sp = s.observed(s.xp, s.ts)
     vdot_sp = diffops.substantial_derivative(s.observed, v_sp, s.xp, s.ts, s.fd)
     v_rel = tc.matvec(s.alpha, v_sp)                     # V in unprimed components
-    x_rel = s.xs - s.frame.y(s.ts)                       # X in unprimed components
-    rhs = (s.frame.d2y_dt2(s.ts)
+    x_rel = s.xs - st.y                                  # X in unprimed components
+    rhs = (st.d2y
            + tc.matvec(s.alpha, vdot_sp)
            + 2.0 * tc.cross(ang.omega, v_rel)
            + tc.cross(ang.domega_dt, x_rel)

@@ -25,9 +25,10 @@ from . import objectivity as obj
 from .diffops import _OFFSETS, FdConfig
 from .errors import FramekitError, ScenarioError
 from .fields import FIELD_CATALOG, ScalarField, make_field
-from .frames import FRAME_CATALOG, make_frame, omega_from_alpha
+from .frames import FRAME_CATALOG, make_frame
 
 VERSION = "0.1.0"
+MAX_SAMPLES = 1_000_000   # at about 3 KB of peak memory each, a run near 3 GB
 
 
 class _StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -115,9 +116,8 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
             raise ValueError("parameter values must be finite numbers, not booleans or strings")
         with np.errstate(all="ignore"):
             built = catalog[name](**params)
-            if noun == "frame":   # frame values are validated where computed
-                omega_from_alpha(built, 0.0)
-                built.d2y_dt2(0.0)
+            if noun == "frame":   # the frame's whole jet is validated where computed
+                built.state(0.0)
             elif not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
                          for f in vars(built).values() if callable(f)):
                 raise ValueError("non-finite value at x = 0, t = 0")
@@ -162,9 +162,10 @@ def _number(value, what: str, low: float = -math.inf, strict: bool = False) -> f
     return x
 
 
-def _integer(low: int, value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ScenarioError(f"{what} must be an integer >= {low}, got {value!r}")
+def _integer(low: int, value, what: str, high=math.inf) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        bound = "" if high == math.inf else f" and <= {high:,}"
+        raise ScenarioError(f"{what} must be an integer >= {low}{bound}, got {value!r}")
     return value
 
 
@@ -233,7 +234,7 @@ _SCENARIO = {
     "fields": partial(_list_of, partial(_entry, "field", FIELD_CATALOG)),
     "checks": partial(_list_of, _check_id),
     "box": _or_default(_box),
-    "samples": partial(_integer, 1),
+    "samples": partial(_integer, 1, high=MAX_SAMPLES),
     "seed": partial(_integer, 0),
     "fd": _or_default(partial(_mapping, _FD, FdConfig, "fd.")),
     "tolerances": _or_default(partial(_mapping, _TOLERANCES, dict, "tolerances.")),

@@ -118,8 +118,10 @@ def _rotations(alpha):
     if (residual > ORTH_REPAIR_LIMIT).any():
         raise InvariantViolationError(
             f"matrix is not orthogonal (residual {np.max(residual):.3e})")
-    # Near-orthogonal, so det = (a_0 x a_1) . a_2 is about +-1: its sign is safe.
-    if ((cross(a[..., 0, :], a[..., 1, :]) * a[..., 2, :]).sum(axis=-1) <= 0.0).any():
+    # Near-orthogonal, so det (by cofactors of row 0) is about +-1: its sign is safe.
+    e = a.reshape(-1, 9).T
+    if (e[0] * (e[4] * e[8] - e[5] * e[7]) - e[1] * (e[3] * e[8] - e[5] * e[6])
+            + e[2] * (e[3] * e[7] - e[4] * e[6]) <= 0.0).any():
         raise InvariantViolationError("improper rotation (det <= 0) rejected")
     return a, residual
 

@@ -280,31 +280,30 @@ class TestKinematicsMemo:
     B = np.linspace(0.3, 1.7, 9)
 
     def test_one_raw_alpha_evaluation_per_time_array(self):
+        # Every part of a user frame given as six callables (wobble's, its
+        # constants returned as they are) is evaluated once per time array.
         calls = Counter()
         wobble = builtin_frames()["wobble"]
 
         def counted(name, f):
             def g(t):
                 calls[name] += 1
-                return f(t)
+                return f(t) if callable(f) else f
             return g
 
-        frame = RigidFrameMotion(
-            "counted", y=wobble._y, alpha=counted("alpha", wobble._alpha),
-            dy_dt=wobble._dy, d2y_dt2=wobble._d2y,
-            dalpha_dt=counted("dalpha_dt", wobble._dalpha),
-            d2alpha_dt2=wobble._d2alpha)
+        frame = RigidFrameMotion("counted", **{
+            part: counted(part, getattr(wobble, attr)) for part, attr in PARTS.items()})
         flow = builtin_flows()["taylor_green"]
         r = obj.check_velocity_gradient_relation(
             frame, flow, samples=20, rng=np.random.default_rng(5))
         assert r.passed
-        assert calls == {"alpha": 1, "dalpha_dt": 1}
+        assert calls == dict.fromkeys(PARTS, 1)
         calls.clear()
         # The sample times, then the time-derivative stencil around them.
         r = obj.check_acceleration_decomposition(
             frame, flow, samples=20, rng=np.random.default_rng(6))
         assert r.passed
-        assert calls == {"alpha": 2, "dalpha_dt": 2}
+        assert calls == dict.fromkeys(PARTS, 2)
 
     def test_one_angle_evaluation_per_factor(self, monkeypatch):
         # alpha, its two rates and the state at one time array share each

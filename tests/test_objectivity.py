@@ -10,12 +10,13 @@ import pytest
 import yaml
 from hypothesis import Phase, given, settings, strategies as st
 
-from framekit import (AngularVelocity, BodyForce, RigidFrameMotion, UsageError,
+from framekit import (AngularVelocity, BodyForce, InvariantViolationError,
+                      RigidFrameMotion, UsageError,
                       cauchy_traction,
                       make_field, make_frame, map_position_to_prime,
                       newtonian_stress, omega_from_alpha, parse_scenario,
                       pull_back_velocity, run_suite)
-from framekit import diffops, objectivity as obj
+from framekit import diffops, objectivity as obj, scenario as fs
 from framekit import tensor_core as tc
 
 from conftest import builtin_flows, builtin_frames, builtin_scalars
@@ -217,6 +218,22 @@ class TestStressTransform:
             warnings.simplefilter("error")
             r = obj.check_stress_transform_random(frame, samples=100, rng=seeded())
         assert r.passed and r.max_abs_err <= 1e-12
+
+    def test_drifted_caller_alpha_is_repaired_for_both_routes(self):
+        # The caller's own alpha, not a frame's: taken as a rotation as it is,
+        # it fails at 6.3e-10 and cauchy_traction warns about a non-unit face.
+        rng = seeded()
+        alpha = builtin_frames()["wobble"].alpha(rng.uniform(0.0, 1.0, 100)) * (1.0 + 4e-10)
+        tau = rng.uniform(-1.0, 1.0, size=(100, 3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = obj.check_stress_tensor_transform(tau, alpha)
+        assert r.passed and r.max_abs_err <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0])])
+    def test_non_rotation_raises(self, alpha):
+        with pytest.raises(InvariantViolationError):
+            obj.check_stress_tensor_transform(np.eye(3), alpha)
 
 
 class TestNewtonianStress:
@@ -449,14 +466,36 @@ class TestSensitivity:
         assert r.passed
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    """perfbench/workloads.py, the seeded scenario generators of the benchmark."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+def benchmark_module(name):
+    """perfbench/<name>.py, loaded by path as benchmark_<name>."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, the seeded scenario generators of the benchmark."""
+    return benchmark_module("workloads")
+
+
+def test_traced_full_matrix_calls_every_tracer_target(workloads):
+    """A traced benchmark run fails when a tracer target records no call (a
+    caller that bypasses the patched name): parse -> run -> emit of the
+    benchmark's full_matrix, at 2 samples, must call every target."""
+    tracing = benchmark_module("tracer")
+    doc = yaml.safe_load(workloads.full_matrix(42))
+    doc["samples"] = 2
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:   # looked up at call time, so that the tracer's wrappers run
+        fs.emit_report(fs.run_suite(fs.parse_scenario(yaml.safe_dump(doc))), "json")
+    finally:
+        tracer.uninstall()
+    layers = tracer.summary()
+    assert [name for name, _, _ in tracing.TARGETS if layers[name]["calls"] == 0] == []
 
 
 # A failing draw is reported as drawn: shrinking would rerun the whole

@@ -33,6 +33,10 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=">= 1"):
             parse_scenario(MINIMAL + "samples: 0\n")
 
+    def test_samples_bound_parses(self):
+        # Parsed only: a run this size needs about 3 GB.
+        assert parse_scenario(MINIMAL + "samples: 1000000\n").samples == 1_000_000
+
     def test_unknown_check_lists_valid_ids(self):
         with pytest.raises(ScenarioError) as err:
             parse_scenario("""
@@ -109,6 +113,7 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
     "non_numeric_tolerance": "tolerances: {div_invariance: abc}\n",
     "non_numeric_fd_step": "fd: {h: abc}\n",
     "boolean_samples": "samples: true\n",
+    "too_many_samples": "samples: 1000001\n",
     "fractional_fd_order": "fd: {order: 4.7}\n",
     "nan_tolerance": "tolerances: {div_invariance: .nan}\n",
     "negative_tolerance": "tolerances: {div_invariance: -1.0e-6}\n",
@@ -204,6 +209,7 @@ OWN_REASON = {
     "mapping_of_coefficients": "expected polynomial coefficients for 3 axes, as a list",
     "boolean_pressure_param": "bad parameters for field 'gaussian_T'",
     "boolean_box": "'box' must be [lo, hi]",
+    "too_many_samples": "'samples' must be an integer >= 1 and <= 1,000,000, got 1000001",
     "quoted_fd_step": "'fd.h' must be a finite number > 0, got '1.0e-3'",
     "quoted_box_bound": "'box' must be [lo, hi]",
     "quoted_tolerance": "'tolerances.div_invariance' must be a finite number >= 0, got '1e-6'",
@@ -524,7 +530,8 @@ tolerances: {div_invariance: 1.0e-30}
         assert main(["verify", "--scenario", path]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--samples", "0"]])
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--samples", "0"],
+                                      ["--samples", "1000001"]])
     def test_exit_two_on_bad_override(self, flag, tmp_path, capsys):
         path = self.write_scenario(tmp_path, MINIMAL)
         assert main(["verify", "--scenario", path] + flag) == 2
