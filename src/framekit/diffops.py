@@ -9,10 +9,11 @@ tolerance budget.
 Jacobians follow the package convention J[k, i] = d v_i / d x_k.
 
 Operators take points x' (..., 3) and times t (...) as given and call the
-field once, with the stencil offsets as a leading axis of the points (or
-times); the field broadcasts points against times, so an observed field
-builds its frame state once per time, not once per point.  curl is -2
-``tensor_core.axial`` of J; the Newtonian law is built from D, ``strain_rate``.
+field once, in one layout: stencil axes first, then the caller's batch,
+then components.  Only the offset points (or times) carry the stencil
+axes, so an observed field reads its frame's jet at the caller's times,
+once per time, not once per point.  curl is -2 ``tensor_core.axial`` of J;
+the Newtonian law is built from D, ``strain_rate``.
 """
 
 from __future__ import annotations
@@ -63,25 +64,25 @@ def _central(f, h, order):
     return (-f[0] + 8.0 * f[1] - 8.0 * f[2] + f[3]) / (12.0 * h)
 
 
-def _batch(x_prime, t):
-    """Points (..., 3) and times (...) as float arrays, unbroadcast, and the
-    rank of the batch shape they broadcast to."""
+def _stencil(x_prime, t, offsets, lead: int = 1):
+    """Points (..., 3) and times (...) as float arrays, unbroadcast; the offsets
+    with a unit axis per batch axis after their lead stencil axes, so stencil
+    axes lead, the caller's batch follows, then components; the batch's rank."""
     x, t = np.asarray(x_prime, dtype=float), np.asarray(t, dtype=float)
-    return x, t, max(x.ndim - 1, t.ndim)
+    rank = max(x.ndim - 1, t.ndim)
+    return x, t, offsets.reshape(offsets.shape[:lead] + (1,) * rank + offsets.shape[lead:]), rank
 
 
-def _first(offsets, batch_ndim: int):
-    """Stencil offsets (n, ...) with batch_ndim unit axes after the first: the
-    stencil axis leads, so each sample f[j] is a basic index."""
-    return offsets.reshape(offsets.shape[:1] + (1,) * batch_ndim + offsets.shape[1:])
+def _behind(d, lead: int, rank: int):
+    """d with its lead derivative axes moved behind the rank batch axes."""
+    return d.transpose((*range(lead, lead + rank), *range(lead), *range(lead + rank, d.ndim)))
 
 
 def _spatial_derivative(field, x_prime, t, cfg):
-    """d field / d x'_k by central differences, k on the axis after the batch."""
-    x, t, rank = _batch(x_prime, t)
-    # Points (n, ..., k, 3): stencil offset n, axis k.
-    steps = _first(cfg.h * _OFFSETS[cfg.order][:, None, None] * _AXES, rank)
-    return _central(field(x[..., None, :] + steps, t[..., None]), cfg.h, cfg.order)
+    """d field / d x'_k by central differences, k on the axis after the batch:
+    the points are (n, k, ..., 3), stencil offset n along axis k."""
+    x, t, dx, rank = _stencil(x_prime, t, cfg.h * _OFFSETS[cfg.order][:, None, None] * _AXES, 2)
+    return _behind(_central(field(x + dx, t), cfg.h, cfg.order), 1, rank)
 
 
 def fd_jacobian(field, x_prime, t, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
@@ -96,9 +97,8 @@ def fd_gradient(field, x_prime, t, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
 
 def fd_time_derivative(field, x_prime, t, cfg: FdConfig = DEFAULT_FD):
     """Eulerian time derivative at fixed observed coordinates."""
-    x, t, rank = _batch(x_prime, t)
-    f = field(x, t + _first(cfg.h_t * _OFFSETS[cfg.order], rank))
-    return _central(f, cfg.h_t, cfg.order)
+    x, t, dt, _ = _stencil(x_prime, t, cfg.h_t * _OFFSETS[cfg.order])
+    return _central(field(x, t + dt), cfg.h_t, cfg.order)
 
 
 def fd_second_derivatives(field, x_prime, t,
@@ -107,16 +107,16 @@ def fd_second_derivatives(field, x_prime, t,
 
     Order-2 stencils; symmetric in (a, b) by construction.
     """
-    x, t, rank = _batch(x_prime, t)
     h = cfg.h
-    f = field(x + _first(h * _HESS_OFFSETS, rank), t)
+    x, t, dx, rank = _stencil(x_prime, t, h * _HESS_OFFSETS)
+    f = field(x + dx, t)
     hess = np.empty((3, 3) + f.shape[1:])
     for a in range(3):
         hess[a, a] = (f[1 + 2 * a] - 2.0 * f[0] + f[2 + 2 * a]) / (h * h)
     for p, (a, b) in enumerate(_PAIRS):
         fpp, fpm, fmp, fmm = f[7 + 4 * p: 11 + 4 * p]
         hess[a, b] = hess[b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-    return np.moveaxis(hess, (0, 1), (rank, rank + 1))
+    return _behind(hess, 2, rank)
 
 
 def fd_viscous_divergence(field, x_prime, t,

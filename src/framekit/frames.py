@@ -65,8 +65,7 @@ def _batched(value, t, tail: tuple) -> np.ndarray:
     """A frame callable's output, validated and broadcast to t's shape + tail."""
     a = tc.vec3(value, batch=True) if tail == (3,) else tc.mat3(value)
     shape = np.shape(t) + tail
-    # Always a view: the memo freezes what it stores, never a caller's array.
-    return a.view() if a.shape == shape else np.broadcast_to(a, shape)
+    return a if a.shape == shape else np.broadcast_to(a, shape)
 
 
 def _evaluated(part, t, tail: tuple) -> np.ndarray:
@@ -142,13 +141,13 @@ class RigidFrameMotion:
 
     ``state(t)`` is the frame's one memo: at a new time array it evaluates
     every part once on the flattened times (every rule is elementwise in t),
-    validates the jet, freezes its arrays and keeps it with a key, the bytes
-    of the times, so t of shape (N,), (N, 1) or (N, 1, 1) holding the same
-    values share it.  Each accessor is a read of that jet, reshaped to t's
-    shape.  A jet whose computation raised is not kept.  The key and its jet
-    are bound in one tuple that a new time array replaces in one assignment,
-    so threads sharing a frame can at worst recompute a jet, never read
-    another time array's.
+    validates the jet, reshapes its arrays to t's shape once, freezes them
+    and keeps the jet with a key, the shape and bytes of the times: a read
+    at the same key returns that same ``FrameState``, and each accessor is
+    a read of it.  A jet whose computation raised is not kept.  The key and
+    its jet are bound in one tuple that a new time array replaces in one
+    assignment, so threads sharing a frame can at worst recompute a jet,
+    never read another time array's.
     """
 
     def __init__(self, name: str, y, alpha, dy_dt=None, d2y_dt2=None,
@@ -159,7 +158,7 @@ class RigidFrameMotion:
                        else _frozen(tc.orthonormalized(alpha), (3, 3)))
         self._dy, self._d2y = _rates(self._y, dy_dt, d2y_dt2, (3,))
         self._dalpha, self._d2alpha = _rates(self._alpha, dalpha_dt, d2alpha_dt2, (3, 3))
-        self._last = (None, None)   # (key, FrameState at the flattened times)
+        self._last = (None, None)   # (key, FrameState at the key's shape)
         self._steady_spin = None    # (spin, omega) of a constant rotation: it must be rigid
         if not (callable(self._alpha) or callable(self._dalpha)):
             spin = _spin(self._alpha, self._dalpha)
@@ -168,23 +167,22 @@ class RigidFrameMotion:
     def state(self, t) -> FrameState:
         """The validated kinematics jet at every time in t."""
         t = np.asarray(t, dtype=float)
-        key = t.tobytes()
+        key = (t.shape, t.tobytes())
         last = self._last
         if last[0] != key:
-            f = np.frombuffer(key)
+            f = np.frombuffer(key[1])
             alpha = (tc.orthonormalized(_batched(self._alpha(f), f, (3, 3)))
                      if callable(self._alpha) else tc.tiled(self._alpha, f.shape))
             dalpha, d2alpha = (_evaluated(p, f, (3, 3)) for p in (self._dalpha, self._d2alpha))
             y, dy, d2y = (_evaluated(p, f, (3,)) for p in (self._y, self._dy, self._d2y))
             spin, omega = ((tc.tiled(c, f.shape) for c in self._steady_spin)
                            if self._steady_spin else _spin(alpha, dalpha, f))
-            jet = FrameState(alpha, dalpha, d2alpha, spin, y, dy, d2y, omega)
+            jet = FrameState(*(v.reshape(t.shape + v.shape[1:]) for v in
+                               (alpha, dalpha, d2alpha, spin, y, dy, d2y, omega)))
             for v in vars(jet).values():
                 v.flags.writeable = False
             last = self._last = (key, jet)
-        if t.ndim == 1:
-            return last[1]
-        return FrameState(*(v.reshape(t.shape + v.shape[1:]) for v in vars(last[1]).values()))
+        return last[1]
 
     def y(self, t) -> np.ndarray:
         return self.state(t).y

@@ -271,7 +271,8 @@ def check_constitutive_frame_invariance(s: SampleSet, p_field: ScalarField, mu: 
     tau_s = newtonian_stress(p_field.value(s.xs, s.ts), mu, s.field.jacobian(s.xs, s.ts))
     j_sp = diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd)
     tau_sp = newtonian_stress(observed_p(s.xp, s.ts), mu, j_sp)
-    return tau_s - tc.untransform_tensor2(tau_sp, s.alpha), None
+    # The frame's validated alpha as it is: an overflowed stress fails its row.
+    return tau_s - s.alpha @ tau_sp @ tc.transpose(s.alpha), None
 
 
 # --------------------------------------------------------------------------

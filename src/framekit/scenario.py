@@ -29,6 +29,7 @@ from .frames import FRAME_CATALOG, make_frame
 
 VERSION = "0.1.0"
 MAX_SAMPLES = 1_000_000   # at about 3 KB of peak memory each, a run near 3 GB
+MAX_VALUES = 64           # numbers, lists and mappings in one params or box value
 
 
 class _StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -121,7 +122,7 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
             elif not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
                          for f in vars(built).values() if callable(f)):
                 raise ValueError("non-finite value at x = 0, t = 0")
-    except (FramekitError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+    except (FramekitError, TypeError, ValueError, ArithmeticError) as exc:
         raise ScenarioError(f"bad parameters for {noun} {name!r}: {exc}") from exc
     if scalar and not isinstance(built, ScalarField):
         raise ScenarioError(f"{what} must name a scalar field")
@@ -143,11 +144,18 @@ def _list_of(entry, value, what: str) -> tuple:
 def _not_numbers(value) -> bool:
     """Whether anything but an int or a finite float (a YAML bool: yes, on, true,
     ...; a string, bytes, a NaN, a null) is anywhere in the lists and mappings
-    of value, a mapping's keys included; RecursionError on a cycle."""
-    if isinstance(value, (dict, list, tuple)):
-        items = [*value, *value.values()] if isinstance(value, dict) else value
-        return any(map(_not_numbers, items))
-    return type(value) is not int and not (type(value) is float and math.isfinite(value))
+    of value, a mapping's keys included.  ValueError past MAX_VALUES entries,
+    which only a self-containing value or nested YAML aliases reach."""
+    pending = [value]
+    for _ in range(MAX_VALUES):
+        v = pending.pop()
+        if isinstance(v, (dict, list, tuple)):
+            pending += [*v, *v.values()] if isinstance(v, dict) else v
+        elif type(v) is not int and not (type(v) is float and math.isfinite(v)):
+            return True
+        if not pending:
+            return False
+    raise ValueError(f"more than {MAX_VALUES} numbers, lists and mappings in one value")
 
 
 def _number(value, what: str, low: float = -math.inf, strict: bool = False) -> float:
@@ -184,7 +192,7 @@ def _vector(value, what: str) -> tuple:
 def _box(value, what: str) -> tuple:
     try:
         box = np.empty(0) if _not_numbers(value) else np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError, RecursionError):
+    except (TypeError, ValueError, OverflowError):
         box = np.empty(0)
     if box.shape == (2,):
         box = np.tile(box, (3, 1))

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from framekit import (FdConfig, RigidFrameMotion, UsageError, make_field,
-                      pull_back_velocity)
+                      pull_back_scalar, pull_back_velocity)
 from framekit import diffops
 
-from conftest import builtin_flows, builtin_frames
+from conftest import builtin_flows, builtin_frames, builtin_scalars
 
 
 class TestFdJacobian:
@@ -148,6 +148,27 @@ class TestStencilsLeaveBroadcastingToTheField:
         got = operator(field, xs, 0.4)
         assert sum(times) <= most
         assert np.array_equal(got, operator(field, xs, np.full(12, 0.4)))
+
+    @pytest.mark.parametrize("operator, observed", [
+        (diffops.fd_jacobian, lambda frame: pull_back_velocity(
+            frame, builtin_flows()["taylor_green"])),
+        (diffops.fd_gradient, lambda frame: pull_back_scalar(
+            frame, builtin_scalars()["gaussian_T"]))])
+    def test_frame_read_at_the_callers_times(self, operator, observed, monkeypatch):
+        # N points at N sample times: the stencil axes lead the points only,
+        # so the frame's jet is read at the times as given, of shape (N,).
+        shapes, state = [], RigidFrameMotion.state
+
+        def recorded(frame, t):
+            shapes.append(np.shape(t))
+            return state(frame, t)
+
+        monkeypatch.setattr(RigidFrameMotion, "state", recorded)
+        rng = np.random.default_rng(7)
+        xs, ts = rng.uniform(-1.0, 1.0, (20, 3)), rng.uniform(0.0, 2.0, 20)
+        got = operator(observed(builtin_frames()["wobble"]), xs, ts)
+        assert shapes and set(shapes) == {(20,)}
+        assert got.shape == (20, 3) + (3,) * (operator is diffops.fd_jacobian)
 
 
 class TestSubstantialDerivative:

@@ -346,6 +346,34 @@ class TestKinematicsMemo:
                 assert value.shape == t.shape + tails[key]
                 assert np.array_equal(value, want[key]), (name, key)
 
+    @pytest.mark.parametrize("shape", [(9,), (3, 3), (9, 1), (1, 9, 1)])
+    def test_repeated_read_returns_the_stored_jet(self, shape):
+        # The jet is kept at t's shape: a read at equal times of that shape
+        # returns the same FrameState; the same values at another shape are
+        # another jet, at that shape.
+        frame = builtin_frames()["wobble"]
+        t = self.A.reshape(shape)
+        jet = frame.state(t)
+        assert frame.state(t.copy()) is jet
+        assert {v.shape[:len(shape)] for v in vars(jet).values()} == {shape}
+        flat = frame.state(self.A)
+        assert (flat is jet) == (shape == self.A.shape)
+        assert np.array_equal(flat.alpha, jet.alpha.reshape(flat.alpha.shape))
+
+    def test_a_callables_own_arrays_stay_writable(self):
+        # The jet freezes views of its own, never the arrays a callable returns.
+        wobble, returned = builtin_frames()["wobble"], []
+
+        def dalpha_dt(t):
+            returned.append(np.array(wobble.dalpha_dt(t)))
+            return returned[-1]
+
+        frame = RigidFrameMotion("rate", y=np.zeros(3), alpha=wobble._alpha,
+                                 dalpha_dt=dalpha_dt)
+        for t in (self.A, self.A.reshape(3, 3)):
+            assert not frame.state(t).dalpha.flags.writeable
+        assert len(returned) == 2 and all(a.flags.writeable for a in returned)
+
     @pytest.mark.parametrize("name", [*builtin_frames(), "fd_wobble"])
     def test_returned_arrays_are_read_only(self, name):
         frame = build_frame(name)
@@ -444,9 +472,10 @@ class TestConstantKinematics:
         # A second read at the same times returns the stored arrays: a
         # constant is broadcast once per time array, like a computed value.
         frame = builtin_frames()[name]
-        first = kinematics(frame, self.A)
-        for key, value in kinematics(frame, self.A).items():
-            assert value is first[key], (name, key)
+        for t in (self.A, self.A.reshape(3, 3)):
+            first = kinematics(frame, t)
+            for key, value in kinematics(frame, t.copy()).items():
+                assert value is first[key], (name, t.shape, key)
 
     @pytest.mark.parametrize("alpha", [2 * np.eye(3), np.diag([1.0, 1.0, -1.0])])
     def test_constant_alpha_must_be_a_proper_rotation(self, alpha):

@@ -1,6 +1,8 @@
 """Scenario parsing, suite determinism, report emission, CLI contract."""
 
 import json
+import re
+import time
 import warnings
 
 import numpy as np
@@ -107,6 +109,14 @@ def document(frames="[identity]", fields="[uniform]", checks="[div_invariance]")
     return f"frames: {frames}\nfields: {fields}\nchecks: {checks}\n"
 
 
+def nested_aliases(levels=9):
+    """A flow list of anchored lists, each holding ten aliases of the one
+    before: about 60 bytes a level, and 10**levels numbers once expanded."""
+    lists = ["&a0 [" + ", ".join(["1.0"] * 10) + "]"]
+    lists += [f"&a{k} [" + ", ".join([f"*a{k - 1}"] * 10) + "]" for k in range(1, levels)]
+    return "[" + ", ".join(lists) + "]"
+
+
 # Whole documents.  A case that breaks one of MINIMAL's own keys replaces it
 # rather than repeating it, since a repeated key is an error of its own.
 MALFORMED = {case: MINIMAL + tail for case, tail in {
@@ -131,6 +141,7 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
     "boolean_pressure_param": "pressure: {name: gaussian_T, params: {width: yes}}\n",
     "boolean_box": "box: [no, yes]\n",
     "self_containing_box": "box: &box [*box, 1]\n",
+    "nested_aliases_box": f"box: {nested_aliases()}\n",
     # A quoted number is a string wherever a number is expected.
     "quoted_fd_step": "fd: {h: '1.0e-3'}\n",
     "quoted_box_bound": "box: ['-1', 1]\n",
@@ -169,6 +180,8 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
         frames="[{name: accelerated_translation, params: {coeffs: {1: 2, 2: 3, 3: 4}}}]"),
     "self_containing_field_velocity": document(
         fields="[{name: uniform, params: {velocity: &v [*v, 0, 0]}}]"),
+    "nested_aliases_field_velocity": document(
+        fields=f"[{{name: uniform, params: {{velocity: {nested_aliases()}}}}}]"),
     "quoted_frame_rate": document(
         frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: '0.5'}}]"),
     "quoted_angle_coefficient": document(
@@ -209,6 +222,9 @@ OWN_REASON = {
     "mapping_of_coefficients": "expected polynomial coefficients for 3 axes, as a list",
     "boolean_pressure_param": "bad parameters for field 'gaussian_T'",
     "boolean_box": "'box' must be [lo, hi]",
+    "nested_aliases_box": "'box' must be [lo, hi]",
+    "nested_aliases_field_velocity":
+        "bad parameters for field 'uniform': more than 64 numbers, lists and mappings",
     "too_many_samples": "'samples' must be an integer >= 1 and <= 1,000,000, got 1000001",
     "quoted_fd_step": "'fd.h' must be a finite number > 0, got '1.0e-3'",
     "quoted_box_bound": "'box' must be [lo, hi]",
@@ -257,6 +273,24 @@ class TestMalformedScenario:
     def test_duplicate_key_is_named(self, case, key):
         with pytest.raises(ScenarioError, match=f"found duplicate key '{key}'"):
             parse_scenario(MALFORMED[case])
+
+    @pytest.mark.parametrize("case", ["nested_aliases_box", "nested_aliases_field_velocity"])
+    def test_nested_aliases_stop_the_walk(self, case):
+        # 10**9 values once expanded: the walk stops after the first 64, so
+        # the parse takes about a millisecond, not minutes.
+        start = time.perf_counter()
+        with pytest.raises(ScenarioError):
+            parse_scenario(MALFORMED[case])
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("numbers, reason", [(62, "expected shape (3,), got (62,)"),
+                                                 (63, "more than 64 numbers, lists and mappings")])
+    def test_walk_stops_after_64_entries(self, numbers, reason):
+        # The params' values are walked as one list: with the velocity list,
+        # 62 numbers are 64 entries and reach the catalog; 63 are one too many.
+        velocity = ", ".join(["0"] * numbers)
+        with pytest.raises(ScenarioError, match=re.escape(reason)):
+            parse_scenario(document(fields=f"[{{name: uniform, params: {{velocity: [{velocity}]}}}}]"))
 
     def test_merged_key_may_be_overridden(self):
         s = parse_scenario(document(frames=(
@@ -332,26 +366,27 @@ samples: 5
 
     def test_overflow_rows_do_not_depend_on_the_warnings_filter(self):
         # An overflow is reported by its row, so a caller's -W error or
-        # np.seterr(all="raise") must not turn that row into an "error" row.
-        s = parse_scenario("""
-frames: [identity]
-fields:
-  - name: shear
-    params: {rate: 1.0e308}
-checks: [div_invariance, ns_rhs_equivalence]
-samples: 5
-""")
+        # np.seterr(all="raise") must not turn that row into an "error" row:
+        # an overflowing field, then a finite one whose Newtonian stress overflows.
+        documents = {
+            "fields: [{name: shear, params: {rate: 1.0e308}}]\n"
+            "checks: [div_invariance, ns_rhs_equivalence]\n": 2,
+            "fields: [taylor_green]\nchecks: [constitutive_invariance]\n"
+            "material: {mu: 1.0e308}\n": 1,
+        }
+        for text, rows in documents.items():
+            s = parse_scenario(f"frames: [identity]\n{text}samples: 5\n")
 
-        def report(numpy_policy, warnings_policy):
-            with warnings.catch_warnings(), np.errstate(all=numpy_policy):
-                warnings.simplefilter(warnings_policy)
-                return run_suite(s)
+            def report(numpy_policy, warnings_policy):
+                with warnings.catch_warnings(), np.errstate(all=numpy_policy):
+                    warnings.simplefilter(warnings_policy)
+                    return run_suite(s)
 
-        quiet = report("warn", "ignore")
-        message = "non-finite residual: the check's arithmetic overflowed"
-        assert [(r["status"], r["message"]) for r in quiet.results] == [("fail", message)] * 2
-        for loud in (report("warn", "error"), report("raise", "ignore")):
-            assert canonical_report_json(loud) == canonical_report_json(quiet)
+            quiet = report("warn", "ignore")
+            message = "non-finite residual: the check's arithmetic overflowed"
+            assert [(r["status"], r["message"]) for r in quiet.results] == [("fail", message)] * rows
+            for loud in (report("warn", "error"), report("raise", "ignore")):
+                assert canonical_report_json(loud) == canonical_report_json(quiet)
 
     def test_scalar_checks_apply_to_scalar_fields_only(self):
         s = parse_scenario("""

@@ -13,8 +13,10 @@ on all of them alike.
 
 Prints, for B against A and for the A/A control: the median of the per-round
 ratios time(A) / time(B) (above 1: B is faster), their interquartile range
-and the number of rounds B won; then each side's median time, and how B's
-first report differs from A's (``tools/compare_reports.py``).  The workload
+and the number of rounds B won; then each side's median time, each side's
+Python calls per report row (the calls cProfile counts in one ``run_suite``,
+which the host's speed does not move), and how B's first report
+differs from A's (``tools/compare_reports.py``).  The workload
 is one of perfbench's seeded documents (default: ``full_matrix`` at seed
 42).  Needs git and no network; it is not part of the test suite.
 """
@@ -22,6 +24,7 @@ is one of perfbench's seeded documents (default: ``full_matrix`` at seed
 from __future__ import annotations
 
 import argparse
+import cProfile
 import importlib
 import io
 import shutil
@@ -63,6 +66,16 @@ def repetition(package, text: str) -> tuple[float, str]:
     return time.perf_counter() - t0, emitted
 
 
+def calls_per_row(package, text: str) -> float:
+    """The Python calls of one run_suite, divided by its report rows.  Summed
+    over the profiler's own entries, one per code object: pstats keys them by
+    (file, line, name), so two lambdas on one line would count as one."""
+    fs = package.scenario
+    scenario, profile = fs.parse_scenario(text), cProfile.Profile()
+    report = profile.runcall(fs.run_suite, scenario)
+    return sum(entry.callcount for entry in profile.getstats()) / len(report.results)
+
+
 def summary(label: str, ratios: list) -> str:
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     won = sum(r > 1.0 for r in ratios)
@@ -99,6 +112,7 @@ def main(argv=None) -> int:
         for k in range(args.rounds):
             for name in order[k % 3:] + order[:k % 3]:
                 times[name].append(repetition(sides[name], text)[0])
+        calls = {name: calls_per_row(pkg, text) for name, pkg in sides.items()}
     a, b, a2 = (times[name] for name in ("framekit_a", "framekit_b", "framekit_a2"))
     print(f"workload: {args.workload} seed {args.seed}; A = {args.base}, B = working tree; "
           f"{args.rounds} rounds")
@@ -106,6 +120,8 @@ def main(argv=None) -> int:
     print(summary("A/A control", [x / y for x, y in zip(a, a2)]))
     print(f"median s: A {statistics.median(a):.4f}, B {statistics.median(b):.4f}, "
           f"A/A {statistics.median(a2):.4f}")
+    print(f"run_suite calls per row: A {calls['framekit_a']:.1f}, "
+          f"B {calls['framekit_b']:.1f}, A/A {calls['framekit_a2']:.1f}")
     lines, _ = compare(reports["framekit_a"], reports["framekit_b"])
     print("\n".join(["report B vs A:"] + [f"  {line}" for line in lines]))
     return 0
