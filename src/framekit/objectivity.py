@@ -189,7 +189,7 @@ def check_velocity_gradient_relation(s: SampleSet):
     j_s = s.field.jacobian(s.xs, s.ts)
     j_sp = diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd)
     corr = velocity_gradient_correction(s.frame, s.ts)
-    return (j_s - (s.alpha @ j_sp @ tc.transpose(s.alpha) + corr),
+    return (j_s - (tc.congruence(j_sp, s.alpha) + corr),
             np.linalg.norm(diffops.curl(corr), axis=-1))
 
 
@@ -198,7 +198,7 @@ def check_strain_rate_invariance(s: SampleSet):
     """Symmetric velocity-gradient parts agree as objective 2-tensors."""
     s_s = diffops.strain_rate(s.field.jacobian(s.xs, s.ts))
     s_sp = diffops.strain_rate(diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd))
-    return s_s - tc.untransform_tensor2(s_sp, s.alpha), None
+    return s_s - tc.congruence(s_sp, s.alpha), None
 
 
 @_sampled
@@ -238,12 +238,11 @@ def check_stress_tensor_transform(tau_in_s, alpha,
     Each (tau, alpha) pair of the (..., 3, 3) stacks is one sample.
     """
     tau = tc.mat3(tau_in_s)
-    alpha = tc.orthonormalized(alpha)   # for both routes; raises on a non-rotation
-    algebraic = tc.transform_tensor2(tau, alpha)
-    faces = tc.transpose(alpha)   # row j2: e'_{j2}, in s
+    faces = tc.transpose(tc.orthonormalized(alpha))   # row j2: e'_{j2}, in s; repaired once
     traction = cauchy_traction(tau[..., None, :, :], faces)   # row j2: its traction
     physical = tc.transpose(tc.matvec(faces[..., None, :, :], traction))
-    return _result("stress_transform", tc.max_abs_entry(physical - algebraic), tol)
+    return _result("stress_transform",
+                   tc.max_abs_entry(physical - tc.congruence(tau, faces)), tol)
 
 
 def check_stress_transform_random(frame: RigidFrameMotion, *, samples=100,
@@ -255,24 +254,27 @@ def check_stress_transform_random(frame: RigidFrameMotion, *, samples=100,
     return check_stress_tensor_transform(tau, frame.alpha(ts), tol=tol)
 
 
-def newtonian_stress(p, mu: float, j) -> np.ndarray:
-    """Cauchy stress tau = -p I + 2 mu D, (..., 3, 3), from pressures (...)
-    and velocity gradients (..., 3, 3) through their strain rates D."""
+def _newtonian(p, mu: float, j) -> np.ndarray:
+    """tau = -p I + 2 mu D from pressures (...) and velocity gradients j
+    (..., 3, 3) through their strain rates D, with p and j not validated."""
     if mu < 0.0:
         raise UsageError("dynamic viscosity must be nonnegative")
-    p = np.asarray(p, dtype=float)
-    return -p[..., None, None] * np.eye(3) + 2.0 * mu * diffops.strain_rate(tc.mat3(j))
+    return np.multiply.outer(p, -np.eye(3)) + 2.0 * mu * diffops.strain_rate(j)
+
+
+def newtonian_stress(p, mu: float, j) -> np.ndarray:
+    """Cauchy stress -p I + 2 mu D, (..., 3, 3), as ``_newtonian``, with j validated."""
+    return _newtonian(p, mu, tc.mat3(j))
 
 
 @_sampled
 def check_constitutive_frame_invariance(s: SampleSet, p_field: ScalarField, mu: float):
     """The Newtonian law built per-frame yields the same objective stress."""
     observed_p = pull_back_scalar(s.frame, p_field)
-    tau_s = newtonian_stress(p_field.value(s.xs, s.ts), mu, s.field.jacobian(s.xs, s.ts))
+    tau_s = _newtonian(p_field.value(s.xs, s.ts), mu, s.field.jacobian(s.xs, s.ts))
     j_sp = diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd)
-    tau_sp = newtonian_stress(observed_p(s.xp, s.ts), mu, j_sp)
-    # The frame's validated alpha as it is: an overflowed stress fails its row.
-    return tau_s - s.alpha @ tau_sp @ tc.transpose(s.alpha), None
+    tau_sp = _newtonian(observed_p(s.xp, s.ts), mu, j_sp)
+    return tau_s - tc.congruence(tau_sp, s.alpha), None
 
 
 # --------------------------------------------------------------------------

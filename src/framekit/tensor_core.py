@@ -15,9 +15,9 @@ components of the primed basis vectors, so component transforms read
 Gradient-like matrices everywhere in this package store the derivative
 direction on the row: ``J[k, i] = d v_i / d x_k``.
 
-``orthonormalized`` validates a stack of rotations and replaces one that
-has drifted beyond round-off by its polar factor, the nearest rotation;
-``require_rotation`` validates without repair.
+``require_rotation`` is the one validator of a stack of rotations, and
+``orthonormalized`` adds the repair of drift beyond round-off (polar factor);
+``congruence(t, a) = a @ t @ a.T`` applies an alpha validated once, unchecked.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def check_orthogonality(alpha):
     return np.maximum(max_abs_entry(at @ a - _I3), max_abs_entry(a @ at - _I3))
 
 
-def _rotations(alpha):
+def require_rotation(alpha):
     """Validated (..., 3, 3) stack of proper rotations, and each residual."""
     residual = check_orthogonality(alpha)   # validates the stack
     a = np.asarray(alpha, dtype=float)
@@ -134,7 +134,7 @@ def orthonormalized(alpha) -> np.ndarray:
     by its polar factor U @ Vt (from the SVD a = U S Vt), the rotation
     nearest to it.  Larger residuals and reflections (det <= 0) are rejected.
     """
-    a, residual = _rotations(alpha)
+    a, residual = require_rotation(alpha)
     drifted = residual > ORTH_TOL
     if drifted.any():
         a = a.copy()
@@ -143,21 +143,19 @@ def orthonormalized(alpha) -> np.ndarray:
     return a
 
 
-def require_rotation(alpha) -> np.ndarray:
-    """Validate a (..., 3, 3) stack of proper rotations for use in a transform."""
-    return _rotations(alpha)[0]
+def congruence(t, a) -> np.ndarray:
+    """a @ t @ a.T of validated stacks, unchecked: an overflow is no error."""
+    return a @ t @ transpose(a)
 
 
 def transform_tensor2(t_in_s, alpha) -> np.ndarray:
     """Primed components of a second-order tensor: T' = alpha.T @ T @ alpha."""
-    a = require_rotation(alpha)
-    return transpose(a) @ mat3(t_in_s) @ a
+    return congruence(mat3(t_in_s), transpose(require_rotation(alpha)[0]))
 
 
 def untransform_tensor2(t_in_sprime, alpha) -> np.ndarray:
     """Unprimed components from primed ones: T = alpha @ T' @ alpha.T."""
-    a = require_rotation(alpha)
-    return a @ mat3(t_in_sprime) @ transpose(a)
+    return congruence(mat3(t_in_sprime), require_rotation(alpha)[0])
 
 
 def skew(w) -> np.ndarray:

@@ -3,6 +3,7 @@ stress/traction machinery, constitutive laws."""
 
 import importlib.util
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,56 @@ class TestConstitutiveInvariance:
         assert np.max(np.abs(tau_sp + p_field.value(x, t) * np.eye(3))) <= 1e-9
 
 
+class TestRotationEntersOnce:
+    CHECKS = {
+        "stress": lambda frame: obj.check_stress_transform_random(frame, rng=seeded()),
+        "strain": lambda frame: obj.check_strain_rate_invariance(
+            frame, builtin_flows()["taylor_green"], rng=seeded()),
+        "constitutive": lambda frame: obj.check_constitutive_frame_invariance(
+            frame, builtin_flows()["taylor_green"], builtin_scalars()["gaussian_T"],
+            0.7, rng=seeded()),
+    }
+
+    @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
+    def test_each_alpha_is_validated_once(self, monkeypatch, check):
+        # Every validation of a rotation is the one orthonormalized where it
+        # enters (the frame's miss, the stress check's caller's alpha); the
+        # checks apply it without validating it again.
+        frame, calls = builtin_frames()["wobble"], Counter()
+        for name in ("check_orthogonality", "orthonormalized"):
+            def counted(alpha, name=name, original=getattr(tc, name)):
+                calls[name] += 1
+                return original(alpha)
+            monkeypatch.setattr(tc, name, counted)
+        assert check(frame).passed
+        assert calls["orthonormalized"] > 0
+        assert calls["check_orthogonality"] == calls["orthonormalized"]
+
+
+def _bad_inputs():
+    """A call of a public function on an input it must reject, per case."""
+    tensors = {"nan": np.full((3, 3), np.nan),
+               "inf": np.stack([np.eye(3), np.diag([np.inf, 1.0, 1.0])]),
+               "shape": np.ones((3, 2))}
+    rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    functions = {"transform": lambda t: tc.transform_tensor2(t, rotation),
+                 "untransform": lambda t: tc.untransform_tensor2(t, rotation),
+                 "newtonian": lambda t: newtonian_stress(1.0, 0.5, t)}
+    cases = [pytest.param(lambda fn=fn, tensor=tensor: fn(tensor), id=f"{f}-{t}")
+             for f, fn in functions.items() for t, tensor in tensors.items()]
+    negative_mu = lambda: obj.check_constitutive_frame_invariance(  # noqa: E731
+        builtin_frames()["wobble"], builtin_flows()["taylor_green"],
+        builtin_scalars()["gaussian_T"], -0.1, samples=5, rng=seeded())
+    return cases + [pytest.param(negative_mu, id="constitutive-negative-mu")]
+
+
+@pytest.mark.parametrize("call", _bad_inputs())
+def test_public_boundary_rejects_bad_input(call):
+    # The checks skip validating their own arrays; a caller's still raises.
+    with pytest.raises(UsageError):
+        call()
+
+
 class TestAccelerationDecomposition:
     def test_fluid_at_rest_in_rotating_frame(self):
         # rigid-rotation flow seen co-rotating: everything reduces to the
@@ -411,8 +462,8 @@ class TestSensitivity:
                                                flow_name):
         check = obj.check_strain_rate_invariance
         assert self.run(check, frame_name, flow_name).passed
-        correct = tc.untransform_tensor2
-        monkeypatch.setattr(tc, "untransform_tensor2",
+        correct = tc.congruence
+        monkeypatch.setattr(tc, "congruence",
                             lambda t_p, alpha: correct(t_p, tc.transpose(alpha)))
         assert not self.run(check, frame_name, flow_name).passed
 
@@ -421,13 +472,13 @@ class TestSensitivity:
         frame = builtin_frames()[frame_name]
         check = obj.check_stress_transform_random
         assert check(frame, rng=seeded()).passed
-        monkeypatch.setattr(tc, "transform_tensor2",
-                            lambda tau, alpha: tc.transpose(alpha) @ tc.mat3(tau))
+        # The algebraic route is congruence(tau, alpha.T); as a vector, alpha.T @ tau.
+        monkeypatch.setattr(tc, "congruence", lambda tau, alpha_t: alpha_t @ tau)
         assert not check(frame, rng=seeded()).passed
 
     @pytest.mark.parametrize("frame_name", ("identity",) + ROTATING)
     @pytest.mark.parametrize("module, name", ((obj, "cauchy_traction"),
-                                              (tc, "transform_tensor2")),
+                                              (tc, "congruence")),
                              ids=("traction", "transform"))
     def test_transposed_stress(self, monkeypatch, module, name, frame_name):
         # Only a non-symmetric stress tells tau from its transpose.

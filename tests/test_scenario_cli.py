@@ -367,10 +367,12 @@ samples: 5
     def test_overflow_rows_do_not_depend_on_the_warnings_filter(self):
         # An overflow is reported by its row, so a caller's -W error or
         # np.seterr(all="raise") must not turn that row into an "error" row:
-        # an overflowing field, then a finite one whose Newtonian stress overflows.
+        # an overflowing field (its FD strain rate and Newtonian stress too),
+        # then a finite one whose Newtonian stress overflows.
         documents = {
             "fields: [{name: shear, params: {rate: 1.0e308}}]\n"
-            "checks: [div_invariance, ns_rhs_equivalence]\n": 2,
+            "checks: [div_invariance, ns_rhs_equivalence, strain_rate_invariance,"
+            " constitutive_invariance]\n": 4,
             "fields: [taylor_green]\nchecks: [constitutive_invariance]\n"
             "material: {mu: 1.0e308}\n": 1,
         }
