@@ -36,8 +36,8 @@ class FdConfig:
     order: int = 4       # central-difference order for first derivatives
 
     def __post_init__(self):
-        if self.h <= 0.0 or self.h_t <= 0.0:
-            raise UsageError("finite-difference steps must be positive")
+        if not 0.0 < self.h < np.inf or not 0.0 < self.h_t < np.inf:
+            raise UsageError("finite-difference steps must be positive and finite")
         if self.order not in (2, 4):
             raise UsageError(f"unsupported stencil order {self.order}")
 

@@ -163,7 +163,7 @@ def gaussian_scalar(amplitude=1.0, width=0.8, center=(0.0, 0.0, 0.0),
                     mod_amp=0.0, mod_freq=1.0) -> ScalarField:
     """Gaussian bump with nonuniform gradient."""
     a, w = float(amplitude), float(width)
-    if w <= 0.0:
+    if not w > 0.0:
         raise UsageError("gaussian width must be positive")
     c = tc.vec3(center)
 

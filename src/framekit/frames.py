@@ -1,10 +1,9 @@
 """Rigid moving observer frames: translation y(t) + rotation alpha(t).
 
-A frame carries its own analytic time derivatives where the family allows
-it.  A derivative that a user-supplied frame leaves out is bound once, at
-construction, to a finite difference of the raw callable: a first
-derivative to a central difference, a second derivative (of y or alpha) to
-the three-point second difference, so every accessor returns a value.
+A frame carries its analytic time derivatives where the family allows it;
+one a user-supplied frame leaves out is bound at construction to a finite
+difference of the raw callable (central for a first derivative, three-point
+for a second), so every accessor returns a value.
 Angular velocity is extracted from alpha and d(alpha)/dt by the
 Levi-Civita contraction
 
@@ -36,6 +35,8 @@ _EYE3 = np.eye(3)
 # Relative steps for the finite-difference derivative fallbacks.
 FD_TIME_STEP = 1e-6
 SECOND_DIFF_STEP = 1e-4
+# A computed frame part's default validator, by the part's tail shape.
+_CHECKS = {(3,): partial(tc.vec3, batch=True), (3, 3): tc.mat3}
 
 
 @dataclass(frozen=True)
@@ -61,17 +62,14 @@ class FrameState:
     omega: np.ndarray
 
 
-def _batched(value, t, tail: tuple) -> np.ndarray:
-    """A frame callable's output, validated and broadcast to t's shape + tail."""
-    a = tc.vec3(value, batch=True) if tail == (3,) else tc.mat3(value)
-    shape = np.shape(t) + tail
-    return a if a.shape == shape else np.broadcast_to(a, shape)
-
-
-def _evaluated(part, t, tail: tuple) -> np.ndarray:
-    """A frame part at flat times t: a callable's validated output, or a
-    constant as a zero-stride view."""
-    return _batched(part(t), t, tail) if callable(part) else tc.tiled(part, t.shape)
+def _evaluated(part, t, tail: tuple, check=None) -> np.ndarray:
+    """A frame part at flat times t, of shape t.shape + tail: a constant as
+    a zero-stride view, or a callable's output validated once, by check
+    (default: ``_CHECKS[tail]``), and broadcast to that shape."""
+    if not callable(part):
+        return tc.tiled(part, t.shape)
+    a = (check or _CHECKS[tail])(part(t))
+    return a if a.shape == t.shape + tail else np.broadcast_to(a, t.shape + tail)
 
 
 def _frozen(value, tail: tuple) -> np.ndarray:
@@ -83,19 +81,13 @@ def _frozen(value, tail: tuple) -> np.ndarray:
     return a
 
 
-def _central_rate(f, t, tail: tuple) -> np.ndarray:
-    """d f / dt by a central difference with a step relative to |t|."""
-    h = FD_TIME_STEP * np.maximum(1.0, np.abs(t))
-    df = _batched(f(t + h), t, tail) - _batched(f(t - h), t, tail)
-    return df / (2.0 * h).reshape(np.shape(h) + (1,) * len(tail))
-
-
-def _second_difference(f, t, tail: tuple) -> np.ndarray:
-    """d^2 f / dt^2 by the three-point second difference, step relative to |t|."""
-    h = SECOND_DIFF_STEP * np.maximum(1.0, np.abs(t))
-    d2f = (_batched(f(t + h), t, tail) - 2.0 * _batched(f(t), t, tail)
-           + _batched(f(t - h), t, tail))
-    return d2f / (h * h).reshape(np.shape(h) + (1,) * len(tail))
+def _difference(f, tail: tuple, order: int, t) -> np.ndarray:
+    """d f / dt (order 1, central) or d^2 f / dt^2 (order 2, three-point) of
+    the raw callable f at flat times t, with a step relative to |t|."""
+    h = (FD_TIME_STEP if order == 1 else SECOND_DIFF_STEP) * np.maximum(1.0, np.abs(t))
+    up, down = _evaluated(f, t + h, tail), _evaluated(f, t - h, tail)
+    df = up - down if order == 1 else up - 2.0 * _evaluated(f, t, tail) + down
+    return df / (2.0 * h if order == 1 else h * h).reshape(h.shape + (1,) * len(tail))
 
 
 def _rates(raw, first, second, tail: tuple) -> tuple:
@@ -103,8 +95,7 @@ def _rates(raw, first, second, tail: tuple) -> tuple:
     constant frozen), zero for a constant quantity, else a finite difference
     of the raw callable (repairing alpha samples would perturb it)."""
     if callable(raw):
-        fallbacks = (lambda t: _central_rate(raw, t, tail),
-                     lambda t: _second_difference(raw, t, tail))
+        fallbacks = tuple(partial(_difference, raw, tail, order) for order in (1, 2))
     else:
         fallbacks = (_frozen(np.zeros(tail), tail),) * 2
     return tuple(fallback if given is None
@@ -171,8 +162,7 @@ class RigidFrameMotion:
         last = self._last
         if last[0] != key:
             f = np.frombuffer(key[1])
-            alpha = (tc.orthonormalized(_batched(self._alpha(f), f, (3, 3)))
-                     if callable(self._alpha) else tc.tiled(self._alpha, f.shape))
+            alpha = _evaluated(self._alpha, f, (3, 3), tc.orthonormalized)
             dalpha, d2alpha = (_evaluated(p, f, (3, 3)) for p in (self._dalpha, self._d2alpha))
             y, dy, d2y = (_evaluated(p, f, (3,)) for p in (self._y, self._dy, self._d2y))
             spin, omega = ((tc.tiled(c, f.shape) for c in self._steady_spin)

@@ -82,8 +82,8 @@ class BodyForce:
     rho: float               # [kg/m^3]
 
     def __post_init__(self):
-        if self.rho <= 0.0:
-            raise UsageError("density must be positive")
+        if not 0.0 < self.rho < np.inf:
+            raise UsageError("density must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,8 @@ def _sampled(kernel):
     def check(frame: RigidFrameMotion, field, *needs, box=DEFAULT_BOX,
               samples=100, rng: np.random.Generator, fd: FdConfig = DEFAULT_FD,
               tol=spec.tol) -> CheckResult:
+        if samples < 1:
+            raise UsageError(f"samples must be at least 1, got {samples}")
         xs, ts = sample_points(box, samples, rng)
         s = SampleSet(frame=frame, field=field, observed=pull_back(frame, field),
                       fd=fd, xs=xs, ts=ts, alpha=frame.alpha(ts),
@@ -249,6 +251,8 @@ def check_stress_transform_random(frame: RigidFrameMotion, *, samples=100,
                                   rng: np.random.Generator,
                                   tol=CHECKS["stress_transform"].tol) -> CheckResult:
     """Random 3x3 stresses against the frame's rotation at random times."""
+    if samples < 1:
+        raise UsageError(f"samples must be at least 1, got {samples}")
     ts = rng.uniform(TIME_WINDOW[0], TIME_WINDOW[1], size=samples)
     tau = rng.uniform(-1.0, 1.0, size=(samples, 3, 3))
     return check_stress_tensor_transform(tau, frame.alpha(ts), tol=tol)
@@ -257,8 +261,8 @@ def check_stress_transform_random(frame: RigidFrameMotion, *, samples=100,
 def _newtonian(p, mu: float, j) -> np.ndarray:
     """tau = -p I + 2 mu D from pressures (...) and velocity gradients j
     (..., 3, 3) through their strain rates D, with p and j not validated."""
-    if mu < 0.0:
-        raise UsageError("dynamic viscosity must be nonnegative")
+    if not 0.0 <= mu < np.inf:
+        raise UsageError("dynamic viscosity must be nonnegative and finite")
     return np.multiply.outer(p, -np.eye(3)) + 2.0 * mu * diffops.strain_rate(j)
 
 

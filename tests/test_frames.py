@@ -145,6 +145,22 @@ class TestFdFallback:
         assert np.max(np.abs(omega_from_alpha(fallback, ts).domega_dt
                              - omega_from_alpha(analytic, ts).domega_dt)) <= 5e-7
 
+    def test_fallbacks_are_the_two_difference_rules_bit_for_bit(self):
+        # A rate left out is a central (first) or three-point (second)
+        # difference of the raw callable, with a step relative to |t|.
+        y = builtin_frames()["accelerated_translation"]._y
+        alpha = builtin_frames()["wobble"]._alpha
+        frame = RigidFrameMotion("fd", y=y, alpha=alpha)
+        t = np.linspace(-2.0, 2.0, 9)   # |t| below and above 1
+        for f, first, second in ((y, frame.dy_dt, frame.d2y_dt2),
+                                 (alpha, frame.dalpha_dt, frame.d2alpha_dt2)):
+            lead = (-1,) + (1,) * (f(t).ndim - 1)
+            h = 1e-6 * np.maximum(1.0, np.abs(t))
+            assert np.array_equal(first(t), (f(t + h) - f(t - h)) / (2 * h).reshape(lead))
+            h = 1e-4 * np.maximum(1.0, np.abs(t))
+            assert np.array_equal(second(t), (f(t + h) - 2 * f(t) + f(t - h))
+                                  / (h * h).reshape(lead))
+
 
 class TestRotationalVelocityIdentity:
     def test_alpha_dot_equals_omega_cross(self, rng):
@@ -304,6 +320,24 @@ class TestKinematicsMemo:
             frame, flow, samples=20, rng=np.random.default_rng(6))
         assert r.passed
         assert calls == dict.fromkeys(PARTS, 2)
+
+    @pytest.mark.parametrize("name, computed", [("wobble", 3), ("screw", 4),
+                                                ("accelerated_translation", 3)])
+    def test_each_computed_part_is_validated_once_per_miss(self, monkeypatch, name, computed):
+        # A miss validates each callable part's output once: a computed alpha
+        # through require_rotation alone, every other part by vec3 or mat3.
+        frame = builtin_frames()[name]
+        assert sum(callable(getattr(frame, attr)) for attr in PARTS.values()) == computed
+        calls = Counter()
+        finite = tc._finite
+
+        def counted(*args):
+            calls["_finite"] += 1
+            return finite(*args)
+
+        monkeypatch.setattr(tc, "_finite", counted)
+        frame.state(np.linspace(0.0, 1.0, 5))
+        assert calls["_finite"] == computed
 
     def test_one_angle_evaluation_per_factor(self, monkeypatch):
         # alpha, its two rates and the state at one time array share each

@@ -337,15 +337,34 @@ def _bad_inputs():
                  "newtonian": lambda t: newtonian_stress(1.0, 0.5, t)}
     cases = [pytest.param(lambda fn=fn, tensor=tensor: fn(tensor), id=f"{f}-{t}")
              for f, fn in functions.items() for t, tensor in tensors.items()]
-    negative_mu = lambda: obj.check_constitutive_frame_invariance(  # noqa: E731
-        builtin_frames()["wobble"], builtin_flows()["taylor_green"],
-        builtin_scalars()["gaussian_T"], -0.1, samples=5, rng=seeded())
-    return cases + [pytest.param(negative_mu, id="constitutive-negative-mu")]
+    frame, flow = builtin_frames()["wobble"], builtin_flows()["taylor_green"]
+    nan, zeros = float("nan"), np.zeros((3, 3))
+    calls = {
+        "constitutive-negative-mu": lambda: obj.check_constitutive_frame_invariance(
+            frame, flow, builtin_scalars()["gaussian_T"], -0.1, samples=5, rng=seeded()),
+        # Each range check is written so that NaN fails it, as the parser's do.
+        "fd-h-nan": lambda: diffops.FdConfig(h=nan),
+        "fd-h-inf": lambda: diffops.FdConfig(h=np.inf),
+        "fd-h_t-nan": lambda: diffops.FdConfig(h_t=nan),
+        "fd-h_t-inf": lambda: diffops.FdConfig(h_t=np.inf),
+        "density-nan": lambda: BodyForce(g=np.zeros(3), rho=nan),
+        "density-inf": lambda: BodyForce(g=np.zeros(3), rho=np.inf),
+        "newtonian-mu-nan": lambda: newtonian_stress(1.0, nan, zeros),
+        "newtonian-mu-inf": lambda: newtonian_stress(1.0, np.inf, zeros),
+        "gaussian-width-nan": lambda: make_field("gaussian_T", width=nan),
+    }
+    for n in (0, -1):
+        calls[f"divergence-samples{n}"] = lambda n=n: obj.check_divergence_invariance(
+            frame, flow, samples=n, rng=seeded())
+        calls[f"stress-random-samples{n}"] = lambda n=n: obj.check_stress_transform_random(
+            frame, samples=n, rng=seeded())
+    return cases + [pytest.param(call, id=case) for case, call in calls.items()]
 
 
 @pytest.mark.parametrize("call", _bad_inputs())
 def test_public_boundary_rejects_bad_input(call):
-    # The checks skip validating their own arrays; a caller's still raises.
+    # The checks skip validating their own arrays; a caller's still raises,
+    # and so does a parameter or sample count out of range.
     with pytest.raises(UsageError):
         call()
 
