@@ -4,8 +4,8 @@ Each check samples seeded (x, t) pairs and evaluates, over all N at once
 as (N, ...) arrays, one identity relating
 inertial-frame analytic derivatives to finite differences of the observed
 (pulled-back) field, and reports residual statistics.  ``CHECKS`` is the
-one table of checks; a sampled check is a residual kernel wrapped by
-``_sampled``, which does the sampling, mapping and reporting.  Invariant
+one table of checks; each is a kernel wrapped by ``_sampled``, the one
+driver, which checks the inputs and does the sampling and mapping.  Invariant
 quantities (velocity divergence, scalar gradients, strain rate) must
 agree after component transformation; variant quantities (velocity
 gradient, vorticity, acceleration) must agree only after adding the
@@ -32,14 +32,13 @@ from .frames import RigidFrameMotion, map_position_to_prime, omega_from_alpha
 @dataclass(frozen=True)
 class CheckSpec:
     """One check: the name of its public function (looked up at call time),
-    its default tolerance, the field kind it runs on, and the scenario
-    values ("p_field", "force", "mu") it takes after the field.  Sampled
-    checks also take box and fd; the stress check draws its own samples."""
+    its default tolerance, the field kind it runs on (None: a frame-only
+    check, which takes no field), and the scenario values ("p_field",
+    "force", "mu") it takes after the field."""
     function: str
     tol: float
-    field: type = FlowField
+    field: Optional[type] = FlowField
     needs: tuple = ()
-    sampled: bool = True
 
 
 CHECKS = {
@@ -48,7 +47,7 @@ CHECKS = {
     "velgrad_relation": CheckSpec("check_velocity_gradient_relation", 1e-6),
     "strain_rate_invariance": CheckSpec("check_strain_rate_invariance", 1e-6),
     "vorticity_relation": CheckSpec("check_vorticity_relation", 1e-6),
-    "stress_transform": CheckSpec("check_stress_transform_random", 1e-12, sampled=False),
+    "stress_transform": CheckSpec("check_stress_transform_random", 1e-12, field=None),
     "constitutive_invariance": CheckSpec("check_constitutive_frame_invariance", 1e-6,
                                          needs=("p_field", "mu")),
     "acceleration_decomposition": CheckSpec("check_acceleration_decomposition", 1e-5),
@@ -88,9 +87,12 @@ class BodyForce:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """One sampled check's inputs: the inertial field and its pull-back
-    ``observed``, seeded points ``xs`` (N, 3) at times ``ts`` (N,), the
-    frame's ``alpha`` (N, 3, 3) and the primed points ``xp`` (N, 3)."""
+    """One check's inputs: its id, tol and generator (past xs and ts), the field
+    and its pull-back ``observed`` (None if frame-only), seeded points ``xs``
+    (N, 3) at times ``ts`` (N,), the frame's ``alpha`` (N, 3, 3), primed ``xp``."""
+    check_id: str
+    tol: float
+    rng: np.random.Generator
     frame: RigidFrameMotion
     field: object
     observed: object
@@ -100,17 +102,28 @@ class SampleSet:
     alpha: np.ndarray
     xp: np.ndarray
 
+    def result(self, residual, witness=None) -> CheckResult:
+        """The result of a residual (N, ...): a sample's error is its largest
+        |entry|; of a witness magnitude per sample (N,), the largest is kept."""
+        errs = np.abs(residual).reshape(self.ts.size, -1).max(axis=1)
+        return _result(self.check_id, errs, self.tol,
+                       None if witness is None else float(np.max(witness)))
+
 
 def sample_points(box, n: int, rng: np.random.Generator):
     """n seeded (x, t) samples: x uniform in the box, t in the time window."""
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
+    pairs = [(float(lo), float(hi)) for lo, hi in box]   # an overflow is inf, unwarned
+    if len(pairs) != 3 or not all(lo < hi and hi - lo < np.inf for lo, hi in pairs):
+        raise UsageError(f"box must be three (lo, hi) pairs, lo < hi, finite width: {box!r}")
+    lo, hi = np.array(pairs).T
     xs = rng.uniform(lo, hi, size=(n, 3))
     ts = rng.uniform(TIME_WINDOW[0], TIME_WINDOW[1], size=n)
     return xs, ts
 
 
 def _result(check_id, errs, tol, witness=None) -> CheckResult:
+    if not 0.0 <= tol < np.inf:
+        raise UsageError(f"tol must be nonnegative and finite, got {tol!r}")
     mx = float(errs.max())
     return CheckResult(check_id=check_id, samples=errs.size,
                        max_abs_err=mx, mean_abs_err=float(errs.mean()),
@@ -119,31 +132,25 @@ def _result(check_id, errs, tol, witness=None) -> CheckResult:
 
 
 def _sampled(kernel):
-    """Turn a residual kernel into the public check of the same name,
-    ``(frame, field, *needs, box, samples, rng, fd, tol)``.
-
-    The kernel gets the SampleSet and the needs, and returns its identity's
-    residual (N, ...) and a witness magnitude per sample (N,) or None.  A
-    sample's error is its largest |residual| entry; the witness reported is
-    the largest magnitude.
+    """Turn a kernel into the public check of the same name, ``(frame, *inputs,
+    box, samples, rng, fd, tol)``: inputs are ``(field, *needs)``, or the needs
+    of a frame-only check.  Bad samples, box or tol raise UsageError.  The kernel
+    gets the SampleSet and the needs and returns the CheckResult.
     """
     check_id, spec = next((cid, sp) for cid, sp in CHECKS.items()
                           if sp.function == kernel.__name__)
     pull_back = pull_back_scalar if spec.field is ScalarField else pull_back_velocity
 
-    def check(frame: RigidFrameMotion, field, *needs, box=DEFAULT_BOX,
+    def check(frame: RigidFrameMotion, *inputs, box=DEFAULT_BOX,
               samples=100, rng: np.random.Generator, fd: FdConfig = DEFAULT_FD,
               tol=spec.tol) -> CheckResult:
         if samples < 1:
             raise UsageError(f"samples must be at least 1, got {samples}")
+        field, *needs = inputs if spec.field else (None, *inputs)
         xs, ts = sample_points(box, samples, rng)
-        s = SampleSet(frame=frame, field=field, observed=pull_back(frame, field),
-                      fd=fd, xs=xs, ts=ts, alpha=frame.alpha(ts),
-                      xp=map_position_to_prime(frame, xs, ts))
-        residual, witness = kernel(s, *needs)
-        errs = np.abs(residual).reshape(samples, -1).max(axis=1)
-        return _result(check_id, errs, tol,
-                       None if witness is None else float(np.max(witness)))
+        observed = None if field is None else pull_back(frame, field)
+        return kernel(SampleSet(check_id, tol, rng, frame, field, observed, fd, xs, ts,
+                                frame.alpha(ts), map_position_to_prime(frame, xs, ts)), *needs)
 
     check.__name__ = check.__qualname__ = kernel.__name__
     check.__doc__ = kernel.__doc__
@@ -159,7 +166,7 @@ def check_divergence_invariance(s: SampleSet):
     """div v (analytic, inertial) vs div' V (FD on the observed field)."""
     div_s = diffops.divergence(s.field.jacobian(s.xs, s.ts))
     div_sp = diffops.divergence(diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd))
-    return div_s - div_sp, None
+    return s.result(div_s - div_sp)
 
 
 @_sampled
@@ -167,7 +174,7 @@ def check_scalar_gradient_invariance(s: SampleSet):
     """grad T transforms as an objective vector between the two frames."""
     g_s = s.field.gradient(s.xs, s.ts)
     g_sp = diffops.fd_gradient(s.observed, s.xp, s.ts, s.fd)
-    return tc.matvec(tc.transpose(s.alpha), g_s) - g_sp, None
+    return s.result(tc.matvec(tc.transpose(s.alpha), g_s) - g_sp)
 
 
 def velocity_gradient_correction(frame: RigidFrameMotion, t) -> np.ndarray:
@@ -191,8 +198,8 @@ def check_velocity_gradient_relation(s: SampleSet):
     j_s = s.field.jacobian(s.xs, s.ts)
     j_sp = diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd)
     corr = velocity_gradient_correction(s.frame, s.ts)
-    return (j_s - (tc.congruence(j_sp, s.alpha) + corr),
-            np.linalg.norm(diffops.curl(corr), axis=-1))
+    return s.result(j_s - (tc.congruence(j_sp, s.alpha) + corr),
+                    np.linalg.norm(diffops.curl(corr), axis=-1))
 
 
 @_sampled
@@ -200,7 +207,7 @@ def check_strain_rate_invariance(s: SampleSet):
     """Symmetric velocity-gradient parts agree as objective 2-tensors."""
     s_s = diffops.strain_rate(s.field.jacobian(s.xs, s.ts))
     s_sp = diffops.strain_rate(diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd))
-    return s_s - tc.congruence(s_sp, s.alpha), None
+    return s.result(s_s - tc.congruence(s_sp, s.alpha))
 
 
 @_sampled
@@ -209,8 +216,8 @@ def check_vorticity_relation(s: SampleSet):
     omega = omega_from_alpha(s.frame, s.ts).omega
     w_s = diffops.curl(s.field.jacobian(s.xs, s.ts))
     w_sp = diffops.curl(diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd))
-    return (w_s - (tc.matvec(s.alpha, w_sp) + 2.0 * omega),
-            np.linalg.norm(2.0 * omega, axis=-1))
+    return s.result(w_s - (tc.matvec(s.alpha, w_sp) + 2.0 * omega),
+                    np.linalg.norm(2.0 * omega, axis=-1))
 
 
 # --------------------------------------------------------------------------
@@ -247,15 +254,11 @@ def check_stress_tensor_transform(tau_in_s, alpha,
                    tc.max_abs_entry(physical - tc.congruence(tau, faces)), tol)
 
 
-def check_stress_transform_random(frame: RigidFrameMotion, *, samples=100,
-                                  rng: np.random.Generator,
-                                  tol=CHECKS["stress_transform"].tol) -> CheckResult:
-    """Random 3x3 stresses against the frame's rotation at random times."""
-    if samples < 1:
-        raise UsageError(f"samples must be at least 1, got {samples}")
-    ts = rng.uniform(TIME_WINDOW[0], TIME_WINDOW[1], size=samples)
-    tau = rng.uniform(-1.0, 1.0, size=(samples, 3, 3))
-    return check_stress_tensor_transform(tau, frame.alpha(ts), tol=tol)
+@_sampled
+def check_stress_transform_random(s: SampleSet):
+    """Random 3x3 stresses, drawn after the samples, against the frame's rotation."""
+    tau = s.rng.uniform(-1.0, 1.0, size=(s.ts.size, 3, 3))
+    return check_stress_tensor_transform(tau, s.alpha, tol=s.tol)
 
 
 def _newtonian(p, mu: float, j) -> np.ndarray:
@@ -278,7 +281,7 @@ def check_constitutive_frame_invariance(s: SampleSet, p_field: ScalarField, mu: 
     tau_s = _newtonian(p_field.value(s.xs, s.ts), mu, s.field.jacobian(s.xs, s.ts))
     j_sp = diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd)
     tau_sp = _newtonian(observed_p(s.xp, s.ts), mu, j_sp)
-    return tau_s - tc.congruence(tau_sp, s.alpha), None
+    return s.result(tau_s - tc.congruence(tau_sp, s.alpha))
 
 
 # --------------------------------------------------------------------------
@@ -308,7 +311,7 @@ def check_acceleration_decomposition(s: SampleSet):
            + 2.0 * tc.cross(ang.omega, v_rel)
            + tc.cross(ang.domega_dt, x_rel)
            + tc.cross(ang.omega, tc.cross(ang.omega, x_rel)))
-    return lhs - rhs, None
+    return s.result(lhs - rhs)
 
 
 def inertial_ns_rhs(flow: FlowField, p_field: ScalarField, force: BodyForce,
@@ -332,4 +335,4 @@ def check_ns_rhs_equivalence(s: SampleSet, p_field: ScalarField, force: BodyForc
     rhs_sp = (-diffops.fd_gradient(observed_p, s.xp, s.ts, s.fd)
               + mu * diffops.fd_viscous_divergence(s.observed, s.xp, s.ts, s.fd)
               + force.rho * tc.matvec(tc.transpose(s.alpha), force.g))
-    return rhs_s - tc.matvec(s.alpha, rhs_sp), None
+    return s.result(rhs_s - tc.matvec(s.alpha, rhs_sp))

@@ -24,7 +24,7 @@ import yaml
 from . import objectivity as obj
 from .diffops import _OFFSETS, FdConfig
 from .errors import FramekitError, ScenarioError
-from .fields import FIELD_CATALOG, ScalarField, make_field
+from .fields import FIELD_CATALOG, FlowField, ScalarField, make_field
 from .frames import FRAME_CATALOG, make_frame
 
 VERSION = "0.1.0"
@@ -274,19 +274,6 @@ def load_scenario(path) -> Scenario:
 # Suite execution
 # --------------------------------------------------------------------------
 
-def _run_triple(scenario: Scenario, frame, field_obj, check_id: str,
-                rng: np.random.Generator, values: dict) -> obj.CheckResult:
-    spec = obj.CHECKS[check_id]
-    # Looked up per call, so that a patched module attribute is what runs.
-    check = getattr(obj, spec.function)
-    common = dict(samples=scenario.samples, rng=rng,
-                  tol=scenario.tolerance(check_id))
-    if not spec.sampled:
-        return check(frame, **common)
-    return check(frame, field_obj, *(values[name] for name in spec.needs),
-                 box=scenario.box, fd=scenario.fd, **common)
-
-
 def _echo(value):
     """The report's form of a scenario value: a dataclass as the mapping of its
     document keys, a (name, params) entry as a mapping, a tuple as a list.
@@ -304,8 +291,8 @@ def _echo(value):
 def run_suite(scenario: Scenario) -> Report:
     """Execute every applicable (frame, field, check) triple, in that order.
 
-    Per-triple errors are captured as 'error' rows; they fail the suite
-    but do not abort it.
+    A frame-only check gets one row per flow field.  Per-triple errors are
+    captured as 'error' rows; they fail the suite but do not abort it.
     """
     start = time.perf_counter()
     frames = [(i, name, make_frame(name, **params))
@@ -322,12 +309,18 @@ def run_suite(scenario: Scenario) -> Report:
         for fi, fname, frame in frames:
             for gi, gname, field_obj in fields:
                 for ci, check_id in enumerate(scenario.checks):
-                    if not isinstance(field_obj, obj.CHECKS[check_id].field):
+                    spec = obj.CHECKS[check_id]
+                    if not isinstance(field_obj, spec.field or FlowField):
                         continue
+                    inputs = (field_obj,) if spec.field else ()
                     rng = np.random.default_rng([scenario.seed, fi, gi, ci])
                     row = {"frame": fname, "field": gname, "check": check_id}
                     try:
-                        res = _run_triple(scenario, frame, field_obj, check_id, rng, values)
+                        # Looked up per call, so that a patched module attribute is what runs.
+                        res = getattr(obj, spec.function)(
+                            frame, *inputs, *(values[name] for name in spec.needs),
+                            box=scenario.box, samples=scenario.samples, rng=rng,
+                            fd=scenario.fd, tol=scenario.tolerance(check_id))
                         row.update(samples=res.samples, max_abs_err=res.max_abs_err,
                                    mean_abs_err=res.mean_abs_err, tol=res.tol,
                                    witness=res.witness,

@@ -4,6 +4,7 @@ stress/traction machinery, constitutive laws."""
 import importlib.util
 import warnings
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 import yaml
 from hypothesis import Phase, given, settings, strategies as st
 
-from framekit import (AngularVelocity, BodyForce, InvariantViolationError,
-                      RigidFrameMotion, UsageError,
+from framekit import (AngularVelocity, BodyForce, FlowField, InvariantViolationError,
+                      RigidFrameMotion, ScalarField, UsageError,
                       cauchy_traction,
                       make_field, make_frame, map_position_to_prime,
                       newtonian_stress, omega_from_alpha, parse_scenario,
@@ -367,6 +368,73 @@ def test_public_boundary_rejects_bad_input(call):
     # and so does a parameter or sample count out of range.
     with pytest.raises(UsageError):
         call()
+
+
+def public_check(check_id, **kwargs):
+    """check_id's public check at 5 samples under wobble, on taylor_green (a
+    scalar check on gaussian_T; a frame-only check on no field), with the
+    scenario defaults as its needs."""
+    spec = obj.CHECKS[check_id]
+    fields = {FlowField: builtin_flows()["taylor_green"],
+              ScalarField: builtin_scalars()["gaussian_T"]}
+    values = {"p_field": builtin_scalars()["gaussian_T"], "mu": 0.7,
+              "force": BodyForce(g=np.array([0.0, 0.0, -9.81]), rho=1.0)}
+    inputs = [fields[spec.field]] if spec.field else []
+    return getattr(obj, spec.function)(
+        builtin_frames()["wobble"], *inputs, *(values[name] for name in spec.needs),
+        samples=5, rng=seeded(), **kwargs)
+
+
+def _bad_tols_and_boxes():
+    """Each public check on each bad tol and box, and the two-route stress
+    check on each bad tol."""
+    nan, unit = float("nan"), (-1.0, 1.0)
+    bad = {"tol-nan": {"tol": nan}, "tol-negative": {"tol": -1.0},
+           "tol-inf": {"tol": np.inf},
+           "box-nan": {"box": ((nan, 1.0), unit, unit)},
+           "box-inverted": {"box": (unit, (1.0, -1.0), unit)},
+           "box-zero-width": {"box": (unit, unit, (0.5, 0.5))},
+           "box-overflowing-width": {"box": ((-1e308, 1e308), unit, unit)}}
+    cases = [pytest.param(partial(public_check, check_id, **kwargs), id=f"{check_id}-{case}")
+             for check_id in obj.CHECK_IDS for case, kwargs in bad.items()]
+    return cases + [
+        pytest.param(partial(obj.check_stress_tensor_transform, np.eye(3), np.eye(3), **kwargs),
+                     id=f"stress_tensor_transform-{case}")
+        for case, kwargs in bad.items() if "tol" in kwargs]
+
+
+@pytest.mark.parametrize("call", _bad_tols_and_boxes())
+def test_every_check_rejects_a_bad_tol_or_box(call):
+    # A NaN, negative or infinite tol would report a silent false verdict, and
+    # a box with a NaN, an empty or an overflowing width cannot be sampled.
+    with pytest.raises(UsageError):
+        call()
+
+
+class TestOneSampleDriver:
+    @pytest.mark.parametrize("check_id", obj.CHECK_IDS)
+    def test_each_check_samples_once_through_the_driver(self, monkeypatch, check_id):
+        calls = Counter()
+
+        def counted(*args, original=obj.sample_points):
+            calls["sample_points"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(obj, "sample_points", counted)
+        assert public_check(check_id).passed
+        assert calls["sample_points"] == 1
+
+    def test_stress_check_ignores_box_and_fd(self):
+        # The stresses are drawn after the points, whose number of draws the
+        # box does not change, and no finite difference is taken.
+        frame = builtin_frames()["wobble"]
+        rngs = seeded(), seeded()
+        default = obj.check_stress_transform_random(frame, samples=20, rng=rngs[0])
+        other = obj.check_stress_transform_random(
+            frame, samples=20, rng=rngs[1], box=((-3.0, 5.0), (0.0, 0.5), (2.0, 2.5)),
+            fd=diffops.FdConfig(h=1e-2))
+        assert other == default and default.samples == 20
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 class TestAccelerationDecomposition:

@@ -10,7 +10,8 @@ import pytest
 import yaml
 
 from framekit import (CHECK_IDS, InvariantViolationError, Report, ScenarioError,
-                      canonical_report_json, emit_report, parse_scenario, run_suite)
+                      canonical_report_json, emit_report, make_field, make_frame,
+                      parse_scenario, run_suite)
 from framekit import objectivity as obj
 from framekit.cli import main
 
@@ -420,6 +421,49 @@ tolerances: {{{check_id}: 1.0e-3}}
         assert rows[0]["status"] == "pass"
         assert rows[0]["samples"] == 5
         assert rows[0]["tol"] == 1e-3
+
+    def test_each_row_is_its_public_check_called_directly(self):
+        # The suite's dispatch: a row is the CheckResult of its check's public
+        # function, given the field (none for a frame-only check), the needs,
+        # the triple's generator and the scenario's box, fd, samples and tol.
+        s = parse_scenario(f"""
+frames:
+  - identity
+  - name: wobble
+    params: {{angles_x: [0.0, 0.9], angles_y: [0.3, 0.7], angles_z: [0.0, 1.1]}}
+fields: [taylor_green, gaussian_T]
+checks: [{", ".join(CHECK_IDS)}]
+box: [[-0.5, 0.5], [0.0, 1.0], [-2.0, -1.5]]
+samples: 7
+seed: 3
+fd: {{h: 2.0e-4, order: 4}}
+tolerances: {{velgrad_relation: 1.0e-3}}
+material: {{mu: 0.7, rho: 1.2}}
+pressure: linear_T
+""")
+        values = {"p_field": make_field(s.pressure[0], **s.pressure[1]),
+                  "mu": s.material.mu,
+                  "force": obj.BodyForce(g=np.asarray(s.material.g), rho=s.material.rho)}
+        rows = run_suite(s).results
+        assert len(rows) == len(s.frames) * len(CHECK_IDS)   # 8 on the flow, 1 on the scalar
+        for row in rows:
+            fi = [name for name, _ in s.frames].index(row["frame"])
+            gi = [name for name, _ in s.fields].index(row["field"])
+            ci = s.checks.index(row["check"])
+            (fname, fparams), (gname, gparams) = s.frames[fi], s.fields[gi]
+            spec = obj.CHECKS[row["check"]]
+            field = make_field(gname, **gparams)
+            res = getattr(obj, spec.function)(
+                make_frame(fname, **fparams), *([field] if spec.field else []),
+                *(values[name] for name in spec.needs), box=s.box, fd=s.fd,
+                samples=s.samples, rng=np.random.default_rng([s.seed, fi, gi, ci]),
+                tol=s.tolerance(row["check"]))
+            assert res.check_id == row["check"]
+            assert {k: row[k] for k in ("samples", "max_abs_err", "mean_abs_err", "tol",
+                                        "witness", "status")} == {
+                "samples": res.samples, "max_abs_err": res.max_abs_err,
+                "mean_abs_err": res.mean_abs_err, "tol": res.tol, "witness": res.witness,
+                "status": "pass" if res.passed else "fail"}
 
     def test_failure_path_with_unreachable_tolerance(self):
         s = parse_scenario("""
