@@ -73,6 +73,11 @@ def _stencil(x_prime, t, offsets, lead: int = 1):
     return x, t, offsets.reshape(offsets.shape[:lead] + (1,) * rank + offsets.shape[lead:]), rank
 
 
+def _points(x, dx):
+    """The stencil points x + dx, stored entries-first (``tensor_core.planes``)."""
+    return np.add(x, dx, out=tc.planes(np.broadcast_shapes(x.shape, dx.shape)[:-1]))
+
+
 def _behind(d, lead: int, rank: int):
     """d with its lead derivative axes moved behind the rank batch axes."""
     return d.transpose((*range(lead, lead + rank), *range(lead), *range(lead + rank, d.ndim)))
@@ -82,7 +87,7 @@ def _spatial_derivative(field, x_prime, t, cfg):
     """d field / d x'_k by central differences, k on the axis after the batch:
     the points are (n, k, ..., 3), stencil offset n along axis k."""
     x, t, dx, rank = _stencil(x_prime, t, cfg.h * _OFFSETS[cfg.order][:, None, None] * _AXES, 2)
-    return _behind(_central(field(x + dx, t), cfg.h, cfg.order), 1, rank)
+    return _behind(_central(field(_points(x, dx), t), cfg.h, cfg.order), 1, rank)
 
 
 def fd_jacobian(field, x_prime, t, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
@@ -109,8 +114,9 @@ def fd_second_derivatives(field, x_prime, t,
     """
     h = cfg.h
     x, t, dx, rank = _stencil(x_prime, t, h * _HESS_OFFSETS)
-    f = field(x + dx, t)
-    hess = np.empty((3, 3) + f.shape[1:])
+    f = field(_points(x, dx), t)
+    # Laid out as f is, a vector field's values entries-first or a scalar's.
+    hess = np.empty_like(f[:9]).reshape((3, 3) + f.shape[1:])
     for a in range(3):
         hess[a, a] = (f[1 + 2 * a] - 2.0 * f[0] + f[2 + 2 * a]) / (h * h)
     for p, (a, b) in enumerate(_PAIRS):

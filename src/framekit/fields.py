@@ -97,7 +97,7 @@ def _steady_flow(name, v0, j0, visc0, mod_amp, mod_freq) -> FlowField:
 
 def _affine_flow(name, u, j, mod_amp, mod_freq) -> FlowField:
     """v_i = u_i + x_k J[k, i]: a constant Jacobian j, so zero viscous divergence."""
-    return _steady_flow(name, lambda x: u + np.asarray(x, dtype=float) @ j,
+    return _steady_flow(name, lambda x: u + np.matmul(x, j, out=tc.planes(np.shape(x)[:-1])),
                         lambda x: j, lambda x: np.zeros(3), mod_amp, mod_freq)
 
 
@@ -132,9 +132,11 @@ def taylor_green_flow(amplitude=1.0, wavenumber=1.0, mod_amp=0.0, mod_freq=1.0) 
     a, k = float(amplitude), float(wavenumber)
 
     def v0(x):
-        return np.stack([a * np.cos(k * x[..., 0]) * np.sin(k * x[..., 1]),
-                         -a * np.sin(k * x[..., 0]) * np.cos(k * x[..., 1]),
-                         np.zeros(np.shape(x)[:-1])], axis=-1)
+        v = tc.planes(np.shape(x)[:-1])
+        np.multiply(a * np.cos(k * x[..., 0]), np.sin(k * x[..., 1]), out=v[..., 0])
+        np.multiply(-a * np.sin(k * x[..., 0]), np.cos(k * x[..., 1]), out=v[..., 1])
+        v[..., 2] = 0.0
+        return v
 
     def j0(x):
         s1, c1 = np.sin(k * x[..., 0]), np.cos(k * x[..., 0])

@@ -167,6 +167,9 @@ class RigidFrameMotion:
             y, dy, d2y = (_evaluated(p, f, (3,)) for p in (self._y, self._dy, self._d2y))
             spin, omega = ((tc.tiled(c, f.shape) for c in self._steady_spin)
                            if self._steady_spin else _spin(alpha, dalpha, f))
+            # Read at every stencil point: a computed one is copied once entries-first
+            # (order "F": each entry contiguous over the times), a constant stays a view.
+            alpha, y, dy = (v if v.strides[0] == 0 else v.copy("F") for v in (alpha, y, dy))
             jet = FrameState(*(v.reshape(t.shape + v.shape[1:]) for v in
                                (alpha, dalpha, d2alpha, spin, y, dy, d2y, omega)))
             for v in vars(jet).values():
@@ -207,7 +210,7 @@ def omega_from_alpha(frame: RigidFrameMotion, t) -> AngularVelocity:
 
 def map_position_to_prime(frame: RigidFrameMotion, x_in_s, t) -> np.ndarray:
     """Primed components of the position relative to the moving origin."""
-    return tc.matvec(tc.transpose(frame.alpha(t)),
+    return tc.matvec(frame.alpha(t).swapaxes(-1, -2),
                      tc.vec3(x_in_s, batch=True) - frame.y(t))
 
 
@@ -227,7 +230,7 @@ def observed_velocity(frame: RigidFrameMotion, flow, x_prime, t) -> np.ndarray:
     st = frame.state(t)
     x_rel = tc.matvec(st.alpha, tc.vec3(x_prime, batch=True))  # X, unprimed
     v_obs = flow.velocity(x_rel + st.y, t) - st.dy - tc.cross(st.omega, x_rel)
-    return tc.matvec(tc.transpose(st.alpha), v_obs)
+    return tc.matvec(st.alpha.swapaxes(-1, -2), v_obs)
 
 
 # --------------------------------------------------------------------------

@@ -88,8 +88,9 @@ class BodyForce:
 @dataclass(frozen=True)
 class SampleSet:
     """One check's inputs: its id, tol and generator (past xs and ts), the field
-    and its pull-back ``observed`` (None if frame-only), seeded points ``xs``
-    (N, 3) at times ``ts`` (N,), the frame's ``alpha`` (N, 3, 3), primed ``xp``."""
+    and its pull-back ``observed``, seeded points ``xs`` (N, 3) at times ``ts``
+    (N,), the frame's ``alpha`` (N, 3, 3), primed ``xp`` (field, observed and
+    xp are None for a frame-only check, which still draws xs)."""
     check_id: str
     tol: float
     rng: np.random.Generator
@@ -116,8 +117,9 @@ def sample_points(box, n: int, rng: np.random.Generator):
     if len(pairs) != 3 or not all(lo < hi and hi - lo < np.inf for lo, hi in pairs):
         raise UsageError(f"box must be three (lo, hi) pairs, lo < hi, finite width: {box!r}")
     lo, hi = np.array(pairs).T
-    xs = rng.uniform(lo, hi, size=(n, 3))
-    ts = rng.uniform(TIME_WINDOW[0], TIME_WINDOW[1], size=n)
+    # rng.uniform's own formula, bit for bit, without its array-parameter overhead.
+    xs = lo + (hi - lo) * rng.random((n, 3))
+    ts = TIME_WINDOW[0] + (TIME_WINDOW[1] - TIME_WINDOW[0]) * rng.random(n)
     return xs, ts
 
 
@@ -149,8 +151,9 @@ def _sampled(kernel):
         field, *needs = inputs if spec.field else (None, *inputs)
         xs, ts = sample_points(box, samples, rng)
         observed = None if field is None else pull_back(frame, field)
+        xp = None if field is None else map_position_to_prime(frame, xs, ts)
         return kernel(SampleSet(check_id, tol, rng, frame, field, observed, fd, xs, ts,
-                                frame.alpha(ts), map_position_to_prime(frame, xs, ts)), *needs)
+                                frame.alpha(ts), xp), *needs)
 
     check.__name__ = check.__qualname__ = kernel.__name__
     check.__doc__ = kernel.__doc__

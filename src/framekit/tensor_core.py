@@ -18,6 +18,10 @@ direction on the row: ``J[k, i] = d v_i / d x_k``.
 ``require_rotation`` is the one validator of a stack of rotations, and
 ``orthonormalized`` adds the repair of drift beyond round-off (polar factor);
 ``congruence(t, a) = a @ t @ a.T`` applies an alpha validated once, unchecked.
+
+Shapes are public; memory order is not.  The evaluation path stores its
+stacks entries-first (``planes``: each entry contiguous over the batch), and
+any input layout gives the same bits.
 """
 
 from __future__ import annotations
@@ -61,6 +65,13 @@ def transpose(a) -> np.ndarray:
     return np.ascontiguousarray(a.swapaxes(-1, -2))
 
 
+def planes(lead: tuple) -> np.ndarray:
+    """An empty stack of 3-vectors, shape lead + (3,), stored entries-first:
+    each component's values over lead are contiguous, so elementwise work on
+    it and its operands runs long inner loops, not loops of length 3."""
+    return np.empty((3,) + lead).transpose((*range(1, len(lead) + 1), 0))
+
+
 def tiled(a, lead: tuple) -> np.ndarray:
     """A zero-stride view of C-contiguous a over leading axes lead."""
     return np.ndarray(lead + a.shape, a.dtype, a, 0, (0,) * len(lead) + a.strides)
@@ -80,8 +91,11 @@ def cross(a, b) -> np.ndarray:
     a, b = np.asarray(a), np.asarray(b)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
-                    axis=-1)
+    out = planes(np.broadcast_shapes(a.shape, b.shape)[:-1])
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
 
 
 def levi_civita(i: int, j: int, k: int) -> float:
@@ -169,6 +183,8 @@ def skew(w) -> np.ndarray:
 def axial(m) -> np.ndarray:
     """Axial vector of the antisymmetric part of m (inverse of skew), for a
     (..., 3, 3) array built from validated stacks (not validated again)."""
-    return 0.5 * np.stack([m[..., 2, 1] - m[..., 1, 2],
-                           m[..., 0, 2] - m[..., 2, 0],
-                           m[..., 1, 0] - m[..., 0, 1]], axis=-1)
+    out = planes(m.shape[:-2])
+    for i, (j, k) in enumerate(((2, 1), (0, 2), (1, 0))):
+        np.subtract(m[..., j, k], m[..., k, j], out=out[..., i])
+    out *= 0.5
+    return out

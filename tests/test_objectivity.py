@@ -436,6 +436,41 @@ class TestOneSampleDriver:
         assert other == default and default.samples == 20
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
+    @pytest.mark.parametrize("frame_name", sorted(builtin_frames()))
+    def test_stress_check_draws_points_but_maps_none(self, monkeypatch, frame_name):
+        # The frame-only kernel reads no point: it still draws them, so its
+        # stresses are the ones that follow the points in the stream, but it
+        # maps none to primed coordinates.
+        frame, calls = builtin_frames()[frame_name], Counter()
+
+        def counted(*args, original=obj.map_position_to_prime):
+            calls["map_position_to_prime"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(obj, "map_position_to_prime", counted)
+        got = obj.check_stress_transform_random(frame, samples=20, rng=seeded())
+        rng = seeded()
+        _, ts = obj.sample_points(obj.DEFAULT_BOX, 20, rng)
+        want = obj.check_stress_tensor_transform(rng.uniform(-1.0, 1.0, size=(20, 3, 3)),
+                                                 frame.alpha(ts))
+        assert got == want and calls["map_position_to_prime"] == 0
+
+
+@pytest.mark.parametrize("box", (obj.DEFAULT_BOX, ((0.0, 2.0), (-3.0, -1.0), (5.0, 7.5)),
+                                 ((-1e3, 1e-3), (0.1, 0.2), (-7.0, 13.0))))
+@pytest.mark.parametrize("seed", (0, 1, 42, 2027))
+def test_sample_points_are_rng_uniform_bit_for_bit(box, seed):
+    # The driver draws with uniform's own formula, so points, times and the
+    # stresses drawn after them equal rng.uniform's, bit for bit.
+    lo, hi = np.array(box).T
+    for n in (1, 2, 7, 100, 150):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        xs, ts = obj.sample_points(box, n, mine)
+        assert np.array_equal(xs, theirs.uniform(lo, hi, size=(n, 3)))
+        assert np.array_equal(ts, theirs.uniform(*obj.TIME_WINDOW, size=n))
+        assert np.array_equal(mine.uniform(-1.0, 1.0, size=(n, 3, 3)),
+                              theirs.uniform(-1.0, 1.0, size=(n, 3, 3)))
+
 
 class TestAccelerationDecomposition:
     def test_fluid_at_rest_in_rotating_frame(self):
