@@ -36,10 +36,10 @@ class FdConfig:
     order: int = 4       # central-difference order for first derivatives
 
     def __post_init__(self):
-        if not 0.0 < self.h < np.inf or not 0.0 < self.h_t < np.inf:
-            raise UsageError("finite-difference steps must be positive and finite")
-        if self.order not in (2, 4):
-            raise UsageError(f"unsupported stencil order {self.order}")
+        for step in ("h", "h_t"):
+            tc.number(getattr(self, step), f"finite-difference step {step}", 0.0, strict=True)
+        if not tc.is_number(self.order, integer=True) or self.order not in (2, 4):
+            raise UsageError(f"unsupported stencil order {self.order!r}")
 
 
 DEFAULT_FD = FdConfig()

@@ -71,8 +71,9 @@ pull_back_velocity, pull_back_scalar = ObservedVectorField, ObservedScalarField
 # Catalog
 # --------------------------------------------------------------------------
 
-def _modulation(mod_amp: float, mod_freq: float):
+def _modulation(mod_amp, mod_freq):
     """m(t) and its rate; exactly 1 and 0 when mod_amp is 0."""
+    mod_amp, mod_freq = tc.number(mod_amp, "mod_amp"), tc.number(mod_freq, "mod_freq")
     return (lambda t: 1.0 + mod_amp * np.sin(mod_freq * np.asarray(t, dtype=float)),
             lambda t: mod_amp * mod_freq * np.cos(mod_freq * np.asarray(t, dtype=float)))
 
@@ -86,7 +87,7 @@ def _per_point(scale, value, x, tail=(3,)) -> np.ndarray:
 
 def _steady_flow(name, v0, j0, visc0, mod_amp, mod_freq) -> FlowField:
     """Lift steady closed forms (constants allowed) to a time-modulated field."""
-    m, dm = _modulation(float(mod_amp), float(mod_freq))
+    m, dm = _modulation(mod_amp, mod_freq)
     return FlowField(
         name=name,
         velocity=lambda x, t: _per_point(m(t), v0(x), x),
@@ -102,7 +103,7 @@ def _affine_flow(name, u, j, mod_amp, mod_freq) -> FlowField:
 
 
 def _steady_scalar(name, f0, g0, mod_amp, mod_freq) -> ScalarField:
-    m, _ = _modulation(float(mod_amp), float(mod_freq))
+    m, _ = _modulation(mod_amp, mod_freq)
     return ScalarField(
         name=name,
         value=lambda x, t: _per_point(m(t), f0(x), x, ()),
@@ -117,7 +118,7 @@ def uniform_flow(velocity=(1.0, 0.0, 0.0), mod_amp=0.0, mod_freq=1.0) -> FlowFie
 def shear_flow(rate=3.0, mod_amp=0.0, mod_freq=1.0) -> FlowField:
     """Plane shear v = (rate * x2, 0, 0)."""
     j = np.zeros((3, 3))
-    j[1, 0] = float(rate)        # d v_1 / d x_2
+    j[1, 0] = tc.number(rate, "rate")   # d v_1 / d x_2
     return _affine_flow("shear", np.zeros(3), j, mod_amp, mod_freq)
 
 
@@ -129,7 +130,7 @@ def rigid_rotation_flow(omega=(0.0, 0.0, 2.0), mod_amp=0.0, mod_freq=1.0) -> Flo
 
 def taylor_green_flow(amplitude=1.0, wavenumber=1.0, mod_amp=0.0, mod_freq=1.0) -> FlowField:
     """2-D Taylor-Green cell: incompressible, smooth, nontrivial Laplacian."""
-    a, k = float(amplitude), float(wavenumber)
+    a, k = tc.number(amplitude, "amplitude"), tc.number(wavenumber, "wavenumber")
 
     def v0(x):
         v = tc.planes(np.shape(x)[:-1])
@@ -157,14 +158,14 @@ def taylor_green_flow(amplitude=1.0, wavenumber=1.0, mod_amp=0.0, mod_freq=1.0) 
 
 def poly_linear_flow(scale=1.0, mod_amp=0.0, mod_freq=1.0) -> FlowField:
     """v = scale * (x1, x2, x3): constant divergence 3*scale, zero curl."""
-    return _affine_flow("poly_linear", np.zeros(3), float(scale) * np.eye(3),
+    return _affine_flow("poly_linear", np.zeros(3), tc.number(scale, "scale") * np.eye(3),
                         mod_amp, mod_freq)
 
 
 def gaussian_scalar(amplitude=1.0, width=0.8, center=(0.0, 0.0, 0.0),
                     mod_amp=0.0, mod_freq=1.0) -> ScalarField:
     """Gaussian bump with nonuniform gradient."""
-    a, w = float(amplitude), float(width)
+    a, w = tc.number(amplitude, "amplitude"), tc.number(width, "width")
     if not w > 0.0:
         raise UsageError("gaussian width must be positive")
     c = tc.vec3(center)
@@ -184,7 +185,7 @@ def linear_scalar(coeffs=(1.0, -2.0, 0.5), offset=0.0,
                   mod_amp=0.0, mod_freq=1.0) -> ScalarField:
     """Affine scalar T = coeffs . x + offset with constant gradient."""
     c = tc.vec3(coeffs).copy()   # contiguous, so the gradient tiles it
-    b = float(offset)
+    b = tc.number(offset, "offset")
     return _steady_scalar("linear_T", lambda x: np.asarray(x, dtype=float) @ c + b,
                           lambda x: c, mod_amp, mod_freq)
 
@@ -203,9 +204,8 @@ FIELD_CATALOG = {
 def make_field(name: str, **params):
     """Construct a catalog field (flow or scalar) by id."""
     if name not in FIELD_CATALOG:
-        raise UsageError(
-            f"unknown field {name!r}; valid fields: {sorted(FIELD_CATALOG)}")
+        raise UsageError(f"unknown field {name!r}; valid fields: {sorted(FIELD_CATALOG)}")
     try:
         return FIELD_CATALOG[name](**params)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (UsageError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad parameters for field {name!r}: {exc}") from exc

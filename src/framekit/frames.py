@@ -35,8 +35,6 @@ _EYE3 = np.eye(3)
 # Relative steps for the finite-difference derivative fallbacks.
 FD_TIME_STEP = 1e-6
 SECOND_DIFF_STEP = 1e-4
-# A computed frame part's default validator, by the part's tail shape.
-_CHECKS = {(3,): partial(tc.vec3, batch=True), (3, 3): tc.mat3}
 
 
 @dataclass(frozen=True)
@@ -65,18 +63,16 @@ class FrameState:
 def _evaluated(part, t, tail: tuple, check=None) -> np.ndarray:
     """A frame part at flat times t, of shape t.shape + tail: a constant as
     a zero-stride view, or a callable's output validated once, by check
-    (default: ``_CHECKS[tail]``), and broadcast to that shape."""
+    (default: a finite stack of tail-shaped entries), and broadcast to that shape."""
     if not callable(part):
         return tc.tiled(part, t.shape)
-    a = (check or _CHECKS[tail])(part(t))
+    a = check(part(t)) if check else tc._finite(part(t), tail, True)
     return a if a.shape == t.shape + tail else np.broadcast_to(a, t.shape + tail)
 
 
 def _frozen(value, tail: tuple) -> np.ndarray:
     """A constant frame quantity of shape tail: validated, copied, read-only."""
-    a = (tc.vec3(value) if tail == (3,) else tc.mat3(value)).copy()
-    if a.shape != tail:
-        raise UsageError(f"a constant frame quantity must have shape {tail}, got {a.shape}")
+    a = tc._finite(value, tail, False).copy()
     a.flags.writeable = False
     return a
 
@@ -94,10 +90,8 @@ def _rates(raw, first, second, tail: tuple) -> tuple:
     """A quantity's first and second time derivatives: each as given (a
     constant frozen), zero for a constant quantity, else a finite difference
     of the raw callable (repairing alpha samples would perturb it)."""
-    if callable(raw):
-        fallbacks = tuple(partial(_difference, raw, tail, order) for order in (1, 2))
-    else:
-        fallbacks = (_frozen(np.zeros(tail), tail),) * 2
+    fallbacks = (tuple(partial(_difference, raw, tail, order) for order in (1, 2))
+                 if callable(raw) else (_frozen(np.zeros(tail), tail),) * 2)
     return tuple(fallback if given is None
                  else given if callable(given) else _frozen(given, tail)
                  for given, fallback in zip((first, second), fallbacks))
@@ -132,13 +126,13 @@ class RigidFrameMotion:
 
     ``state(t)`` is the frame's one memo: at a new time array it evaluates
     every part once on the flattened times (every rule is elementwise in t),
-    validates the jet, reshapes its arrays to t's shape once, freezes them
-    and keeps the jet with a key, the shape and bytes of the times: a read
-    at the same key returns that same ``FrameState``, and each accessor is
-    a read of it.  A jet whose computation raised is not kept.  The key and
-    its jet are bound in one tuple that a new time array replaces in one
-    assignment, so threads sharing a frame can at worst recompute a jet,
-    never read another time array's.
+    validates the jet, copies alpha, y and dy entries-first (constants too),
+    reshapes its arrays to t's shape once, freezes them and keeps the jet
+    with a key, the shape and bytes of the times: a read at the same key
+    returns that same ``FrameState``, each accessor reading it.  A jet whose
+    computation raised is not kept.  Key and jet are bound in one tuple that
+    a new time array replaces in one assignment, so threads sharing a frame
+    can at worst recompute a jet, never read another time array's.
     """
 
     def __init__(self, name: str, y, alpha, dy_dt=None, d2y_dt2=None,
@@ -167,9 +161,8 @@ class RigidFrameMotion:
             y, dy, d2y = (_evaluated(p, f, (3,)) for p in (self._y, self._dy, self._d2y))
             spin, omega = ((tc.tiled(c, f.shape) for c in self._steady_spin)
                            if self._steady_spin else _spin(alpha, dalpha, f))
-            # Read at every stencil point: a computed one is copied once entries-first
-            # (order "F": each entry contiguous over the times), a constant stays a view.
-            alpha, y, dy = (v if v.strides[0] == 0 else v.copy("F") for v in (alpha, y, dy))
+            # Read at every stencil point: copied once entries-first ("F"), a constant too.
+            alpha, y, dy = (v.copy("F") for v in (alpha, y, dy))
             jet = FrameState(*(v.reshape(t.shape + v.shape[1:]) for v in
                                (alpha, dalpha, d2alpha, spin, y, dy, d2y, omega)))
             for v in vars(jet).values():
@@ -242,15 +235,16 @@ def _polynomial(coeffs, tail: tuple = ()) -> tuple:
     coefficients, numbers or (3,) vectors (tail (3,)): the constant
     coefficient where the degree is 0, else a callable of times t (...) by
     Horner's rule in polyval's order, less its first step c[-1] + 0 t."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    c = np.atleast_1d(tc._finite(coeffs, (), True))
     if c.shape[1:] != tail or not 1 <= len(c) <= 4:
         raise UsageError("polynomial coefficients must be 1 to 4 numbers (degree <= 3)")
 
     def at(c, t):
         x = t[..., None] if tail else t
         return reduce(lambda v, ci: ci + v * x, c[-2::-1], c[-1])
-    return tuple(d[0] if len(d) == 1 else partial(at, list(d))
-                 for d in (npoly.polyder(c, m) for m in range(3)))
+    with np.errstate(over="ignore"):   # an overflowed rate is inf: the frame's jet rejects it
+        rates = [npoly.polyder(c, m) for m in range(3)]
+    return tuple(d[0] if len(d) == 1 else partial(at, list(d)) for d in rates)
 
 
 # Where the matrices (I, K, K^2, K, K^2, K, K^2) of the seven coefficients
@@ -268,7 +262,8 @@ class _RotationFactor:
     coefficients times a constant (7, 81) basis."""
 
     def __init__(self, axis, angle_coeffs):
-        n = tc.vec3(axis)
+        n = tc.vec3(axis)   # scaled exactly by a power of two: its norm cannot over- or underflow
+        n = np.ldexp(n, -np.frexp(np.abs(n).max())[1])
         norm = np.linalg.norm(n)
         if norm == 0.0:
             raise UsageError("rotation axis must be nonzero")
@@ -332,7 +327,7 @@ def accelerated_translation(coeffs) -> RigidFrameMotion:
     """Translation with per-axis polynomial trajectory (degree <= 3)."""
     if not isinstance(coeffs, (list, tuple, np.ndarray)) or len(coeffs) != 3:
         raise UsageError("expected polynomial coefficients for 3 axes, as a list of 3 lists")
-    axes = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
+    axes = [np.atleast_1d(tc._finite(c, (), True)) for c in coeffs]
     # Shorter axes are padded with zeros; an empty one is no polynomial.
     y = list(zip_longest(*axes, fillvalue=0.0)) if all(map(len, axes)) else []
     return _rigid_motion("accelerated_translation", y=y)
@@ -340,7 +335,8 @@ def accelerated_translation(coeffs) -> RigidFrameMotion:
 
 def constant_rotation(axis, rate: float) -> RigidFrameMotion:
     """Frame spinning at constant rate about a fixed axis through o."""
-    return _rigid_motion("constant_rotation", [_RotationFactor(axis, [0.0, float(rate)])])
+    return _rigid_motion("constant_rotation",
+                         [_RotationFactor(axis, [0.0, tc.number(rate, "rate")])])
 
 
 def wobble(angles_x, angles_y, angles_z) -> RigidFrameMotion:
@@ -351,7 +347,7 @@ def wobble(angles_x, angles_y, angles_z) -> RigidFrameMotion:
 
 def screw(axis, rate: float, velocity) -> RigidFrameMotion:
     """Constant rotation about an axis combined with uniform translation."""
-    return _rigid_motion("screw", [_RotationFactor(axis, [0.0, float(rate)])],
+    return _rigid_motion("screw", [_RotationFactor(axis, [0.0, tc.number(rate, "rate")])],
                          y=[np.zeros(3), tc.vec3(velocity)])
 
 
@@ -368,9 +364,8 @@ FRAME_CATALOG = {
 def make_frame(name: str, **params) -> RigidFrameMotion:
     """Construct a built-in frame by catalog name."""
     if name not in FRAME_CATALOG:
-        raise UsageError(
-            f"unknown frame {name!r}; valid frames: {sorted(FRAME_CATALOG)}")
+        raise UsageError(f"unknown frame {name!r}; valid frames: {sorted(FRAME_CATALOG)}")
     try:
         return FRAME_CATALOG[name](**params)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (UsageError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad parameters for frame {name!r}: {exc}") from exc

@@ -1,16 +1,15 @@
 """Frame-invariance verification checks and stress/traction machinery.
 
-Each check samples seeded (x, t) pairs and evaluates, over all N at once
-as (N, ...) arrays, one identity relating
-inertial-frame analytic derivatives to finite differences of the observed
-(pulled-back) field, and reports residual statistics.  ``CHECKS`` is the
-one table of checks; each is a kernel wrapped by ``_sampled``, the one
-driver, which checks the inputs and does the sampling and mapping.  Invariant
-quantities (velocity divergence, scalar gradients, strain rate) must
-agree after component transformation; variant quantities (velocity
-gradient, vorticity, acceleration) must agree only after adding the
-exact frame correction terms, whose magnitude is reported as a witness
-of non-invariance.
+Each check samples seeded (x, t) pairs and evaluates, over all N at once as
+(N, ...) arrays, one identity relating inertial-frame analytic derivatives
+to finite differences of the observed (pulled-back) field, and reports
+residual statistics.  ``CHECKS`` is the one table of checks; each is a
+kernel wrapped by ``_sampled``, the one driver, which checks the inputs and
+does the sampling and mapping.  Invariant quantities (velocity divergence,
+scalar gradients, strain rate) must agree after component transformation;
+variant quantities (velocity gradient, vorticity, acceleration) must agree
+only after adding the exact frame correction terms, whose magnitude is
+reported as a witness of non-invariance.
 """
 
 from __future__ import annotations
@@ -80,9 +79,9 @@ class BodyForce:
     g: np.ndarray            # [m/s^2]
     rho: float               # [kg/m^3]
 
-    def __post_init__(self):
-        if not 0.0 < self.rho < np.inf:
-            raise UsageError("density must be positive and finite")
+    def __post_init__(self):   # frozen: the values read replace the ones given
+        object.__setattr__(self, "g", tc.vec3(self.g))
+        object.__setattr__(self, "rho", tc.number(self.rho, "density", 0.0, strict=True))
 
 
 @dataclass(frozen=True)
@@ -111,12 +110,17 @@ class SampleSet:
                        None if witness is None else float(np.max(witness)))
 
 
+def box_pairs(box) -> tuple:
+    """box as three (lo, hi) pairs of numbers, lo < hi, with a finite width."""
+    pairs = tc._finite(box, (3, 2), False).tolist()   # Python floats: an overflow is inf, unwarned
+    if not all(lo < hi and hi - lo < np.inf for lo, hi in pairs):
+        raise UsageError(f"box must be three (lo, hi) pairs, lo < hi, finite width: {box!r}")
+    return tuple(map(tuple, pairs))
+
+
 def sample_points(box, n: int, rng: np.random.Generator):
     """n seeded (x, t) samples: x uniform in the box, t in the time window."""
-    pairs = [(float(lo), float(hi)) for lo, hi in box]   # an overflow is inf, unwarned
-    if len(pairs) != 3 or not all(lo < hi and hi - lo < np.inf for lo, hi in pairs):
-        raise UsageError(f"box must be three (lo, hi) pairs, lo < hi, finite width: {box!r}")
-    lo, hi = np.array(pairs).T
+    lo, hi = np.array(box_pairs(box)).T
     # rng.uniform's own formula, bit for bit, without its array-parameter overhead.
     xs = lo + (hi - lo) * rng.random((n, 3))
     ts = TIME_WINDOW[0] + (TIME_WINDOW[1] - TIME_WINDOW[0]) * rng.random(n)
@@ -124,21 +128,17 @@ def sample_points(box, n: int, rng: np.random.Generator):
 
 
 def _result(check_id, errs, tol, witness=None) -> CheckResult:
-    if not 0.0 <= tol < np.inf:
-        raise UsageError(f"tol must be nonnegative and finite, got {tol!r}")
-    mx = float(errs.max())
+    tol, mx = tc.number(tol, "tol", 0.0), float(errs.max())
     return CheckResult(check_id=check_id, samples=errs.size,
                        max_abs_err=mx, mean_abs_err=float(errs.mean()),
-                       tol=float(tol), passed=bool(mx <= tol),
-                       witness=witness)
+                       tol=tol, passed=bool(mx <= tol), witness=witness)
 
 
 def _sampled(kernel):
     """Turn a kernel into the public check of the same name, ``(frame, *inputs,
     box, samples, rng, fd, tol)``: inputs are ``(field, *needs)``, or the needs
     of a frame-only check.  Bad samples, box or tol raise UsageError.  The kernel
-    gets the SampleSet and the needs and returns the CheckResult.
-    """
+    gets the SampleSet and the needs and returns the CheckResult."""
     check_id, spec = next((cid, sp) for cid, sp in CHECKS.items()
                           if sp.function == kernel.__name__)
     pull_back = pull_back_scalar if spec.field is ScalarField else pull_back_velocity
@@ -146,8 +146,7 @@ def _sampled(kernel):
     def check(frame: RigidFrameMotion, *inputs, box=DEFAULT_BOX,
               samples=100, rng: np.random.Generator, fd: FdConfig = DEFAULT_FD,
               tol=spec.tol) -> CheckResult:
-        if samples < 1:
-            raise UsageError(f"samples must be at least 1, got {samples}")
+        samples = tc.integer(samples, "samples", 1)
         field, *needs = inputs if spec.field else (None, *inputs)
         xs, ts = sample_points(box, samples, rng)
         observed = None if field is None else pull_back(frame, field)
@@ -229,15 +228,13 @@ def check_vorticity_relation(s: SampleSet):
 
 def cauchy_traction(tau, n) -> np.ndarray:
     """Force per unit area on a surface with unit normal n: t_i = tau_ij n_j."""
-    tau = tc.mat3(tau)
-    n = tc.vec3(n, batch=True)
+    tau, n = tc.mat3(tau), tc.vec3(n, batch=True)
     norm = np.linalg.norm(n, axis=-1)
     worst = float(np.ravel(norm)[np.argmax(np.abs(norm - 1.0))])
     if abs(worst - 1.0) > 1e-6:
         raise UsageError(f"surface normal must be a unit vector (|n| = {worst})")
     if abs(worst - 1.0) > 1e-12:
-        warnings.warn("normalizing a slightly non-unit surface normal",
-                      stacklevel=2)
+        warnings.warn("normalizing a slightly non-unit surface normal", stacklevel=2)
     return tc.matvec(tau, n / norm[..., None])
 
 
@@ -267,8 +264,7 @@ def check_stress_transform_random(s: SampleSet):
 def _newtonian(p, mu: float, j) -> np.ndarray:
     """tau = -p I + 2 mu D from pressures (...) and velocity gradients j
     (..., 3, 3) through their strain rates D, with p and j not validated."""
-    if not 0.0 <= mu < np.inf:
-        raise UsageError("dynamic viscosity must be nonnegative and finite")
+    mu = tc.number(mu, "dynamic viscosity", 0.0)
     return np.multiply.outer(p, -np.eye(3)) + 2.0 * mu * diffops.strain_rate(j)
 
 

@@ -2,11 +2,11 @@
 
 A scenario document (YAML; JSON is accepted as a YAML subset) names the
 frames, fields, and checks to run plus sampling/FD parameters.  Unknown and
-repeated keys are rejected so typos cannot silently change a run, and the
-numbers and every frame and field (built and evaluated once) are validated
-here, so a malformed one fails before any check runs.  Reports are
-deterministic for a given (scenario, seed): every (frame, field, check)
-triple gets its own seeded generator, so execution order cannot change them.
+repeated keys are rejected so typos cannot silently change a run; numbers
+(by ``tensor_core``'s rule) and every frame and field (built and evaluated
+once) are validated here, so a malformed one fails before any check runs.
+Reports are deterministic for a given (scenario, seed): each (frame, field,
+check) triple has its own seeded generator, so no execution order alters them.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from functools import partial
 import numpy as np
 import yaml
 
-from . import objectivity as obj
+from . import objectivity as obj, tensor_core as tc
 from .diffops import _OFFSETS, FdConfig
-from .errors import FramekitError, ScenarioError
+from .errors import FramekitError, ScenarioError, UsageError
 from .fields import FIELD_CATALOG, FlowField, ScalarField, make_field
 from .frames import FRAME_CATALOG, make_frame
 
@@ -94,7 +94,7 @@ class Report:
 
 # Validators: each takes its parameters (bound with partial in the tables),
 # a document value and the quoted name of its key (what), and returns the
-# field's value or raises a one-line ScenarioError.
+# field's value or raises a one-line ScenarioError (or tensor_core's UsageError).
 
 def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
     """(name, params) of a catalog entry: a name, or a mapping with a name and
@@ -103,8 +103,7 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
     item = {"name": item} if isinstance(item, str) else item
     if not isinstance(item, dict):
         raise ScenarioError(f"{what} must be a name or mapping")
-    extra = set(item) - {"name", "params"}
-    if extra:
+    if extra := set(item) - {"name", "params"}:
         raise ScenarioError(f"unknown key(s) {sorted(extra, key=repr)} in {what}")
     name, params = item.get("name"), item.get("params")
     if not isinstance(name, str) or name not in catalog:
@@ -113,7 +112,7 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
     if not isinstance(params, dict):
         raise ScenarioError(f"'params' for {noun} {name!r} must be a mapping")
     try:
-        if _not_numbers(list(params.values())):   # a catalog reads true as 1, '2' as 2
+        if _not_numbers(list(params.values())):   # the alias guard, with its own message
             raise ValueError("parameter values must be finite numbers, not booleans or strings")
         with np.errstate(all="ignore"):
             built = catalog[name](**params)
@@ -142,43 +141,23 @@ def _list_of(entry, value, what: str) -> tuple:
 
 
 def _not_numbers(value) -> bool:
-    """Whether anything but an int or a finite float (a YAML bool: yes, on, true,
-    ...; a string, bytes, a NaN, a null) is anywhere in the lists and mappings
-    of value, a mapping's keys included.  ValueError past MAX_VALUES entries,
-    which only a self-containing value or nested YAML aliases reach."""
+    """Whether anything but a number (``tensor_core.is_number``: not a YAML bool,
+    a string, bytes, a NaN, a null) is in the lists and mappings of value, keys
+    included.  ValueError past MAX_VALUES entries, as nested YAML aliases reach."""
     pending = [value]
     for _ in range(MAX_VALUES):
         v = pending.pop()
         if isinstance(v, (dict, list, tuple)):
             pending += [*v, *v.values()] if isinstance(v, dict) else v
-        elif type(v) is not int and not (type(v) is float and math.isfinite(v)):
+        elif not tc.is_number(v):
             return True
         if not pending:
             return False
     raise ValueError(f"more than {MAX_VALUES} numbers, lists and mappings in one value")
 
 
-def _number(value, what: str, low: float = -math.inf, strict: bool = False) -> float:
-    """A finite int or float (not a YAML bool) >= low, or > low if strict."""
-    try:
-        x = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:
-        x = math.nan
-    if not (math.isfinite(x) and (x > low if strict else x >= low)):
-        bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
-        raise ScenarioError(f"{what} must be a finite number{bound}, got {value!r}")
-    return x
-
-
-def _integer(low: int, value, what: str, high=math.inf) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
-        bound = "" if high == math.inf else f" and <= {high:,}"
-        raise ScenarioError(f"{what} must be an integer >= {low}{bound}, got {value!r}")
-    return value
-
-
 def _order(value, what: str) -> int:
-    if type(value) is not int or value not in _OFFSETS:   # the orders diffops has
+    if not tc.is_number(value, integer=True) or value not in _OFFSETS:   # diffops' orders
         raise ScenarioError(f"{what} must be one of {sorted(_OFFSETS)}, got {value!r}")
     return value
 
@@ -186,22 +165,16 @@ def _order(value, what: str) -> int:
 def _vector(value, what: str) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ScenarioError(f"{what} must be a list of 3 numbers, got {value!r}")
-    return tuple(_number(v, f"{what} entry") for v in value)
+    return tuple(tc.number(v, f"{what} entry") for v in value)
 
 
 def _box(value, what: str) -> tuple:
-    try:
+    try:   # the walk guards the cast, which reads the nesting: [lo, hi] or three pairs
         box = np.empty(0) if _not_numbers(value) else np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        box = np.empty(0)
-    if box.shape == (2,):
-        box = np.tile(box, (3, 1))
-    # A width that overflows would make every triple's sampling raise.
-    if (box.shape != (3, 2) or not np.all(np.isfinite(box))
-            or not all(lo < hi and math.isfinite(hi - lo) for lo, hi in box.tolist())):
+        return obj.box_pairs(np.tile(box, (3, 1)) if box.shape == (2,) else box)
+    except (UsageError, TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{what} must be [lo, hi] or three [lo, hi] pairs of numbers "
-                            "with lo < hi and a finite width hi - lo")
-    return tuple((float(lo), float(hi)) for lo, hi in box)
+                            "with lo < hi and a finite width hi - lo") from None
 
 
 _DEFAULT = object()   # returned by a validator to keep the field's default
@@ -217,8 +190,7 @@ def _mapping(table: dict, cls, prefix: str, value, what: str):
     keeps its field's default; a field without one is required."""
     if not isinstance(value, dict):
         raise ScenarioError(f"{what} must be a mapping")
-    extra = set(value) - set(table)
-    if extra:
+    if extra := set(value) - set(table):
         raise ScenarioError(f"unknown {what} key(s) {sorted(extra, key=repr)}; "
                             f"valid keys: {sorted(table)}")
     for f in dc_fields(cls) if is_dataclass(cls) else ():
@@ -231,8 +203,8 @@ def _mapping(table: dict, cls, prefix: str, value, what: str):
 
 # The document's keys, each with its validator, in the order of the fields
 # they fill.  A key names its field, but for the renames in _FIELD.
-_nonnegative = partial(_number, low=0.0)
-_positive = partial(_number, low=0.0, strict=True)
+_nonnegative = partial(tc.number, low=0.0)
+_positive = partial(tc.number, low=0.0, strict=True)
 _FIELD = {"ht": "h_t"}
 _FD = {"h": _positive, "ht": _positive, "order": _order}
 _MATERIAL = {"mu": _nonnegative, "rho": _positive, "g": _vector, "conductivity": _nonnegative}
@@ -242,8 +214,8 @@ _SCENARIO = {
     "fields": partial(_list_of, partial(_entry, "field", FIELD_CATALOG)),
     "checks": partial(_list_of, _check_id),
     "box": _or_default(_box),
-    "samples": partial(_integer, 1, high=MAX_SAMPLES),
-    "seed": partial(_integer, 0),
+    "samples": partial(tc.integer, low=1, high=MAX_SAMPLES),
+    "seed": partial(tc.integer, low=0),
     "fd": _or_default(partial(_mapping, _FD, FdConfig, "fd.")),
     "tolerances": _or_default(partial(_mapping, _TOLERANCES, dict, "tolerances.")),
     "material": _or_default(partial(_mapping, _MATERIAL, Material, "material.")),
@@ -254,11 +226,15 @@ _SCENARIO = {
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; fill documented defaults."""
     try:
-        doc = yaml.load(text, Loader=_StrictLoader)
+        return _mapping(_SCENARIO, Scenario, "", yaml.load(text, Loader=_StrictLoader),
+                        "scenario")
     except yaml.YAMLError as exc:   # its message spans lines; the contract is one
         what = " ".join(str(exc).split())
         raise ScenarioError(f"scenario document is not valid YAML: {what}") from exc
-    return _mapping(_SCENARIO, Scenario, "", doc, "scenario")
+    except ScenarioError:
+        raise
+    except UsageError as exc:   # a number reader's, which names the key
+        raise ScenarioError(str(exc)) from exc
 
 
 def load_scenario(path) -> Scenario:
@@ -300,7 +276,7 @@ def run_suite(scenario: Scenario) -> Report:
     fields = [(i, name, make_field(name, **params))
               for i, (name, params) in enumerate(scenario.fields)]
     p_field = make_field(scenario.pressure[0], **scenario.pressure[1])
-    material = scenario.material
+    material, box = scenario.material, np.array(scenario.box)   # each driver reads it as is
     values = {"p_field": p_field, "mu": material.mu,
               "force": obj.BodyForce(g=np.asarray(material.g), rho=material.rho)}
 
@@ -319,7 +295,7 @@ def run_suite(scenario: Scenario) -> Report:
                         # Looked up per call, so that a patched module attribute is what runs.
                         res = getattr(obj, spec.function)(
                             frame, *inputs, *(values[name] for name in spec.needs),
-                            box=scenario.box, samples=scenario.samples, rng=rng,
+                            box=box, samples=scenario.samples, rng=rng,
                             fd=scenario.fd, tol=scenario.tolerance(check_id))
                         row.update(samples=res.samples, max_abs_err=res.max_abs_err,
                                    mean_abs_err=res.mean_abs_err, tol=res.tol,

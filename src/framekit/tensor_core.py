@@ -15,6 +15,8 @@ components of the primed basis vectors, so component transforms read
 Gradient-like matrices everywhere in this package store the derivative
 direction on the row: ``J[k, i] = d v_i / d x_k``.
 
+``is_number`` is the one number rule: ``number`` and ``integer`` read scalars
+by it, and ``_finite`` (``vec3``, ``mat3``) arrays.
 ``require_rotation`` is the one validator of a stack of rotations, and
 ``orthonormalized`` adds the repair of drift beyond round-off (polar factor);
 ``congruence(t, a) = a @ t @ a.T`` applies an alpha validated once, unchecked.
@@ -25,6 +27,9 @@ any input layout gives the same bits.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -37,14 +42,48 @@ ORTH_TOL = 1e-13
 ORTH_REPAIR_LIMIT = 1e-6
 
 _I3 = np.eye(3)
+# Entries that a float cast reads (or warns on) but that are no numbers.
+_NOT_NUMBERS = (bool, np.bool_, str, bytes, complex, np.complexfloating, type(None))
 
 
-def _finite(entries, shape: tuple, batch: bool) -> np.ndarray:
-    a = np.asarray(entries, dtype=float)
+def is_number(value, integer: bool = False) -> bool:
+    """The number rule: an int or float (with integer, an int) that is finite
+    as a float, numpy's real scalars included; never a bool, str, bytes, None."""
+    if isinstance(value, (float, np.floating)):   # finite as a Python float (not NaN)
+        return not integer and -math.inf < float(value) < math.inf
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and -sys.float_info.max <= int(value) <= sys.float_info.max)
+
+
+def number(value, what: str, low: float = -math.inf, strict: bool = False) -> float:
+    """A number >= low (> low if strict) as a float; else UsageError naming it what."""
+    x = float(value) if is_number(value) else math.nan
+    if not (x > low if strict else x >= low):   # as a NaN, no number is either
+        bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+        raise UsageError(f"{what} must be a finite number{bound}, got {value!r}")
+    return x
+
+
+def integer(value, what: str, low: int, high=math.inf) -> int:
+    """An integer number in [low, high] as an int; else UsageError naming it what."""
+    if not (is_number(value, integer=True) and low <= value <= high):
+        bound = "" if high == math.inf else f" and <= {high:,}"
+        raise UsageError(f"{what} must be an integer >= {low}{bound}, got {value!r}")
+    return int(value)
+
+
+def _finite(a, shape: tuple, batch: bool) -> np.ndarray:
+    """a as an array of finite floats of shape shape (its trailing shape, with batch)."""
+    if type(a) is not np.ndarray or a.dtype != float:
+        if any(issubclass(k, _NOT_NUMBERS) for k in set(map(type, np.asarray(a, object).flat))):
+            raise UsageError("entries must be numbers, not booleans, strings or None")
+        try:
+            a = np.asarray(a, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(str(exc)) from None
     if (a.shape[a.ndim - len(shape):] if batch else a.shape) != shape:
-        raise UsageError(f"expected {'a stack of ' if batch else ''}shape {shape}, "
-                         f"got {a.shape}")
-    if not np.isfinite(a).all():
+        raise UsageError(f"expected {'a stack of ' if batch else ''}shape {shape}, got {a.shape}")
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):   # all(), less its wrappers
         raise UsageError(f"non-finite entries in an array of shape {a.shape}")
     return a
 
@@ -100,14 +139,8 @@ def cross(a, b) -> np.ndarray:
 
 def levi_civita(i: int, j: int, k: int) -> float:
     """Permutation symbol for 1-based indices in {1, 2, 3}."""
-    for idx in (i, j, k):
-        if idx not in (1, 2, 3):
-            raise UsageError(f"levi_civita index out of range: {idx}")
-    if (i - j) * (i - k) * (j - k) == 0:
-        return 0.0
-    if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        return 1.0
-    return -1.0
+    i, j, k = (integer(idx, "levi_civita index", 1, 3) for idx in (i, j, k))
+    return (i - j) * (j - k) * (k - i) / 2
 
 
 def max_abs_entry(m):

@@ -353,6 +353,12 @@ def _bad_inputs():
         "newtonian-mu-nan": lambda: newtonian_stress(1.0, nan, zeros),
         "newtonian-mu-inf": lambda: newtonian_stress(1.0, np.inf, zeros),
         "gaussian-width-nan": lambda: make_field("gaussian_T", width=nan),
+        # No number by the package's one rule (tensor_core.is_number).
+        "fd-h-true": lambda: diffops.FdConfig(h=True),
+        "fd-order-float": lambda: diffops.FdConfig(order=4.0),
+        "density-true": lambda: BodyForce(g=np.zeros(3), rho=True),
+        "gravity-string": lambda: BodyForce(g="abc", rho=1.0),
+        "newtonian-mu-true": lambda: newtonian_stress(1.0, True, zeros),
     }
     for n in (0, -1):
         calls[f"divergence-samples{n}"] = lambda n=n: obj.check_divergence_invariance(
@@ -371,9 +377,9 @@ def test_public_boundary_rejects_bad_input(call):
 
 
 def public_check(check_id, **kwargs):
-    """check_id's public check at 5 samples under wobble, on taylor_green (a
-    scalar check on gaussian_T; a frame-only check on no field), with the
-    scenario defaults as its needs."""
+    """check_id's public check at 5 samples (unless kwargs say otherwise)
+    under wobble, on taylor_green (a scalar check on gaussian_T; a frame-only
+    check on no field), with the scenario defaults as its needs."""
     spec = obj.CHECKS[check_id]
     fields = {FlowField: builtin_flows()["taylor_green"],
               ScalarField: builtin_scalars()["gaussian_T"]}
@@ -382,16 +388,19 @@ def public_check(check_id, **kwargs):
     inputs = [fields[spec.field]] if spec.field else []
     return getattr(obj, spec.function)(
         builtin_frames()["wobble"], *inputs, *(values[name] for name in spec.needs),
-        samples=5, rng=seeded(), **kwargs)
+        rng=seeded(), **{"samples": 5, **kwargs})
 
 
 def _bad_tols_and_boxes():
-    """Each public check on each bad tol and box, and the two-route stress
-    check on each bad tol."""
+    """Each public check on each bad tol, box and sample count, and the
+    two-route stress check on each bad tol."""
     nan, unit = float("nan"), (-1.0, 1.0)
     bad = {"tol-nan": {"tol": nan}, "tol-negative": {"tol": -1.0},
-           "tol-inf": {"tol": np.inf},
+           "tol-inf": {"tol": np.inf}, "tol-true": {"tol": True},
+           "samples-true": {"samples": True}, "samples-fractional": {"samples": 2.5},
+           "samples-string": {"samples": "3"},
            "box-nan": {"box": ((nan, 1.0), unit, unit)},
+           "box-true": {"box": ((True, 2.0), unit, unit)},
            "box-inverted": {"box": (unit, (1.0, -1.0), unit)},
            "box-zero-width": {"box": (unit, unit, (0.5, 0.5))},
            "box-overflowing-width": {"box": ((-1e308, 1e308), unit, unit)}}
@@ -405,8 +414,9 @@ def _bad_tols_and_boxes():
 
 @pytest.mark.parametrize("call", _bad_tols_and_boxes())
 def test_every_check_rejects_a_bad_tol_or_box(call):
-    # A NaN, negative or infinite tol would report a silent false verdict, and
-    # a box with a NaN, an empty or an overflowing width cannot be sampled.
+    # A NaN, negative, infinite or boolean tol would report a silent false
+    # verdict; a box with a NaN, a boolean, an empty or an overflowing width
+    # cannot be sampled, nor can a sample count that is no integer.
     with pytest.raises(UsageError):
         call()
 
