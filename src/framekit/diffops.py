@@ -13,7 +13,9 @@ field once, in one layout: stencil axes first, then the caller's batch,
 then components.  Only the offset points (or times) carry the stencil
 axes, so an observed field reads its frame's jet at the caller's times,
 once per time, not once per point.  curl is -2 ``tensor_core.axial`` of J;
-the Newtonian law is built from D, ``strain_rate``.
+the Newtonian law is built from D, ``strain_rate``.  The three take a
+caller's J validated; the checks call their unvalidated private forms on
+FD Jacobians, so an overflowed one gives a non-finite residual, not an error.
 """
 
 from __future__ import annotations
@@ -135,21 +137,35 @@ def fd_viscous_divergence(field, x_prime, t,
     return lap + grad_div
 
 
+def _divergence(j) -> np.ndarray:
+    """trace of velocity gradients j (..., 3, 3), not validated."""
+    return np.trace(j, axis1=-2, axis2=-1)
+
+
+def _curl(j) -> np.ndarray:
+    """Curl from Jacobians j (..., 3, 3) with J[..., k, i] = d_k v_i, not
+    validated: the axial vector of the antisymmetric part of J.T, so -2 axial(J)."""
+    return -2.0 * tc.axial(j)
+
+
+def _strain_rate(j) -> np.ndarray:
+    """Symmetric part of velocity gradients j (..., 3, 3), not validated."""
+    return 0.5 * (j + tc.transpose(j))
+
+
 def divergence(j) -> np.ndarray:
-    """trace of the velocity gradient."""
-    return np.trace(np.asarray(j, dtype=float), axis1=-2, axis2=-1)
+    """trace of the velocity gradient, as ``_divergence``, with j validated."""
+    return _divergence(tc.mat3(j))
 
 
 def curl(j) -> np.ndarray:
-    """Curl from a Jacobian with J[..., k, i] = d_k v_i: the axial vector of
-    the antisymmetric part of J.T, so -2 axial(J)."""
-    return -2.0 * tc.axial(np.asarray(j, dtype=float))
+    """Curl from a Jacobian, as ``_curl``, with j validated."""
+    return _curl(tc.mat3(j))
 
 
 def strain_rate(j) -> np.ndarray:
-    """Symmetric part of the velocity gradient."""
-    j = np.asarray(j, dtype=float)
-    return 0.5 * (j + tc.transpose(j))
+    """Symmetric part of the velocity gradient, as ``_strain_rate``, with j validated."""
+    return _strain_rate(tc.mat3(j))
 
 
 def substantial_derivative(field, advecting, x, t,

@@ -166,8 +166,8 @@ def _sampled(kernel):
 @_sampled
 def check_divergence_invariance(s: SampleSet):
     """div v (analytic, inertial) vs div' V (FD on the observed field)."""
-    div_s = diffops.divergence(s.field.jacobian(s.xs, s.ts))
-    div_sp = diffops.divergence(diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd))
+    div_s = diffops._divergence(s.field.jacobian(s.xs, s.ts))
+    div_sp = diffops._divergence(diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd))
     return s.result(div_s - div_sp)
 
 
@@ -201,14 +201,14 @@ def check_velocity_gradient_relation(s: SampleSet):
     j_sp = diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd)
     corr = velocity_gradient_correction(s.frame, s.ts)
     return s.result(j_s - (tc.congruence(j_sp, s.alpha) + corr),
-                    np.linalg.norm(diffops.curl(corr), axis=-1))
+                    np.linalg.norm(diffops._curl(corr), axis=-1))
 
 
 @_sampled
 def check_strain_rate_invariance(s: SampleSet):
     """Symmetric velocity-gradient parts agree as objective 2-tensors."""
-    s_s = diffops.strain_rate(s.field.jacobian(s.xs, s.ts))
-    s_sp = diffops.strain_rate(diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd))
+    s_s = diffops._strain_rate(s.field.jacobian(s.xs, s.ts))
+    s_sp = diffops._strain_rate(diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd))
     return s.result(s_s - tc.congruence(s_sp, s.alpha))
 
 
@@ -216,8 +216,8 @@ def check_strain_rate_invariance(s: SampleSet):
 def check_vorticity_relation(s: SampleSet):
     """curl v = (curl' V transformed) + 2*omega; witness = max |2*omega|."""
     omega = omega_from_alpha(s.frame, s.ts).omega
-    w_s = diffops.curl(s.field.jacobian(s.xs, s.ts))
-    w_sp = diffops.curl(diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd))
+    w_s = diffops._curl(s.field.jacobian(s.xs, s.ts))
+    w_sp = diffops._curl(diffops.fd_jacobian(s.observed, s.xp, s.ts, s.fd))
     return s.result(w_s - (tc.matvec(s.alpha, w_sp) + 2.0 * omega),
                     np.linalg.norm(2.0 * omega, axis=-1))
 
@@ -265,12 +265,12 @@ def _newtonian(p, mu: float, j) -> np.ndarray:
     """tau = -p I + 2 mu D from pressures (...) and velocity gradients j
     (..., 3, 3) through their strain rates D, with p and j not validated."""
     mu = tc.number(mu, "dynamic viscosity", 0.0)
-    return np.multiply.outer(p, -np.eye(3)) + 2.0 * mu * diffops.strain_rate(j)
+    return np.multiply.outer(p, -np.eye(3)) + 2.0 * mu * diffops._strain_rate(j)
 
 
 def newtonian_stress(p, mu: float, j) -> np.ndarray:
-    """Cauchy stress -p I + 2 mu D, (..., 3, 3), as ``_newtonian``, with j validated."""
-    return _newtonian(p, mu, tc.mat3(j))
+    """Cauchy stress -p I + 2 mu D, (..., 3, 3), as ``_newtonian``, with p and j validated."""
+    return _newtonian(tc._finite(p, (), True), mu, tc.mat3(j))
 
 
 @_sampled

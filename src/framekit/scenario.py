@@ -98,8 +98,9 @@ class Report:
 
 def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
     """(name, params) of a catalog entry: a name, or a mapping with a name and
-    params.  The entry is built and evaluated once at x = 0, t = 0, so that bad
-    params fail here rather than in every triple."""
+    params.  The entry is built and evaluated, a field once at x = 0, t = 0, a
+    frame over the checks' time window (``window_state``), so that bad params
+    fail here rather than in every triple."""
     item = {"name": item} if isinstance(item, str) else item
     if not isinstance(item, dict):
         raise ScenarioError(f"{what} must be a name or mapping")
@@ -117,7 +118,7 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
         with np.errstate(all="ignore"):
             built = catalog[name](**params)
             if noun == "frame":   # the frame's whole jet is validated where computed
-                built.state(0.0)
+                built.window_state(*obj.TIME_WINDOW)
             elif not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
                          for f in vars(built).values() if callable(f)):
                 raise ValueError("non-finite value at x = 0, t = 0")

@@ -1,11 +1,16 @@
 """Angular-velocity extraction, frame mapping, and observed velocities."""
 
+import os
+import subprocess
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.polynomial import polynomial as npoly
 
 from framekit import (InvariantViolationError, RigidFrameMotion, UsageError,
@@ -637,3 +642,41 @@ class TestRotationKinematicsOracle:
                 assert value.shape == shape + tail
                 assert not value.flags.writeable
                 assert np.array_equal(value, np.zeros(shape + tail))
+
+
+# Finite coefficients, the signed zeros and the extremes among them, whose
+# rates overflow to inf: 1 to 4 numbers, or of (3,) vectors.
+COEFFICIENTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324]))
+POLYNOMIALS = st.one_of(st.tuples(st.integers(1, 4)), st.tuples(st.integers(1, 4), st.just(3))
+                        ).flatmap(lambda shape: arrays(np.float64, shape, elements=COEFFICIENTS))
+
+
+class TestPolynomialRates:
+    """A frame polynomial's rates are numpy's polyder, computed without it."""
+
+    @settings(max_examples=400)
+    @given(coeffs=POLYNOMIALS)
+    def test_rates_are_polyders_bit_for_bit(self, coeffs):
+        # A part's coefficients: the constant itself, or those its Horner
+        # closure holds; compared as bytes, so the sign of a zero counts.
+        tail = coeffs.shape[1:]
+        parts = frames._polynomial(coeffs, tail)[:3]
+        for m, part in enumerate(parts):
+            with np.errstate(over="ignore"):
+                want = npoly.polyder(coeffs, m)
+            got = np.array(part.args[0] if callable(part) else [part])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (coeffs, m)
+
+    def test_a_run_loads_no_numpy_polynomial(self):
+        # Its own process: this module and others import numpy.polynomial.
+        code = ("import sys, framekit\n"
+                "framekit.run_suite(framekit.load_scenario(sys.argv[1]))\n"
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+        root = Path(__file__).resolve().parents[1]
+        paths = [str(Path(frames.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        run = subprocess.run([sys.executable, "-c", code, str(root / "scenarios/minimal.yaml")],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from framekit import (FIELD_CATALOG, FRAME_CATALOG, FramekitError, ScenarioError,
                       UsageError, parse_scenario)
 from framekit import tensor_core as tc
+from framekit.objectivity import TIME_WINDOW
 
 # Valid values of the parameters that have no default.
 REQUIRED = {
@@ -103,7 +104,7 @@ def library_rejects(noun, name, params) -> bool:
     with np.errstate(all="ignore"):
         try:
             if noun == "frame":
-                built.state(0.0)
+                built.window_state(*TIME_WINDOW)
                 return False
             return not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
                            for f in vars(built).values() if callable(f))

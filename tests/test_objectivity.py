@@ -335,7 +335,9 @@ def _bad_inputs():
     rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     functions = {"transform": lambda t: tc.transform_tensor2(t, rotation),
                  "untransform": lambda t: tc.untransform_tensor2(t, rotation),
-                 "newtonian": lambda t: newtonian_stress(1.0, 0.5, t)}
+                 "newtonian": lambda t: newtonian_stress(1.0, 0.5, t),
+                 "divergence": diffops.divergence, "curl": diffops.curl,
+                 "strain_rate": diffops.strain_rate}
     cases = [pytest.param(lambda fn=fn, tensor=tensor: fn(tensor), id=f"{f}-{t}")
              for f, fn in functions.items() for t, tensor in tensors.items()]
     frame, flow = builtin_frames()["wobble"], builtin_flows()["taylor_green"]
@@ -359,6 +361,9 @@ def _bad_inputs():
         "density-true": lambda: BodyForce(g=np.zeros(3), rho=True),
         "gravity-string": lambda: BodyForce(g="abc", rho=1.0),
         "newtonian-mu-true": lambda: newtonian_stress(1.0, True, zeros),
+        "newtonian-p-true": lambda: newtonian_stress(True, 0.5, np.eye(3)),
+        "divergence-bool-and-string": lambda: diffops.divergence(
+            [[True, 0, 0], [0, "1", 0], [0, 0, 1]]),
     }
     for n in (0, -1):
         calls[f"divergence-samples{n}"] = lambda n=n: obj.check_divergence_invariance(

@@ -195,6 +195,17 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
     # Finite params whose field is not finite where the parse probes it.
     "underflowing_gaussian_width": document(
         fields="[{name: gaussian_T, params: {width: 1.0e-200}}]"),
+    # Finite params whose frame is finite at t = 0 but not over the time
+    # window [0, 1]: at its end, and only where a rate or the trajectory peaks.
+    "angle_rate_overflowing_in_window": document(
+        frames="[{name: wobble, params: {angles_x: [0.0, 0.0, 1.0e174], "
+               "angles_y: [0.3, 0.7], angles_z: [0.0, 1.1]}}]"),
+    "angle_rate_overflowing_at_its_peak": document(
+        frames="[{name: wobble, params: {angles_x: [0.0, 0.0, 2.0e160, -1.3333333333333333e160], "
+               "angles_y: [0.0], angles_z: [0.0]}}]"),
+    "trajectory_overflowing_at_its_peak": document(
+        frames="[{name: accelerated_translation, "
+               "params: {coeffs: [[1.7e308, 4.0e307, -4.0e307], [0.0], [0.0]]}}]"),
 }
 
 # What each case that the duplicate-key check could mask is rejected for:
@@ -238,6 +249,10 @@ OWN_REASON = {
     "quoted_axis_coefficient": "bad parameters for frame 'accelerated_translation'",
     "quoted_field_velocity": "bad parameters for field 'uniform'",
     "underflowing_gaussian_width": "non-finite value at x = 0, t = 0",
+    "angle_rate_overflowing_in_window": "bad parameters for frame 'wobble': non-finite entries",
+    "angle_rate_overflowing_at_its_peak": "bad parameters for frame 'wobble': non-finite entries",
+    "trajectory_overflowing_at_its_peak":
+        "bad parameters for frame 'accelerated_translation': non-finite entries",
     "binary_tolerance": "'tolerances.div_invariance' must be a finite number >= 0, got b'1'",
     "binary_frame_rate": "bad parameters for frame 'constant_rotation': parameter values must",
 }
