@@ -37,18 +37,25 @@ class FdConfig:
     h_t: float = 1e-5    # time step [s]
     order: int = 4       # central-difference order for first derivatives
 
-    def __post_init__(self):
-        for step in ("h", "h_t"):
-            tc.number(getattr(self, step), f"finite-difference step {step}", 0.0, strict=True)
-        if not tc.is_number(self.order, integer=True) or self.order not in (2, 4):
+    def __post_init__(self):   # a step's reach must be finite, as its stencil points are
+        if not tc.is_number(self.order, integer=True) or self.order not in _OFFSETS:
             raise UsageError(f"unsupported stencil order {self.order!r}")
+        for step in ("h", "h_t"):
+            value = tc.number(getattr(self, step), f"finite-difference step {step}", 0.0,
+                              strict=True)
+            if np.isinf(self.reach(value)):
+                raise UsageError(f"finite-difference step {step} = {value!r} reaches past the "
+                                 f"largest float at stencil order {self.order}")
 
+    def reach(self, step: float) -> float:
+        """How far the first-derivative stencil reaches: its largest offset times step."""
+        return float(_OFFSETS[self.order][0]) * step
+
+
+# Central first-derivative offsets, in units of the step, the largest first.
+_OFFSETS = {2: np.array([1.0, -1.0]), 4: np.array([2.0, 1.0, -1.0, -2.0])}
 
 DEFAULT_FD = FdConfig()
-
-
-# Central first-derivative offsets, in units of the step.
-_OFFSETS = {2: np.array([1.0, -1.0]), 4: np.array([2.0, 1.0, -1.0, -2.0])}
 
 # Order-2 second-derivative stencil, in units of h: the centre, +-e_a for
 # each axis, then +e_a+e_b, +e_a-e_b, -e_a+e_b, -e_a-e_b for each pair a < b.

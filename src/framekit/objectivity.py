@@ -3,13 +3,14 @@
 Each check samples seeded (x, t) pairs and evaluates, over all N at once as
 (N, ...) arrays, one identity relating inertial-frame analytic derivatives
 to finite differences of the observed (pulled-back) field, and reports
-residual statistics.  ``CHECKS`` is the one table of checks; each is a
-kernel wrapped by ``_sampled``, the one driver, which checks the inputs and
-does the sampling and mapping.  Invariant quantities (velocity divergence,
-scalar gradients, strain rate) must agree after component transformation;
-variant quantities (velocity gradient, vorticity, acceleration) must agree
-only after adding the exact frame correction terms, whose magnitude is
-reported as a witness of non-invariance.
+residual statistics.  Each check is one kernel that ``_sampled`` declares,
+with its id, tolerance, field kind and needs: the decorator enters it in
+``CHECKS``, the one registry, and wraps it in the one driver, which checks
+the inputs and does the sampling and mapping.  Invariant quantities
+(velocity divergence, scalar gradients, strain rate) must agree after
+component transformation; variant quantities (velocity gradient,
+vorticity, acceleration) must agree only after adding the exact frame
+correction terms, whose magnitude is reported as a witness of non-invariance.
 """
 
 from __future__ import annotations
@@ -30,32 +31,17 @@ from .frames import RigidFrameMotion, map_position_to_prime, omega_from_alpha
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One check: the name of its public function (looked up at call time),
-    its default tolerance, the field kind it runs on (None: a frame-only
-    check, which takes no field), and the scenario values ("p_field",
-    "force", "mu") it takes after the field."""
+    """One check, as ``_sampled`` declares it: the name of its public function
+    (looked up at call time), its default tolerance, the field kind it runs
+    on (None: a frame-only check, which takes no field), and the scenario
+    values ("p_field", "force", "mu") it takes after the field."""
     function: str
     tol: float
-    field: Optional[type] = FlowField
-    needs: tuple = ()
+    field: Optional[type]
+    needs: tuple
 
 
-CHECKS = {
-    "div_invariance": CheckSpec("check_divergence_invariance", 1e-6),
-    "scalar_grad_invariance": CheckSpec("check_scalar_gradient_invariance", 1e-6, ScalarField),
-    "velgrad_relation": CheckSpec("check_velocity_gradient_relation", 1e-6),
-    "strain_rate_invariance": CheckSpec("check_strain_rate_invariance", 1e-6),
-    "vorticity_relation": CheckSpec("check_vorticity_relation", 1e-6),
-    "stress_transform": CheckSpec("check_stress_transform_random", 1e-12, field=None),
-    "constitutive_invariance": CheckSpec("check_constitutive_frame_invariance", 1e-6,
-                                         needs=("p_field", "mu")),
-    "acceleration_decomposition": CheckSpec("check_acceleration_decomposition", 1e-5),
-    "ns_rhs_equivalence": CheckSpec("check_ns_rhs_equivalence", 1e-4,
-                                    needs=("p_field", "force", "mu")),
-}
-
-CHECK_IDS = tuple(CHECKS)
-DEFAULT_TOLERANCES = {check_id: spec.tol for check_id, spec in CHECKS.items()}
+CHECKS = {}   # check id -> CheckSpec, in the kernels' definition order
 
 DEFAULT_BOX = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
 TIME_WINDOW = (0.0, 1.0)
@@ -134,36 +120,39 @@ def _result(check_id, errs, tol, witness=None) -> CheckResult:
                        tol=tol, passed=bool(mx <= tol), witness=witness)
 
 
-def _sampled(kernel):
-    """Turn a kernel into the public check of the same name, ``(frame, *inputs,
-    box, samples, rng, fd, tol)``: inputs are ``(field, *needs)``, or the needs
-    of a frame-only check.  Bad samples, box or tol raise UsageError.  The kernel
-    gets the SampleSet and the needs and returns the CheckResult."""
-    check_id, spec = next((cid, sp) for cid, sp in CHECKS.items()
-                          if sp.function == kernel.__name__)
-    pull_back = pull_back_scalar if spec.field is ScalarField else pull_back_velocity
+def _sampled(check_id: str, tol: float, field: Optional[type] = FlowField, needs: tuple = ()):
+    """Declare a check: enter ``CheckSpec(kernel.__name__, tol, field, needs)`` in
+    ``CHECKS`` as check_id, and turn the kernel into the public check of the same
+    name, ``(frame, *inputs, box, samples, rng, fd, tol)``: inputs are ``(field,
+    *needs)``, or the needs of a frame-only check.  Bad samples, box or tol raise
+    UsageError.  The kernel gets the SampleSet and the needs and returns the
+    CheckResult."""
+    def declare(kernel):
+        CHECKS[check_id] = CheckSpec(kernel.__name__, tol, field, needs)
+        pull_back = pull_back_scalar if field is ScalarField else pull_back_velocity
 
-    def check(frame: RigidFrameMotion, *inputs, box=DEFAULT_BOX,
-              samples=100, rng: np.random.Generator, fd: FdConfig = DEFAULT_FD,
-              tol=spec.tol) -> CheckResult:
-        samples = tc.integer(samples, "samples", 1)
-        field, *needs = inputs if spec.field else (None, *inputs)
-        xs, ts = sample_points(box, samples, rng)
-        observed = None if field is None else pull_back(frame, field)
-        xp = None if field is None else map_position_to_prime(frame, xs, ts)
-        return kernel(SampleSet(check_id, tol, rng, frame, field, observed, fd, xs, ts,
-                                frame.alpha(ts), xp), *needs)
+        def check(frame: RigidFrameMotion, *inputs, box=DEFAULT_BOX,
+                  samples=100, rng: np.random.Generator, fd: FdConfig = DEFAULT_FD,
+                  tol=tol) -> CheckResult:
+            samples = tc.integer(samples, "samples", 1)
+            field_obj, *values = inputs if field else (None, *inputs)
+            xs, ts = sample_points(box, samples, rng)
+            observed = None if field_obj is None else pull_back(frame, field_obj)
+            xp = None if field_obj is None else map_position_to_prime(frame, xs, ts)
+            return kernel(SampleSet(check_id, tol, rng, frame, field_obj, observed, fd, xs, ts,
+                                    frame.alpha(ts), xp), *values)
 
-    check.__name__ = check.__qualname__ = kernel.__name__
-    check.__doc__ = kernel.__doc__
-    return check
+        check.__name__ = check.__qualname__ = kernel.__name__
+        check.__doc__ = kernel.__doc__
+        return check
+    return declare
 
 
 # --------------------------------------------------------------------------
 # Kinematic invariance / variance checks
 # --------------------------------------------------------------------------
 
-@_sampled
+@_sampled("div_invariance", 1e-6)
 def check_divergence_invariance(s: SampleSet):
     """div v (analytic, inertial) vs div' V (FD on the observed field)."""
     div_s = diffops._divergence(s.field.jacobian(s.xs, s.ts))
@@ -171,7 +160,7 @@ def check_divergence_invariance(s: SampleSet):
     return s.result(div_s - div_sp)
 
 
-@_sampled
+@_sampled("scalar_grad_invariance", 1e-6, ScalarField)
 def check_scalar_gradient_invariance(s: SampleSet):
     """grad T transforms as an objective vector between the two frames."""
     g_s = s.field.gradient(s.xs, s.ts)
@@ -189,7 +178,7 @@ def velocity_gradient_correction(frame: RigidFrameMotion, t) -> np.ndarray:
     return frame.alpha(t) @ tc.transpose(frame.dalpha_dt(t))
 
 
-@_sampled
+@_sampled("velgrad_relation", 1e-6)
 def check_velocity_gradient_relation(s: SampleSet):
     """grad v = (grad' V transformed to unprimed components) + correction.
 
@@ -204,7 +193,7 @@ def check_velocity_gradient_relation(s: SampleSet):
                     np.linalg.norm(diffops._curl(corr), axis=-1))
 
 
-@_sampled
+@_sampled("strain_rate_invariance", 1e-6)
 def check_strain_rate_invariance(s: SampleSet):
     """Symmetric velocity-gradient parts agree as objective 2-tensors."""
     s_s = diffops._strain_rate(s.field.jacobian(s.xs, s.ts))
@@ -212,7 +201,7 @@ def check_strain_rate_invariance(s: SampleSet):
     return s.result(s_s - tc.congruence(s_sp, s.alpha))
 
 
-@_sampled
+@_sampled("vorticity_relation", 1e-6)
 def check_vorticity_relation(s: SampleSet):
     """curl v = (curl' V transformed) + 2*omega; witness = max |2*omega|."""
     omega = omega_from_alpha(s.frame, s.ts).omega
@@ -238,6 +227,13 @@ def cauchy_traction(tau, n) -> np.ndarray:
     return tc.matvec(tau, n / norm[..., None])
 
 
+@_sampled("stress_transform", 1e-12, field=None)
+def check_stress_transform_random(s: SampleSet):
+    """Random 3x3 stresses, drawn after the samples, against the frame's rotation."""
+    tau = s.rng.uniform(-1.0, 1.0, size=(s.ts.size, 3, 3))
+    return check_stress_tensor_transform(tau, s.alpha, tol=s.tol)
+
+
 def check_stress_tensor_transform(tau_in_s, alpha,
                                   tol=CHECKS["stress_transform"].tol) -> CheckResult:
     """Physical traction-composition route vs the algebraic 2-tensor transform.
@@ -254,13 +250,6 @@ def check_stress_tensor_transform(tau_in_s, alpha,
                    tc.max_abs_entry(physical - tc.congruence(tau, faces)), tol)
 
 
-@_sampled
-def check_stress_transform_random(s: SampleSet):
-    """Random 3x3 stresses, drawn after the samples, against the frame's rotation."""
-    tau = s.rng.uniform(-1.0, 1.0, size=(s.ts.size, 3, 3))
-    return check_stress_tensor_transform(tau, s.alpha, tol=s.tol)
-
-
 def _newtonian(p, mu: float, j) -> np.ndarray:
     """tau = -p I + 2 mu D from pressures (...) and velocity gradients j
     (..., 3, 3) through their strain rates D, with p and j not validated."""
@@ -273,7 +262,7 @@ def newtonian_stress(p, mu: float, j) -> np.ndarray:
     return _newtonian(tc._finite(p, (), True), mu, tc.mat3(j))
 
 
-@_sampled
+@_sampled("constitutive_invariance", 1e-6, needs=("p_field", "mu"))
 def check_constitutive_frame_invariance(s: SampleSet, p_field: ScalarField, mu: float):
     """The Newtonian law built per-frame yields the same objective stress."""
     observed_p = pull_back_scalar(s.frame, p_field)
@@ -293,7 +282,7 @@ def inertial_acceleration(flow: FlowField, x, t) -> np.ndarray:
     return flow.dv_dt(x, t) + tc.matvec(tc.transpose(j), flow.velocity(x, t))
 
 
-@_sampled
+@_sampled("acceleration_decomposition", 1e-5)
 def check_acceleration_decomposition(s: SampleSet):
     """Inertial acceleration vs translational + observed + Coriolis +
     Euler + centrifugal terms, all reduced to unprimed components."""
@@ -316,12 +305,13 @@ def check_acceleration_decomposition(s: SampleSet):
 def inertial_ns_rhs(flow: FlowField, p_field: ScalarField, force: BodyForce,
                     mu: float, x, t) -> np.ndarray:
     """-grad p + mu div(grad v + (grad v)^T) + rho g, analytic, inertial."""
+    mu = tc.number(mu, "dynamic viscosity", 0.0)
     return (-p_field.gradient(x, t)
             + mu * flow.visc_div(x, t)
             + force.rho * force.g)
 
 
-@_sampled
+@_sampled("ns_rhs_equivalence", 1e-4, needs=("p_field", "force", "mu"))
 def check_ns_rhs_equivalence(s: SampleSet, p_field: ScalarField, force: BodyForce,
                              mu: float):
     """Momentum-equation right-hand sides agree as objective vectors.
@@ -329,9 +319,14 @@ def check_ns_rhs_equivalence(s: SampleSet, p_field: ScalarField, force: BodyForc
     The primed side uses nested finite differences (second derivatives of
     the observed velocity), hence the looser default tolerance.
     """
+    mu = tc.number(mu, "dynamic viscosity", 0.0)
     observed_p = pull_back_scalar(s.frame, p_field)
     rhs_s = inertial_ns_rhs(s.field, p_field, force, mu, s.xs, s.ts)
     rhs_sp = (-diffops.fd_gradient(observed_p, s.xp, s.ts, s.fd)
               + mu * diffops.fd_viscous_divergence(s.observed, s.xp, s.ts, s.fd)
               + force.rho * tc.matvec(tc.transpose(s.alpha), force.g))
     return s.result(rhs_s - tc.matvec(s.alpha, rhs_sp))
+
+
+CHECK_IDS = tuple(CHECKS)
+DEFAULT_TOLERANCES = {check_id: spec.tol for check_id, spec in CHECKS.items()}

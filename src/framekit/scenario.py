@@ -96,11 +96,11 @@ class Report:
 # a document value and the quoted name of its key (what), and returns the
 # field's value or raises a one-line ScenarioError (or tensor_core's UsageError).
 
-def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
+def _entry(noun: str, catalog, item, what: str, scalar: bool = False, window=None) -> tuple:
     """(name, params) of a catalog entry: a name, or a mapping with a name and
     params.  The entry is built and evaluated, a field once at x = 0, t = 0, a
-    frame over the checks' time window (``window_state``), so that bad params
-    fail here rather than in every triple."""
+    frame over a window of times (``window_state``) when given one (see
+    ``_probe_frames``), so that bad params fail here rather than in every triple."""
     item = {"name": item} if isinstance(item, str) else item
     if not isinstance(item, dict):
         raise ScenarioError(f"{what} must be a name or mapping")
@@ -117,16 +117,26 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
             raise ValueError("parameter values must be finite numbers, not booleans or strings")
         with np.errstate(all="ignore"):
             built = catalog[name](**params)
-            if noun == "frame":   # the frame's whole jet is validated where computed
-                built.window_state(*obj.TIME_WINDOW)
-            elif not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
-                         for f in vars(built).values() if callable(f)):
+            if window:   # the frame's whole jet is validated where computed
+                built.window_state(*window)
+            elif noun == "field" and not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
+                                             for f in vars(built).values() if callable(f)):
                 raise ValueError("non-finite value at x = 0, t = 0")
     except (FramekitError, TypeError, ValueError, ArithmeticError) as exc:
         raise ScenarioError(f"bad parameters for {noun} {name!r}: {exc}") from exc
     if scalar and not isinstance(built, ScalarField):
         raise ScenarioError(f"{what} must name a scalar field")
     return name, dict(params)
+
+
+def _probe_frames(scenario: Scenario) -> Scenario:
+    """scenario, its frames evaluated at every time a check reads them: over
+    the time window widened on each side by the reach of fd's time stencil."""
+    reach = scenario.fd.reach(scenario.fd.h_t)
+    window = (obj.TIME_WINDOW[0] - reach, obj.TIME_WINDOW[1] + reach)
+    for name, params in scenario.frames:
+        _entry("frame", FRAME_CATALOG, {"name": name, "params": params}, "", window=window)
+    return scenario
 
 
 def _check_id(value, what: str) -> str:
@@ -227,8 +237,8 @@ _SCENARIO = {
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; fill documented defaults."""
     try:
-        return _mapping(_SCENARIO, Scenario, "", yaml.load(text, Loader=_StrictLoader),
-                        "scenario")
+        return _probe_frames(_mapping(_SCENARIO, Scenario, "",
+                                      yaml.load(text, Loader=_StrictLoader), "scenario"))
     except yaml.YAMLError as exc:   # its message spans lines; the contract is one
         what = " ".join(str(exc).split())
         raise ScenarioError(f"scenario document is not valid YAML: {what}") from exc

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from framekit import (FIELD_CATALOG, FRAME_CATALOG, FramekitError, ScenarioError,
                       UsageError, parse_scenario)
 from framekit import tensor_core as tc
+from framekit.diffops import DEFAULT_FD
 from framekit.objectivity import TIME_WINDOW
 
 # Valid values of the parameters that have no default.
@@ -103,8 +104,9 @@ def library_rejects(noun, name, params) -> bool:
         return True
     with np.errstate(all="ignore"):
         try:
-            if noun == "frame":
-                built.window_state(*TIME_WINDOW)
+            if noun == "frame":   # over the window widened by the time stencil's reach
+                reach = DEFAULT_FD.reach(DEFAULT_FD.h_t)
+                built.window_state(TIME_WINDOW[0] - reach, TIME_WINDOW[1] + reach)
                 return False
             return not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
                            for f in vars(built).values() if callable(f))
@@ -119,6 +121,8 @@ def library_rejects(noun, name, params) -> bool:
 # and an angle polynomial's rates.
 @example(value=[1e308, 1e308, 0.0])
 @example(value=[1e308, -1e308, 1e308, -1e308])
+# A trajectory finite over [0, 1] that overflows within the time stencil's reach past it.
+@example(value=[1.7976931348623157e308, 0.0, 0.0])
 def test_catalog_builds_or_raises_usage_error(noun, name, key, value):
     """A constructor given any value builds or raises UsageError, never any
     other exception or warning; and a value that parse_scenario refuses in a

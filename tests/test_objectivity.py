@@ -2,6 +2,7 @@
 stress/traction machinery, constitutive laws."""
 
 import importlib.util
+import inspect
 import warnings
 from collections import Counter
 from functools import partial
@@ -341,15 +342,21 @@ def _bad_inputs():
     cases = [pytest.param(lambda fn=fn, tensor=tensor: fn(tensor), id=f"{f}-{t}")
              for f, fn in functions.items() for t, tensor in tensors.items()]
     frame, flow = builtin_frames()["wobble"], builtin_flows()["taylor_green"]
+    pressure, force = builtin_scalars()["gaussian_T"], BodyForce(g=np.zeros(3), rho=1.0)
     nan, zeros = float("nan"), np.zeros((3, 3))
     calls = {
         "constitutive-negative-mu": lambda: obj.check_constitutive_frame_invariance(
             frame, flow, builtin_scalars()["gaussian_T"], -0.1, samples=5, rng=seeded()),
+        "inertial-ns-rhs-mu-true": lambda: obj.inertial_ns_rhs(
+            flow, pressure, force, True, np.zeros(3), 0.5),
         # Each range check is written so that NaN fails it, as the parser's do.
         "fd-h-nan": lambda: diffops.FdConfig(h=nan),
         "fd-h-inf": lambda: diffops.FdConfig(h=np.inf),
         "fd-h_t-nan": lambda: diffops.FdConfig(h_t=nan),
         "fd-h_t-inf": lambda: diffops.FdConfig(h_t=np.inf),
+        # A step whose order-4 stencil reaches past the largest float.
+        "fd-h-reach": lambda: diffops.FdConfig(h=1e308),
+        "fd-h_t-reach": lambda: diffops.FdConfig(h_t=1e308),
         "density-nan": lambda: BodyForce(g=np.zeros(3), rho=nan),
         "density-inf": lambda: BodyForce(g=np.zeros(3), rho=np.inf),
         "newtonian-mu-nan": lambda: newtonian_stress(1.0, nan, zeros),
@@ -365,6 +372,11 @@ def _bad_inputs():
         "divergence-bool-and-string": lambda: diffops.divergence(
             [[True, 0, 0], [0, "1", 0], [0, 0, 1]]),
     }
+    # The viscosity by the number rule, as the constitutive check reads it:
+    # a boolean, a negative, a NaN and a string are refused, not run.
+    for case, mu in {"true": True, "negative": -1.0, "nan": nan, "string": "0.7"}.items():
+        calls[f"ns-rhs-mu-{case}"] = lambda mu=mu: obj.check_ns_rhs_equivalence(
+            frame, flow, pressure, force, mu, samples=3, rng=seeded())
     for n in (0, -1):
         calls[f"divergence-samples{n}"] = lambda n=n: obj.check_divergence_invariance(
             frame, flow, samples=n, rng=seeded())
@@ -379,6 +391,16 @@ def test_public_boundary_rejects_bad_input(call):
     # and so does a parameter or sample count out of range.
     with pytest.raises(UsageError):
         call()
+
+
+def test_fd_step_is_refused_by_its_reach_not_its_size():
+    # At order 2 the stencil reaches one step, so 1e308 is a valid step;
+    # at order 4 it reaches two, the largest valid step half the largest float.
+    assert diffops.FdConfig(h=1e308, h_t=1e308, order=2).reach(1e308) == 1e308
+    half = np.finfo(float).max / 2
+    assert diffops.FdConfig(h=half, h_t=half).reach(half) == np.finfo(float).max
+    assert parse_scenario("frames: [identity]\nfields: [uniform]\nchecks: [div_invariance]\n"
+                          "fd: {h: 1.0e+308, order: 2}\n").fd.h == 1e308
 
 
 def public_check(check_id, **kwargs):
@@ -424,6 +446,36 @@ def test_every_check_rejects_a_bad_tol_or_box(call):
     # cannot be sampled, nor can a sample count that is no integer.
     with pytest.raises(UsageError):
         call()
+
+
+# The registry as the checks declare it, in order: (tol, field kind, needs).
+REGISTRY = {
+    "div_invariance": (1e-6, FlowField, ()),
+    "scalar_grad_invariance": (1e-6, ScalarField, ()),
+    "velgrad_relation": (1e-6, FlowField, ()),
+    "strain_rate_invariance": (1e-6, FlowField, ()),
+    "vorticity_relation": (1e-6, FlowField, ()),
+    "stress_transform": (1e-12, None, ()),
+    "constitutive_invariance": (1e-6, FlowField, ("p_field", "mu")),
+    "acceleration_decomposition": (1e-5, FlowField, ()),
+    "ns_rhs_equivalence": (1e-4, FlowField, ("p_field", "force", "mu")),
+}
+
+
+def test_registry_order_specs_and_public_checks():
+    # Ids in order, each spec's tol, field kind and needs; the public function
+    # a spec names is the one of that name, and its default tol is the spec's.
+    assert obj.CHECK_IDS == tuple(obj.CHECKS) == tuple(REGISTRY)
+    assert list(obj.DEFAULT_TOLERANCES) == list(REGISTRY)
+    for check_id, (tol, field, needs) in REGISTRY.items():
+        spec = obj.CHECKS[check_id]
+        assert (spec.tol, spec.field, spec.needs) == (tol, field, needs)
+        check = getattr(obj, spec.function)
+        assert check.__name__ == spec.function
+        default = inspect.signature(check).parameters["tol"].default
+        assert default == obj.DEFAULT_TOLERANCES[check_id] == spec.tol
+    two_route = inspect.signature(obj.check_stress_tensor_transform).parameters["tol"]
+    assert two_route.default == REGISTRY["stress_transform"][0]
 
 
 class TestOneSampleDriver:

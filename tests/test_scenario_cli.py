@@ -153,6 +153,9 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
     # Bytes, which float() would read as a number; in params they would
     # reach the report, which JSON cannot write.
     "binary_tolerance": "tolerances: {div_invariance: !!binary MQ==}\n",
+    # Steps whose stencil reaches past the largest float: x + 2h at order 4.
+    "fd_step_reach_overflowing": "fd: {h: 1.0e+308}\n",
+    "fd_time_step_reach_overflowing": "fd: {ht: 1.0e+308}\n",
 }.items()} | {
     "non_numeric_frame_rate": document(
         frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: abc}}]"),
@@ -206,6 +209,15 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
     "trajectory_overflowing_at_its_peak": document(
         frames="[{name: accelerated_translation, "
                "params: {coeffs: [[1.7e308, 4.0e307, -4.0e307], [0.0], [0.0]]}}]"),
+    # Finite params whose frame is finite over [0, 1] but not at every time
+    # a check reads it: the time stencil reaches 2 ht past the window.
+    "trajectory_overflowing_in_time_stencil_reach": document(
+        frames="[{name: uniform_translation, params: {velocity: [1.0e306, 0, 0]}}]",
+        fields="[taylor_green]", checks="[acceleration_decomposition]") + "fd: {ht: 1000.0}\n",
+    "angles_overflowing_in_time_stencil_reach": document(
+        frames="[{name: wobble, params: {angles_x: [0.0, 0.9, 0.4, 0.0], "
+               "angles_y: [0.3, 0.7, 0.0, 0.2], angles_z: [0.0, 1.1, -0.3, 0.0]}}]",
+        fields="[taylor_green]", checks="[acceleration_decomposition]") + "fd: {ht: 1.0e300}\n",
 }
 
 # What each case that the duplicate-key check could mask is rejected for:
@@ -253,6 +265,13 @@ OWN_REASON = {
     "angle_rate_overflowing_at_its_peak": "bad parameters for frame 'wobble': non-finite entries",
     "trajectory_overflowing_at_its_peak":
         "bad parameters for frame 'accelerated_translation': non-finite entries",
+    "trajectory_overflowing_in_time_stencil_reach":
+        "bad parameters for frame 'uniform_translation': non-finite entries",
+    "angles_overflowing_in_time_stencil_reach": "bad parameters for frame 'wobble': non-finite",
+    "fd_step_reach_overflowing":
+        "finite-difference step h = 1e+308 reaches past the largest float at stencil order 4",
+    "fd_time_step_reach_overflowing":
+        "finite-difference step h_t = 1e+308 reaches past the largest float at stencil order 4",
     "binary_tolerance": "'tolerances.div_invariance' must be a finite number >= 0, got b'1'",
     "binary_frame_rate": "bad parameters for frame 'constant_rotation': parameter values must",
 }

@@ -6,9 +6,10 @@ Generates scenario documents with hypothesis: catalog frames and fields whose
 params are drawn from the value set of the number rule's property test
 (``tests/test_number_rule.py``: finite floats with their extremes, numpy's
 scalars, NaN, infinities, booleans, a string, bytes, None and nested lists of
-these), some with unknown keys, some with YAML aliases or merge keys.  Each
-document runs through ``framekit.cli.main`` at ``samples: 2`` with every
-warning shown.  A run keeps the contract if it
+these), about a third with an ``fd`` step drawn from the same params and
+an order of 2 or 4, some with unknown keys, some with YAML aliases or merge
+keys.  Each document runs through ``framekit.cli.main`` at ``samples: 2``
+with every warning shown.  A run keeps the contract if it
 
 - exits 0 or 1 with a JSON report that parses, no ``error`` row, nothing on
   stderr, and the overflow message on every row with a non-finite
@@ -80,6 +81,9 @@ def documents(draw) -> str:
            "checks": draw(st.lists(st.sampled_from(CHECK_IDS), min_size=1, max_size=3,
                                    unique=True)),
            "samples": 2}
+    if draw(st.integers(0, 2)) == 0:   # about a third: one fd step from PARAMS, an order
+        doc["fd"] = {draw(st.sampled_from(["h", "ht"])): plain(draw(PARAMS)),
+                     "order": draw(st.sampled_from([2, 4]))}
     if draw(st.integers(0, 9)) == 0:
         doc["not_a_key"] = 0
     shape = draw(st.sampled_from(["plain", "plain", "plain", "alias", "merge"]))
