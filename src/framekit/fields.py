@@ -16,6 +16,7 @@ scalars, (..., 3) for vectors and (..., 3, 3) for Jacobians.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -65,6 +66,30 @@ class ObservedScalarField:
 
 # The pull-backs over (X', t): pull_back_velocity(frame, flow), pull_back_scalar(frame, scalar).
 pull_back_velocity, pull_back_scalar = ObservedVectorField, ObservedScalarField
+
+
+def field_group(members, size: int):
+    """One field of the members' kind over a batch whose last axis holds size
+    samples of each member in turn: each callable runs each member's own on
+    that member's slice of x and t and joins the values, laid out as the
+    first member's are.  A group of one is its member."""
+    if len(members) == 1:
+        return members[0]
+    kind = type(members[0])
+    return kind(name="+".join(m.name for m in members), **{
+        part: partial(_joined, [getattr(m, part) for m in members], size)
+        for part in kind.__dataclass_fields__ if part != "name"})
+
+
+def _joined(parts, size: int, x, t) -> np.ndarray:
+    x, t = np.asarray(x), np.asarray(t)
+    total, axis = size * len(parts), max(x.ndim - 1, t.ndim) - 1
+    values = [f(x[..., i:i + size, :] if x.shape[-2:-1] == (total,) else x,
+                t[..., i:i + size] if t.shape[-1:] == (total,) else t)
+              for f, i in zip(parts, range(0, total, size))]
+    shape = list(values[0].shape)
+    shape[axis] = total
+    return np.concatenate(values, axis, out=np.empty_like(values[0], shape=shape))
 
 
 # --------------------------------------------------------------------------
@@ -186,8 +211,12 @@ def linear_scalar(coeffs=(1.0, -2.0, 0.5), offset=0.0,
     """Affine scalar T = coeffs . x + offset with constant gradient."""
     c = tc.vec3(coeffs).copy()   # contiguous, so the gradient tiles it
     b = tc.number(offset, "offset")
-    return _steady_scalar("linear_T", lambda x: np.asarray(x, dtype=float) @ c + b,
-                          lambda x: c, mod_amp, mod_freq)
+
+    def f0(x):   # summed entry by entry, as tc.matvec: a BLAS dot's bits follow the layout
+        x = np.asarray(x, dtype=float)
+        return x[..., 0] * c[0] + x[..., 1] * c[1] + x[..., 2] * c[2] + b
+
+    return _steady_scalar("linear_T", f0, lambda x: c, mod_amp, mod_freq)
 
 
 FIELD_CATALOG = {

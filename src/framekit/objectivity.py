@@ -24,7 +24,7 @@ import numpy as np
 from . import diffops, tensor_core as tc
 from .diffops import FdConfig, DEFAULT_FD
 from .errors import UsageError
-from .fields import (FlowField, ScalarField, pull_back_scalar,
+from .fields import (FlowField, ScalarField, field_group, pull_back_scalar,
                      pull_back_velocity)
 from .frames import RigidFrameMotion, map_position_to_prime, omega_from_alpha
 
@@ -72,13 +72,15 @@ class BodyForce:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """One check's inputs: its id, tol and generator (past xs and ts), the field
-    and its pull-back ``observed``, seeded points ``xs`` (N, 3) at times ``ts``
-    (N,), the frame's ``alpha`` (N, 3, 3), primed ``xp`` (field, observed and
-    xp are None for a frame-only check, which still draws xs)."""
+    """One call's inputs: the check's id and tol, the generators ``rngs`` (past
+    xs and ts) of its members, in turn, the field (a ``field_group`` of the
+    members' fields) and its pull-back ``observed``, seeded points ``xs``
+    (N, 3) at times ``ts`` (N,), each member's N / len(rngs) in turn, the
+    frame's ``alpha`` (N, 3, 3), primed ``xp`` (field, observed and xp are
+    None for a frame-only check, which still draws xs)."""
     check_id: str
     tol: float
-    rng: np.random.Generator
+    rngs: tuple
     frame: RigidFrameMotion
     field: object
     observed: object
@@ -88,12 +90,19 @@ class SampleSet:
     alpha: np.ndarray
     xp: np.ndarray
 
-    def result(self, residual, witness=None) -> CheckResult:
-        """The result of a residual (N, ...): a sample's error is its largest
-        |entry|; of a witness magnitude per sample (N,), the largest is kept."""
-        errs = np.abs(residual).reshape(self.ts.size, -1).max(axis=1)
-        return _result(self.check_id, errs, self.tol,
-                       None if witness is None else float(np.max(witness)))
+    def split(self, a) -> list:
+        """a (N, ...) as one view per member, in turn."""
+        n = len(a) // len(self.rngs)
+        return [a[i:i + n] for i in range(0, len(a), n)]
+
+    def result(self, residual, witness=None) -> tuple:
+        """One result per member, of its rows of a residual (N, ...): a sample's
+        error is its largest |entry|; of a witness magnitude per sample (N,),
+        the member's largest is kept."""
+        errs = self.split(np.abs(residual).reshape(self.ts.size, -1).max(axis=1))
+        wits = [None] * len(errs) if witness is None else self.split(witness)
+        return tuple([_result(self.check_id, e, self.tol, w if w is None else float(w.max()))
+                      for e, w in zip(errs, wits)])
 
 
 def box_pairs(box) -> tuple:
@@ -120,27 +129,51 @@ def _result(check_id, errs, tol, witness=None) -> CheckResult:
                        tol=tol, passed=bool(mx <= tol), witness=witness)
 
 
+def _group(check_id: str, field: Optional[type], fields, rngs) -> tuple:
+    """The generators and fields of a group call, checked: one or more
+    generators and, for a check that takes a field, as many fields of its kind."""
+    if not (rngs and all(isinstance(r, np.random.Generator) for r in rngs) and (
+            field is None or isinstance(fields, (list, tuple)) and len(fields) == len(rngs)
+            and all(isinstance(f, field) for f in fields))):
+        raise UsageError(f"a group needs one or more generators and, for {check_id}, "
+                         "as many fields of its kind")
+    return tuple(rngs), fields
+
+
 def _sampled(check_id: str, tol: float, field: Optional[type] = FlowField, needs: tuple = ()):
     """Declare a check: enter ``CheckSpec(kernel.__name__, tol, field, needs)`` in
     ``CHECKS`` as check_id, and turn the kernel into the public check of the same
     name, ``(frame, *inputs, box, samples, rng, fd, tol)``: inputs are ``(field,
     *needs)``, or the needs of a frame-only check.  Bad samples, box or tol raise
-    UsageError.  The kernel gets the SampleSet and the needs and returns the
-    CheckResult."""
+    UsageError.
+
+    rng may also be a sequence of generators, with a check's field a sequence
+    of as many fields of its kind: a group, whose members share the frame and
+    needs.  The driver draws each member's points and times from its own
+    generator, joins them, and runs the kernel once over the batch on the
+    members' ``field_group``; it returns a tuple with one CheckResult per
+    member, each equal to the member's call alone.  Lengths that differ, or
+    none, raise UsageError.  The kernel gets the SampleSet and the needs and
+    returns the members' CheckResults."""
     def declare(kernel):
         CHECKS[check_id] = CheckSpec(kernel.__name__, tol, field, needs)
         pull_back = pull_back_scalar if field is ScalarField else pull_back_velocity
 
         def check(frame: RigidFrameMotion, *inputs, box=DEFAULT_BOX,
                   samples=100, rng: np.random.Generator, fd: FdConfig = DEFAULT_FD,
-                  tol=tol) -> CheckResult:
+                  tol=tol):
             samples = tc.integer(samples, "samples", 1)
             field_obj, *values = inputs if field else (None, *inputs)
-            xs, ts = sample_points(box, samples, rng)
-            observed = None if field_obj is None else pull_back(frame, field_obj)
-            xp = None if field_obj is None else map_position_to_prime(frame, xs, ts)
-            return kernel(SampleSet(check_id, tol, rng, frame, field_obj, observed, fd, xs, ts,
-                                    frame.alpha(ts), xp), *values)
+            single = not isinstance(rng, (list, tuple))
+            rngs, members = (((rng,), (field_obj,)) if single
+                             else _group(check_id, field, field_obj, rng))
+            xs, ts = map(np.concatenate, zip(*(sample_points(box, samples, r) for r in rngs)))
+            group = field_group(members, samples) if field else None
+            observed = None if group is None else pull_back(frame, group)
+            xp = None if group is None else map_position_to_prime(frame, xs, ts)
+            results = kernel(SampleSet(check_id, tol, rngs, frame, group, observed, fd, xs, ts,
+                                       frame.alpha(ts), xp), *values)
+            return results[0] if single else results
 
         check.__name__ = check.__qualname__ = kernel.__name__
         check.__doc__ = kernel.__doc__
@@ -230,8 +263,9 @@ def cauchy_traction(tau, n) -> np.ndarray:
 @_sampled("stress_transform", 1e-12, field=None)
 def check_stress_transform_random(s: SampleSet):
     """Random 3x3 stresses, drawn after the samples, against the frame's rotation."""
-    tau = s.rng.uniform(-1.0, 1.0, size=(s.ts.size, 3, 3))
-    return check_stress_tensor_transform(tau, s.alpha, tol=s.tol)
+    return tuple(check_stress_tensor_transform(rng.uniform(-1.0, 1.0, size=(alpha.shape[0], 3, 3)),
+                                               alpha, tol=s.tol)
+                 for rng, alpha in zip(s.rngs, s.split(s.alpha)))
 
 
 def check_stress_tensor_transform(tau_in_s, alpha,

@@ -28,7 +28,7 @@ from .fields import FIELD_CATALOG, FlowField, ScalarField, make_field
 from .frames import FRAME_CATALOG, make_frame
 
 VERSION = "0.1.0"
-MAX_SAMPLES = 1_000_000   # at about 3 KB of peak memory each, a run near 3 GB
+MAX_SAMPLES = 1_000_000   # per check call, at about 3 KB of peak memory each: near 3 GB
 MAX_VALUES = 64           # numbers, lists and mappings in one params or box value
 
 
@@ -275,11 +275,43 @@ def _echo(value):
     return value
 
 
-def run_suite(scenario: Scenario) -> Report:
-    """Execute every applicable (frame, field, check) triple, in that order.
+def _results(call, members) -> list:
+    """(member, its CheckResult or the exception it raised) for each member:
+    one call for all of them, or, when that raises, one call for each."""
+    try:
+        return list(zip(members, call(members)))
+    except Exception as exc:  # captured per-triple by contract
+        if len(members) == 1:
+            return [(members[0], exc)]
+        return [pair for member in members for pair in _results(call, [member])]
 
-    A frame-only check gets one row per flow field.  Per-triple errors are
-    captured as 'error' rows; they fail the suite but do not abort it.
+
+def _row(frame: str, field: str, check_id: str, res, tol: float) -> dict:
+    """The report row of a triple from its CheckResult, or from the exception
+    its call raised (an 'error' row)."""
+    row = {"frame": frame, "field": field, "check": check_id}
+    if isinstance(res, Exception):
+        row.update(samples=0, max_abs_err=None, mean_abs_err=None, tol=tol, witness=None,
+                   status="error", message=f"{type(res).__name__}: {res}")
+        return row
+    row.update(samples=res.samples, max_abs_err=res.max_abs_err,
+               mean_abs_err=res.mean_abs_err, tol=res.tol, witness=res.witness,
+               status="pass" if res.passed else "fail")
+    if not math.isfinite(res.max_abs_err):
+        row["message"] = "non-finite residual: the check's arithmetic overflowed"
+    return row
+
+
+def run_suite(scenario: Scenario) -> Report:
+    """Execute every applicable (frame, field, check) triple; rows in that order.
+
+    A frame-only check gets one row per flow field.  Each triple has its own
+    generator, seeded [seed, frame, field, check] by their indices.  A check
+    runs once per frame on all of its fields, as a group of at most
+    MAX_SAMPLES samples in all (consecutive fields, split over several calls
+    beyond that); a group call that raises is run again one field at a time,
+    with fresh generators, so an 'error' row is its own triple's.  Per-triple
+    errors fail the suite but do not abort it.
     """
     start = time.perf_counter()
     frames = [(i, name, make_frame(name, **params))
@@ -290,35 +322,29 @@ def run_suite(scenario: Scenario) -> Report:
     material, box = scenario.material, np.array(scenario.box)   # each driver reads it as is
     values = {"p_field": p_field, "mu": material.mu,
               "force": obj.BodyForce(g=np.asarray(material.g), rho=material.rho)}
+    per_call = MAX_SAMPLES // scenario.samples
 
     rows = []
     with np.errstate(all="ignore"):   # a row reports its own overflow
         for fi, fname, frame in frames:
-            for gi, gname, field_obj in fields:
-                for ci, check_id in enumerate(scenario.checks):
-                    spec = obj.CHECKS[check_id]
-                    if not isinstance(field_obj, spec.field or FlowField):
-                        continue
-                    inputs = (field_obj,) if spec.field else ()
-                    rng = np.random.default_rng([scenario.seed, fi, gi, ci])
-                    row = {"frame": fname, "field": gname, "check": check_id}
-                    try:
-                        # Looked up per call, so that a patched module attribute is what runs.
-                        res = getattr(obj, spec.function)(
-                            frame, *inputs, *(values[name] for name in spec.needs),
-                            box=box, samples=scenario.samples, rng=rng,
-                            fd=scenario.fd, tol=scenario.tolerance(check_id))
-                        row.update(samples=res.samples, max_abs_err=res.max_abs_err,
-                                   mean_abs_err=res.mean_abs_err, tol=res.tol,
-                                   witness=res.witness,
-                                   status="pass" if res.passed else "fail")
-                        if not math.isfinite(res.max_abs_err):
-                            row["message"] = "non-finite residual: the check's arithmetic overflowed"
-                    except Exception as exc:  # captured per-triple by contract
-                        row.update(samples=0, max_abs_err=None, mean_abs_err=None,
-                                   tol=scenario.tolerance(check_id), witness=None,
-                                   status="error", message=f"{type(exc).__name__}: {exc}")
-                    rows.append(row)
+            cells = {}   # (field index, check index) -> row
+            for ci, check_id in enumerate(scenario.checks):
+                spec, tol = obj.CHECKS[check_id], scenario.tolerance(check_id)
+                members = [m for m in fields if isinstance(m[2], spec.field or FlowField)]
+
+                def call(group):
+                    # Looked up per call, so that a patched module attribute is what runs.
+                    return getattr(obj, spec.function)(
+                        frame, *([[f for _, _, f in group]] if spec.field else []),
+                        *(values[name] for name in spec.needs), box=box,
+                        samples=scenario.samples, fd=scenario.fd, tol=tol,
+                        rng=[np.random.default_rng([scenario.seed, fi, gi, ci])
+                             for gi, _, _ in group])
+
+                for first in range(0, len(members), per_call):
+                    for (gi, gname, _), res in _results(call, members[first:first + per_call]):
+                        cells[gi, ci] = _row(fname, gname, check_id, res, tol)
+            rows += [cells[key] for key in sorted(cells)]
 
     passed = all(r["status"] == "pass" for r in rows)
     return Report(scenario=_echo(scenario), results=tuple(rows),

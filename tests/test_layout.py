@@ -1,18 +1,20 @@
-"""Memory layout never changes a bit.
+"""Memory layout and batch composition never change a bit.
 
 The evaluation path stores its arrays entries-first (``tensor_core.planes``):
 shapes are the public contract, memory order is not.  Points given C-ordered
 and the same points stored entries-first must give equal arrays from the
 pull-backs, every field callable and every finite-difference operator, on
-every catalog frame and field.
+every catalog frame and field.  Likewise a check called on a group of fields
+and generators must give each member the result of its call alone.
 """
 
 import numpy as np
 import pytest
 
-from framekit import diffops
+from framekit import BodyForce, diffops
+from framekit import objectivity as obj
 from framekit import tensor_core as tc
-from framekit.fields import FlowField, ObservedScalarField, ObservedVectorField
+from framekit.fields import FlowField, ObservedScalarField, ObservedVectorField, ScalarField
 from framekit.frames import FRAME_CATALOG
 
 from conftest import builtin_flows, builtin_frames, builtin_scalars
@@ -110,3 +112,27 @@ def test_planes_is_entries_first_at_the_shape_asked_for():
     for lead in ((), (5,), (2, 5)):
         v = tc.planes(lead)
         assert v.shape == lead + (3,) and entries_first(v)
+
+
+@pytest.mark.parametrize("samples", [1, 7])
+@pytest.mark.parametrize("check_id", sorted(obj.CHECKS))
+@pytest.mark.parametrize("frame_name", sorted(FRAME_CATALOG))
+def test_a_group_call_gives_each_member_its_call_alone(frame_name, check_id, samples):
+    # The five catalog flows, the two scalars, or five generators for a
+    # frame-only check: one call over the whole batch, equal member by member.
+    spec, frame = obj.CHECKS[check_id], builtin_frames()[frame_name]
+    members = {FlowField: list(builtin_flows().values()),
+               ScalarField: list(builtin_scalars().values()), None: [None] * 5}[spec.field]
+    needs = [{"p_field": builtin_scalars()["gaussian_T"], "mu": 0.7,
+              "force": BodyForce(g=np.array([0.0, 0.0, -9.81]), rho=1.2)}[name]
+             for name in spec.needs]
+    check = getattr(obj, spec.function)
+
+    def rngs():
+        return [np.random.default_rng([5, i]) for i in range(len(members))]
+
+    group = check(frame, *([members] if spec.field else []), *needs,
+                  samples=samples, rng=rngs())
+    alone = tuple(check(frame, *([m] if spec.field else []), *needs, samples=samples, rng=r)
+                  for m, r in zip(members, rngs()))
+    assert group == alone

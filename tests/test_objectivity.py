@@ -382,6 +382,21 @@ def _bad_inputs():
             frame, flow, samples=n, rng=seeded())
         calls[f"stress-random-samples{n}"] = lambda n=n: obj.check_stress_transform_random(
             frame, samples=n, rng=seeded())
+    # A group call: as many fields of the check's kind as generators, at least one.
+    scalar = builtin_scalars()["linear_T"]
+    groups = {"fewer-fields": ([flow], [seeded(), seeded()]),
+              "more-fields": ([flow, flow], [seeded()]),
+              "empty": ([], []),
+              "one-field-not-a-sequence": (flow, [seeded()]),
+              "field-of-another-kind": ([flow, scalar], [seeded(), seeded()]),
+              "no-generator": ([flow], [None])}
+    for case, (fields, rngs) in groups.items():
+        calls[f"group-{case}"] = lambda fields=fields, rngs=rngs: (
+            obj.check_divergence_invariance(frame, fields, samples=3, rng=rngs))
+    calls["group-stress-random-empty"] = lambda: obj.check_stress_transform_random(
+        frame, samples=3, rng=[])
+    calls["group-scalar-of-another-kind"] = lambda: obj.check_scalar_gradient_invariance(
+        frame, [scalar, flow], samples=3, rng=[seeded(), seeded()])
     return cases + [pytest.param(call, id=case) for case, call in calls.items()]
 
 
@@ -736,6 +751,25 @@ def test_traced_full_matrix_calls_every_tracer_target(workloads):
         tracer.uninstall()
     layers = tracer.summary()
     assert [name for name, _, _ in tracing.TARGETS if layers[name]["calls"] == 0] == []
+
+
+def test_full_matrix_calls_each_check_once_per_frame(workloads):
+    """The suite calls a check once per frame on all of its fields: each
+    public check_* six times on the benchmark's full_matrix (six frames),
+    and the stress kernel's two-route check once per member, 6 x 5 flows."""
+    tracing = benchmark_module("tracer")
+    doc = yaml.safe_load(workloads.full_matrix(42))
+    doc["samples"] = 2
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        fs.run_suite(fs.parse_scenario(yaml.safe_dump(doc)))
+    finally:
+        tracer.uninstall()
+    calls = {name.split(".")[-1]: layer["calls"] for name, layer in tracer.summary().items()
+             if name.startswith("objectivity.check_")}
+    assert calls == {**dict.fromkeys((spec.function for spec in obj.CHECKS.values()), 6),
+                     "check_stress_tensor_transform": 30}
 
 
 # A failing draw is reported as drawn: shrinking would rerun the whole

@@ -13,6 +13,7 @@ from framekit import (CHECK_IDS, InvariantViolationError, Report, ScenarioError,
                       canonical_report_json, emit_report, make_field, make_frame,
                       parse_scenario, run_suite)
 from framekit import objectivity as obj
+from framekit import scenario as fs
 from framekit.cli import main
 
 MINIMAL = """
@@ -549,6 +550,56 @@ tolerances: {velgrad_relation: 1.0e-18}
                            "mean_abs_err": None, "tol": 1e-7, "witness": None,
                            "status": "error",
                            "message": "InvariantViolationError: alpha is not a rotation"}
+
+    def test_a_check_raising_on_one_field_gives_that_triple_its_error_row(self, monkeypatch):
+        # The check runs once per frame on all three flows, which raises; each
+        # flow is then run alone, and only shear's triples get an error row.
+        s = parse_scenario(document(
+            frames="[identity, {name: uniform_translation, params: {velocity: [1, 0, 0]}}]",
+            fields="[uniform, shear, taylor_green]",
+            checks="[div_invariance, velgrad_relation]") + "samples: 5\n")
+        clean = json.loads(emit_report(run_suite(s), "json"))["results"]
+        check, groups = obj.check_velocity_gradient_relation, []
+
+        def raising(frame, fields, *args, **kwargs):
+            names = [f.name for f in (fields if isinstance(fields, list) else [fields])]
+            groups.append(names)
+            if "shear" in names:
+                raise InvariantViolationError("shear is refused")
+            return check(frame, fields, *args, **kwargs)
+
+        monkeypatch.setattr(obj, "check_velocity_gradient_relation", raising)
+        report = json.loads(emit_report(run_suite(s), "json"))
+        assert groups == [["uniform", "shear", "taylor_green"],
+                          ["uniform"], ["shear"], ["taylor_green"]] * 2
+        assert report["suite_verdict"] == "fail"
+        assert len(report["results"]) == len(clean) == 12
+        for row, before in zip(report["results"], clean):
+            if (row["field"], row["check"]) != ("shear", "velgrad_relation"):
+                assert row == before
+                continue
+            assert row == {**{k: before[k] for k in ("frame", "field", "check", "tol")},
+                           "samples": 0, "max_abs_err": None, "mean_abs_err": None,
+                           "witness": None, "status": "error",
+                           "message": "InvariantViolationError: shear is refused"}
+
+    def test_a_group_holds_at_most_max_samples(self, monkeypatch):
+        # Five flows at 100 samples: one call of all five, or, with room for
+        # 250 samples a call, calls of 2, 2 and 1 flows; the same report bytes.
+        s = parse_scenario(document(
+            fields="[uniform, shear, rigid_rotation, taylor_green, poly_linear]")
+            + "samples: 100\n")
+        check, sizes = obj.check_divergence_invariance, []
+
+        def recording(frame, fields, *args, rng, **kwargs):
+            sizes.append(len(rng))
+            return check(frame, fields, *args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(obj, "check_divergence_invariance", recording)
+        whole = canonical_report_json(run_suite(s))
+        monkeypatch.setattr(fs, "MAX_SAMPLES", 250)
+        assert canonical_report_json(run_suite(s)) == whole
+        assert sizes == [5, 2, 2, 1]
 
     def test_suite_verdict_matches_rows(self):
         s = parse_scenario(MINIMAL + "samples: 5\n")
