@@ -69,10 +69,10 @@ pull_back_velocity, pull_back_scalar = ObservedVectorField, ObservedScalarField
 
 
 def field_group(members, size: int):
-    """One field of the members' kind over a batch whose last axis holds size
-    samples of each member in turn: each callable runs each member's own on
-    that member's slice of x and t and joins the values, laid out as the
-    first member's are.  A group of one is its member."""
+    """One field of the members' kind over points x and times t whose last
+    batch axes both hold size samples of each member in turn: each callable
+    runs each member's own on that member's slice of x and t and joins the
+    values, laid out as the first member's are.  A group of one is its member."""
     if len(members) == 1:
         return members[0]
     kind = type(members[0])
@@ -84,8 +84,7 @@ def field_group(members, size: int):
 def _joined(parts, size: int, x, t) -> np.ndarray:
     x, t = np.asarray(x), np.asarray(t)
     total, axis = size * len(parts), max(x.ndim - 1, t.ndim) - 1
-    values = [f(x[..., i:i + size, :] if x.shape[-2:-1] == (total,) else x,
-                t[..., i:i + size] if t.shape[-1:] == (total,) else t)
+    values = [f(x[..., i:i + size, :], t[..., i:i + size])
               for f, i in zip(parts, range(0, total, size))]
     shape = list(values[0].shape)
     shape[axis] = total

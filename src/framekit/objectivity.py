@@ -6,11 +6,12 @@ to finite differences of the observed (pulled-back) field, and reports
 residual statistics.  Each check is one kernel that ``_sampled`` declares,
 with its id, tolerance, field kind and needs: the decorator enters it in
 ``CHECKS``, the one registry, and wraps it in the one driver, which checks
-the inputs and does the sampling and mapping.  Invariant quantities
-(velocity divergence, scalar gradients, strain rate) must agree after
-component transformation; variant quantities (velocity gradient,
-vorticity, acceleration) must agree only after adding the exact frame
-correction terms, whose magnitude is reported as a witness of non-invariance.
+the inputs and does the sampling and mapping, for one field or for a group
+of fields in one batch.  Invariant quantities (velocity divergence, scalar
+gradients, strain rate) must agree after component transformation; variant
+quantities (velocity gradient, vorticity, acceleration) must agree only
+after adding the exact frame correction terms, whose magnitude is reported
+as a witness of non-invariance.
 """
 
 from __future__ import annotations

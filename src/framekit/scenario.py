@@ -6,7 +6,8 @@ repeated keys are rejected so typos cannot silently change a run; numbers
 (by ``tensor_core``'s rule) and every frame and field (built and evaluated
 once) are validated here, so a malformed one fails before any check runs.
 Reports are deterministic for a given (scenario, seed): each (frame, field,
-check) triple has its own seeded generator, so no execution order alters them.
+check) triple has its own seeded generator, so neither execution order nor
+the grouping of a check's fields into one call alters them.
 """
 
 from __future__ import annotations
