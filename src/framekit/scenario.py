@@ -29,7 +29,10 @@ from .fields import FIELD_CATALOG, FlowField, ScalarField, make_field
 from .frames import FRAME_CATALOG, make_frame
 
 VERSION = "0.1.0"
-MAX_SAMPLES = 1_000_000   # per check call, at about 3 KB of peak memory each: near 3 GB
+MAX_SAMPLES = 1_000_000   # at about 3 KB of peak memory each, a run near 3 GB
+# The samples of one check call on several fields: past about 1,000 a
+# field, a larger group saves no time and holds more memory (README).
+GROUP_SAMPLES = 2_048
 MAX_VALUES = 64           # numbers, lists and mappings in one params or box value
 
 
@@ -308,10 +311,10 @@ def run_suite(scenario: Scenario) -> Report:
 
     A frame-only check gets one row per flow field.  Each triple has its own
     generator, seeded [seed, frame, field, check] by their indices.  A check
-    runs once per frame on all of its fields, as a group of at most
-    MAX_SAMPLES samples in all (consecutive fields, split over several calls
-    beyond that); a group call that raises is run again one field at a time,
-    with fresh generators, so an 'error' row is its own triple's.  Per-triple
+    runs once per frame on its fields, as groups of consecutive fields of at
+    most GROUP_SAMPLES samples in all (one field a call where samples exceed
+    it); a group call that raises is run again one field at a time, with
+    fresh generators, so an 'error' row is its own triple's.  Per-triple
     errors fail the suite but do not abort it.
     """
     start = time.perf_counter()
@@ -323,7 +326,7 @@ def run_suite(scenario: Scenario) -> Report:
     material, box = scenario.material, np.array(scenario.box)   # each driver reads it as is
     values = {"p_field": p_field, "mu": material.mu,
               "force": obj.BodyForce(g=np.asarray(material.g), rho=material.rho)}
-    per_call = MAX_SAMPLES // scenario.samples
+    per_call = max(1, GROUP_SAMPLES // scenario.samples)
 
     rows = []
     with np.errstate(all="ignore"):   # a row reports its own overflow

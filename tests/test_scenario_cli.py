@@ -583,9 +583,10 @@ tolerances: {velgrad_relation: 1.0e-18}
                            "witness": None, "status": "error",
                            "message": "InvariantViolationError: shear is refused"}
 
-    def test_a_group_holds_at_most_max_samples(self, monkeypatch):
+    def test_a_group_holds_at_most_group_samples(self, monkeypatch):
         # Five flows at 100 samples: one call of all five, or, with room for
-        # 250 samples a call, calls of 2, 2 and 1 flows; the same report bytes.
+        # 250 samples a call, calls of 2, 2 and 1 flows, or, with room for
+        # fewer than 100, one flow a call; the same report bytes.
         s = parse_scenario(document(
             fields="[uniform, shear, rigid_rotation, taylor_green, poly_linear]")
             + "samples: 100\n")
@@ -597,9 +598,11 @@ tolerances: {velgrad_relation: 1.0e-18}
 
         monkeypatch.setattr(obj, "check_divergence_invariance", recording)
         whole = canonical_report_json(run_suite(s))
-        monkeypatch.setattr(fs, "MAX_SAMPLES", 250)
+        monkeypatch.setattr(fs, "GROUP_SAMPLES", 250)
         assert canonical_report_json(run_suite(s)) == whole
-        assert sizes == [5, 2, 2, 1]
+        monkeypatch.setattr(fs, "GROUP_SAMPLES", 99)
+        assert canonical_report_json(run_suite(s)) == whole
+        assert sizes == [5, 2, 2, 1, 1, 1, 1, 1, 1]
 
     def test_suite_verdict_matches_rows(self):
         s = parse_scenario(MINIMAL + "samples: 5\n")
