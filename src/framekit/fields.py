@@ -15,7 +15,7 @@ scalars, (..., 3) for vectors and (..., 3, 3) for Jacobians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -78,7 +78,7 @@ def field_group(members, size: int):
     kind = type(members[0])
     return kind(name="+".join(m.name for m in members), **{
         part: partial(_joined, [getattr(m, part) for m in members], size)
-        for part in (f.name for f in dc_fields(kind)) if part != "name"})
+        for part in kind.__dataclass_fields__ if part != "name"})
 
 
 def _joined(parts, size: int, x, t) -> np.ndarray:
