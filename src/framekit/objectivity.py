@@ -150,7 +150,7 @@ def _sampled(check_id: str, tol: float, field: Optional[type] = FlowField, needs
 
     rng may also be a sequence of generators, with a check's field a sequence
     of as many fields of its kind: a group, whose members share the frame and
-    needs.  The driver draws each member's points and times from its own
+    needs.  The check draws each member's points and times from its own
     generator, joins them, and runs the kernel once over the batch on the
     members' ``field_group``; it returns a tuple with one CheckResult per
     member, each equal to the member's call alone.  Lengths that differ, or
