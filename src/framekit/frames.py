@@ -135,15 +135,15 @@ class RigidFrameMotion:
     """
 
     def __init__(self, name: str, y, alpha, dy_dt=None, d2y_dt2=None,
-                 dalpha_dt=None, d2alpha_dt2=None):
+                 dalpha_dt=None, d2alpha_dt2=None, bound=None):
         self.name = name
+        self.bound = bound   # a catalog frame's coefficient bound (see _rigid_motion), else None
         self._y = y if callable(y) else _frozen(y, (3,))
         self._alpha = (alpha if callable(alpha)
                        else _frozen(tc.orthonormalized(alpha), (3, 3)))
         self._dy, self._d2y = _rates(self._y, dy_dt, d2y_dt2, (3,))
         self._dalpha, self._d2alpha = _rates(self._alpha, dalpha_dt, d2alpha_dt2, (3, 3))
         self._last = (None, None)   # (key, FrameState at the key's shape)
-        self._rate_coeffs = np.zeros((3, 0))   # a catalog frame's polynomials' rates: window_state
         self._steady_spin = None    # (spin, omega) of a constant rotation: it must be rigid
         if not (callable(self._alpha) or callable(self._dalpha)):
             spin = _spin(self._alpha, self._dalpha)
@@ -169,16 +169,6 @@ class RigidFrameMotion:
                 v.flags.writeable = False
             last = self._last = (key, jet)
         return last[1]
-
-    def window_state(self, lo: float, hi: float) -> FrameState:
-        """The validated jet at lo, hi and every turning time between them.  A
-        catalog frame's turning times are the roots of its polynomials' first
-        and second rates, where an angle or the trajectory, or a first rate,
-        peaks in magnitude; its jet is built from these, the linear second
-        rates and the angles' sines and cosines, so it is probed where its
-        parts peak."""
-        t = _roots(self._rate_coeffs)
-        return self.state(np.concatenate(([lo, hi], t[(lo < t) & (t < hi)])))
 
     def y(self, t) -> np.ndarray:
         return self.state(t).y
@@ -240,29 +230,15 @@ def observed_velocity(frame: RigidFrameMotion, flow, x_prime, t) -> np.ndarray:
 # Built-in frame families
 # --------------------------------------------------------------------------
 
-def _roots(d) -> np.ndarray:
-    """The real roots of the polynomials c + b t + a t^2 whose ascending
-    coefficients are the columns of d (3, P), flat: two each, nan or inf where
-    there is none.  From coefficients scaled by a power of two, so no step
-    overflows, by the formula without cancellation:
-    q = -(b + sgn(b) sqrt(b^2 - 4ac)) / 2, the roots q / a and c / q."""
-    c, b, a = d
-    e = -np.frexp(np.maximum(np.maximum(abs(a), abs(b)), abs(c)))[1]
-    a, b, c = (np.ldexp(v, e) for v in (a, b, c))
-    with np.errstate(all="ignore"):
-        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-        return np.ravel([q / a, c / q])
-
-
 def _polynomial(coeffs, tail: tuple = ()) -> tuple:
     """The value and two rates of the polynomial with 1 to 4 ascending
     coefficients, numbers or (3,) vectors (tail (3,)): the constant
     coefficient where the degree is 0, else a callable of times t (...) by
     Horner's rule in polyval's order, less its first step c[-1] + 0 t.  A rate's
     coefficients are polyder's products, j d[j] of the one before, or c[:1] * 0.
-    Last, the two rates' coefficients as the columns of a (3, 2) or (3, 6)
-    array, padded with zeros to degree 2 (their roots, ``_roots``, are where
-    the value and the first rate peak)."""
+    Last, ``bound(m)``: of the value and each rate, the largest sum |d_k| m^k of
+    its entries, which bounds its Horner rule's every step at |t| <= m, m >= 1;
+    by that rule on |d| at m, so a zero coefficient never meets an infinite power."""
     c = np.atleast_1d(tc._finite(coeffs, (), True))
     if c.shape[1:] != tail or not 1 <= len(c) <= 4:
         raise UsageError("polynomial coefficients must be 1 to 4 numbers (degree <= 3)")
@@ -271,14 +247,14 @@ def _polynomial(coeffs, tail: tuple = ()) -> tuple:
         x = t[..., None] if tail else t
         return reduce(lambda v, ci: ci + v * x, c[-2::-1], c[-1])
     j = np.arange(1.0, len(c)).reshape((-1,) + (1,) * len(tail))
-    with np.errstate(over="ignore"):   # an overflowed rate is inf: the frame's jet rejects it
+    with np.errstate(over="ignore"):   # an overflowed rate is inf, and so is its bound
         rates = [c, c[1:] * j if len(c) > 1 else c[:1] * 0]
         rates.append(rates[1][1:] * j[:-1] if len(c) > 2 else c[:1] * 0)
-    padded = np.zeros((3, 2) + tail)
-    for k in (1, 2):
-        padded[:len(rates[k]), k - 1] = rates[k]
-    return (*(d[0] if len(d) == 1 else partial(at, list(d)) for d in rates),
-            padded.reshape(3, -1))
+
+    def bound(m):
+        with np.errstate(over="ignore"):   # an overflowed bound is inf
+            return [float(np.max(at(np.abs(d), np.float64(m)))) for d in rates]
+    return (*(d[0] if len(d) == 1 else partial(at, list(d)) for d in rates), bound)
 
 
 # Where the matrices (I, K, K^2, K, K^2, K, K^2) of the seven coefficients
@@ -305,7 +281,7 @@ class _RotationFactor:
         k2 = k @ k
         self.block = np.einsum("jab,jcd->jacbd", _PLACES,
                                np.array([_EYE3, k, k2, k, k2, k, k2])).reshape(7, 81)
-        *self.angle, self.rate_coeffs = _polynomial(angle_coeffs)
+        *self.angle, self.bound = _polynomial(angle_coeffs)
 
     def coefficients(self, t):
         """The (M, 7) weights of the basis at flat times t (M,), from one
@@ -341,12 +317,17 @@ def _rigid_motion(name, factors=(), y=((0.0, 0.0, 0.0),)) -> RigidFrameMotion:
             hit = last = (t, (np.ascontiguousarray(row[:, :, 6:]), row[:, :, 3:6], row[:, :, :3]))
         return hit[1][i]
 
-    y, dy, d2y, rate_coeffs = _polynomial(y, (3,))
-    frame = RigidFrameMotion(name, y=y, dy_dt=dy, d2y_dt2=d2y, **(
+    y, dy, d2y, y_bound = _polynomial(y, (3,))
+    def bound(m):
+        """(jet, y) >= the largest |entry| of any jet part, and of y, at |t| <= m: with a_i,
+        b_i factor i's angle rate bounds, P' <= sum a_i, P'' <= sum b_i + (sum a_i)^2."""
+        angle, a, b = map(sum, zip((0.0, 0.0, 0.0), *(f.bound(m) for f in factors)))
+        ys = y_bound(m)
+        return max(angle, a, b + a * a, *ys), ys[0]
+
+    return RigidFrameMotion(name, y=y, dy_dt=dy, d2y_dt2=d2y, bound=bound, **(
         {key: partial(rotation, i) for i, key in enumerate(("alpha", "dalpha_dt", "d2alpha_dt2"))}
         if factors else {"alpha": _EYE3}))
-    frame._rate_coeffs = np.hstack([rate_coeffs, *(f.rate_coeffs for f in factors)])
-    return frame
 
 
 def identity_frame() -> RigidFrameMotion:

@@ -114,13 +114,12 @@ def box_pairs(box) -> tuple:
     return tuple(map(tuple, pairs))
 
 
-def sample_points(box, n: int, rng: np.random.Generator):
-    """n seeded (x, t) samples: x uniform in the box, t in the time window."""
-    lo, hi = np.array(box_pairs(box)).T
+def sample_points(box, n: int, rngs) -> tuple:
+    """n seeded (x, t) samples of each generator in rngs, joined: x in the box, t in the window."""
+    (lo, hi), (t0, t1) = np.array(box_pairs(box)).T, TIME_WINDOW
     # rng.uniform's own formula, bit for bit, without its array-parameter overhead.
-    xs = lo + (hi - lo) * rng.random((n, 3))
-    ts = TIME_WINDOW[0] + (TIME_WINDOW[1] - TIME_WINDOW[0]) * rng.random(n)
-    return xs, ts
+    return tuple(map(np.concatenate, zip(*((lo + (hi - lo) * r.random((n, 3)),
+                                             t0 + (t1 - t0) * r.random(n)) for r in rngs))))
 
 
 def _result(check_id, errs, tol, witness=None) -> CheckResult:
@@ -168,7 +167,7 @@ def _sampled(check_id: str, tol: float, field: Optional[type] = FlowField, needs
             single = not isinstance(rng, (list, tuple))
             rngs, members = (((rng,), (field_obj,)) if single
                              else _group(check_id, field, field_obj, rng))
-            xs, ts = map(np.concatenate, zip(*(sample_points(box, samples, r) for r in rngs)))
+            xs, ts = sample_points(box, samples, rngs)
             group = field_group(members, samples) if field else None
             observed = None if group is None else pull_back(frame, group)
             xp = None if group is None else map_position_to_prime(frame, xs, ts)

@@ -3,8 +3,8 @@
 A scenario document (YAML; JSON is accepted as a YAML subset) names the
 frames, fields, and checks to run plus sampling/FD parameters.  Unknown and
 repeated keys are rejected so typos cannot silently change a run; numbers
-(by ``tensor_core``'s rule) and every frame and field (built and evaluated
-once) are validated here, so a malformed one fails before any check runs.
+(by ``tensor_core``'s rule) and every frame and field (built, and evaluated
+or bounded) are validated here, so a malformed one fails before any check runs.
 Reports are deterministic for a given (scenario, seed): each (frame, field,
 check) triple has its own seeded generator, so neither execution order nor
 the grouping of a check's fields into one call alters them.
@@ -34,6 +34,11 @@ MAX_SAMPLES = 1_000_000   # at about 3 KB of peak memory each, a run near 3 GB
 # field, a larger group saves no time and holds more memory (README).
 GROUP_SAMPLES = 2_048
 MAX_VALUES = 64           # numbers, lists and mappings in one params or box value
+# A catalog frame's jet is sums and products of values within their bounds. In magnitude, an
+# entry of R_i, R_i', R_i'' is at most 4, 2 a_i, 2 (b_i + a_i^2), so three factors' fold stays
+# under 288 times the jet's bound (alpha under 576) and the spin under 6 times; rounding adds
+# under 1e-13 of it. So no number of a jet whose bound times HEADROOM is finite overflows.
+HEADROOM = 2.0 ** 10
 
 
 class _StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -100,10 +105,9 @@ class Report:
 # a document value and the quoted name of its key (what), and returns the
 # field's value or raises a one-line ScenarioError (or tensor_core's UsageError).
 
-def _entry(noun: str, catalog, item, what: str, scalar: bool = False, window=None) -> tuple:
-    """(name, params) of a catalog entry: a name, or a mapping with a name and
-    params.  The entry is built and evaluated, a field once at x = 0, t = 0, a
-    frame over a window of times (``window_state``) when given one (see
+def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
+    """(name, params) of a catalog entry: a name, or a mapping with a name and params,
+    built, and a field evaluated once at x = 0, t = 0 (a frame is bounded by
     ``_probe_frames``), so that bad params fail here rather than in every triple."""
     item = {"name": item} if isinstance(item, str) else item
     if not isinstance(item, dict):
@@ -121,10 +125,8 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False, window=Non
             raise ValueError("parameter values must be finite numbers, not booleans or strings")
         with np.errstate(all="ignore"):
             built = catalog[name](**params)
-            if window:   # the frame's whole jet is validated where computed
-                built.window_state(*window)
-            elif noun == "field" and not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
-                                             for f in vars(built).values() if callable(f)):
+            if noun == "field" and not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
+                                           for f in vars(built).values() if callable(f)):
                 raise ValueError("non-finite value at x = 0, t = 0")
     except (FramekitError, TypeError, ValueError, ArithmeticError) as exc:
         raise ScenarioError(f"bad parameters for {noun} {name!r}: {exc}") from exc
@@ -134,12 +136,18 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False, window=Non
 
 
 def _probe_frames(scenario: Scenario) -> Scenario:
-    """scenario, its frames evaluated at every time a check reads them: over
-    the time window widened on each side by the reach of fd's time stencil."""
-    reach = scenario.fd.reach(scenario.fd.h_t)
-    window = (obj.TIME_WINDOW[0] - reach, obj.TIME_WINDOW[1] + reach)
+    """scenario, its frames bounded (``bound``) at |t| up to 1 plus fd's time reach, and at
+    primed stencil points: |alpha^T (x - y)| <= sqrt(3) (|x| + |y|) (max-norms), 2 once rounded."""
+    fd = scenario.fd
+    m = max(map(abs, obj.TIME_WINDOW)) + fd.reach(fd.h_t)
     for name, params in scenario.frames:
-        _entry("frame", FRAME_CATALOG, {"name": name, "params": params}, "", window=window)
+        jet, y = make_frame(name, **params).bound(m)
+        if not math.isfinite(HEADROOM * jet):
+            raise ScenarioError(f"bad parameters for frame {name!r}: non-finite entries possible "
+                                f"in its kinematics (bound {jet:.3g}, headroom {HEADROOM:g})")
+        if not math.isfinite(2.0 * (max(map(abs, sum(scenario.box, ()))) + y) + fd.reach(fd.h)):
+            raise ScenarioError(f"'box' and 'fd.h' put a primed stencil point of frame {name!r} "
+                                "past the largest float")
     return scenario
 
 
@@ -301,7 +309,7 @@ def _row(frame: str, field: str, check_id: str, res, tol: float) -> dict:
     row.update(samples=res.samples, max_abs_err=res.max_abs_err,
                mean_abs_err=res.mean_abs_err, tol=res.tol, witness=res.witness,
                status="pass" if res.passed else "fail")
-    if not math.isfinite(res.max_abs_err):
+    if not (math.isfinite(res.max_abs_err) and math.isfinite(res.mean_abs_err)):
         row["message"] = "non-finite residual: the check's arithmetic overflowed"
     return row
 

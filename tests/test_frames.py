@@ -1,5 +1,6 @@
 """Angular-velocity extraction, frame mapping, and observed velocities."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -9,16 +10,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial import polynomial as npoly
 
-from framekit import (InvariantViolationError, RigidFrameMotion, UsageError,
+from framekit import (InvariantViolationError, RigidFrameMotion, ScenarioError, UsageError,
                       make_field, make_frame, map_position_from_prime,
                       map_position_to_prime, observed_velocity,
                       omega_from_alpha)
-from framekit import frames
+from framekit import diffops, frames
 from framekit import objectivity as obj
+from framekit import scenario as fs
+from framekit.diffops import FdConfig
+from framekit.fields import pull_back_velocity
+from framekit.scenario import HEADROOM
 from framekit import tensor_core as tc
 
 from conftest import builtin_flows, builtin_frames, seeded_rotation
@@ -680,3 +685,84 @@ class TestPolynomialRates:
                              capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout == "[]\n"
+
+
+# The drawn frames of the bound's property: coefficients from COEFFICIENTS, or
+# as often moderate ones, or ones whose rates or their squares come near the
+# largest float, so that many frames pass the bound, some narrowly.
+COEFFICIENT = st.one_of(COEFFICIENTS, st.floats(-4.0, 4.0),
+                        st.sampled_from([1e100, -1e150, 1e152, -1e300, 1e305]))
+POLYNOMIAL = st.lists(COEFFICIENT, min_size=1, max_size=4)
+VECTOR = st.lists(COEFFICIENT, min_size=3, max_size=3)
+BOUNDED = st.one_of(
+    st.fixed_dictionaries({k: POLYNOMIAL for k in ("angles_x", "angles_y", "angles_z")}
+                          ).map(lambda p: ("wobble", p)),
+    st.fixed_dictionaries({"axis": VECTOR, "rate": COEFFICIENT, "velocity": VECTOR}
+                          ).map(lambda p: ("screw", p)),
+    st.fixed_dictionaries({"coeffs": st.lists(POLYNOMIAL, min_size=3, max_size=3)}
+                          ).map(lambda p: ("accelerated_translation", p)))
+STEPS = st.one_of(st.floats(min_value=5e-324, max_value=1e308), st.floats(1e-8, 1.0),
+                  st.sampled_from([1e-5, 1e-3, 1.0, 1e300, 5e307, 1e308]))
+ENDS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-10.0, 10.0),
+                 st.sampled_from([-1.7e308, -1e308, -1.0, 0.0, 1.0, 1e307, 1e308, 1.7e308]))
+# Two angle rates, A t^2 and A (1 - t)^2, that peak at different ends of the
+# window, with A^2 near the largest float over the bound's headroom.
+A = 5e151
+PEAKS_APART = ("wobble", {"angles_x": [0.0, 0.0, 0.0, A / 3], "angles_y": [0.0, A, -A, A / 3],
+                          "angles_z": [0.0]})
+
+
+class TestCoefficientBound:
+    """A catalog frame's ``bound`` is sound: where the parse accepts it, no
+    number its jet computes overflows, every jet entry is within the bound,
+    and every primed stencil point the pull-back validates is finite."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(frame=BOUNDED, h=STEPS, h_t=STEPS, order=st.sampled_from([2, 4]),
+           ends=st.tuples(ENDS, ENDS))
+    @example(frame=PEAKS_APART, h=1e-3, h_t=1e-5, order=4, ends=(-1.0, 1.0))
+    @example(frame=PEAKS_APART, h=1e-3, h_t=1e-5, order=4, ends=(1e307, 1.7e308))
+    @example(frame=("screw", {"axis": [0, 0, 1], "rate": 1.5, "velocity": [1e305, 0, 0]}),
+             h=5e307, h_t=1e-5, order=4, ends=(1e307, 1e308))
+    # Signs that cancel at t = 1 + reach, but not at t = -reach, where y overflows.
+    @example(frame=("accelerated_translation", {"coeffs": [[1.5e308, -1.5e308], [0.0], [0.0]]}),
+             h=1e-3, h_t=0.1, order=4, ends=(-1.0, 1.0))
+    def test_bound_holds_at_every_time_and_primed_point(self, frame, h, h_t, order, ends):
+        name, params = frame
+        try:
+            built, fd = make_frame(name, **params), FdConfig(h=h, h_t=h_t, order=order)
+        except UsageError:
+            assume(False)
+        reach = fd.reach(fd.h_t)
+        jet, y = built.bound(max(map(abs, obj.TIME_WINDOW)) + reach)
+        if not np.isfinite(HEADROOM * jet):
+            return   # refused at parse time
+        # 2,001 times across the window widened by reach on each side, spaced
+        # from its middle so that no span overflows.
+        lo, hi = obj.TIME_WINDOW
+        t = 0.5 * (lo + hi) + np.linspace(-1.0, 1.0, 2001) * (0.5 * (hi - lo) + reach)
+        with np.errstate(over="raise", invalid="raise"):
+            jet_t = built.state(t)
+        # Up to rounding: relative, and among subnormals absolute.
+        slack = (1.0 + 1e-12, 1e-300)
+        for part in ("dalpha", "d2alpha", "spin", "omega", "y", "dy", "d2y"):
+            value = np.abs(getattr(jet_t, part))
+            assert np.all(value <= jet * slack[0] + slack[1]), (part, value.max(), jet)
+        assert np.all(np.abs(jet_t.y) <= y * slack[0] + slack[1])
+
+        box = tuple(sorted(ends))
+        assume(box[0] < box[1] and box[1] - box[0] < np.inf)
+        scenario = fs.Scenario(frames=((name, params),), fields=(), checks=(), fd=fd,
+                               box=(box,) * 3)
+        try:
+            fs._probe_frames(scenario)
+        except ScenarioError:
+            return
+        xs = np.array(list(itertools.product(*scenario.box)) * 51)   # the corners
+        ts = np.repeat(np.linspace(lo, hi, 51), 8)
+        observed = pull_back_velocity(built, make_field("uniform"))
+        with np.errstate(all="ignore"):   # the flow's values may overflow; no point may
+            xp = map_position_to_prime(built, xs, ts)
+            diffops.fd_jacobian(observed, xp, ts, fd)
+            diffops.fd_second_derivatives(observed, xp, ts, fd)
+            diffops.fd_time_derivative(observed, xp, ts, fd)

@@ -19,7 +19,8 @@ from framekit import (FIELD_CATALOG, FRAME_CATALOG, FramekitError, ScenarioError
                       UsageError, parse_scenario)
 from framekit import tensor_core as tc
 from framekit.diffops import DEFAULT_FD
-from framekit.objectivity import TIME_WINDOW
+from framekit.objectivity import DEFAULT_BOX, TIME_WINDOW
+from framekit.scenario import HEADROOM
 
 # Valid values of the parameters that have no default.
 REQUIRED = {
@@ -97,17 +98,20 @@ def plain(value):
 
 def library_rejects(noun, name, params) -> bool:
     """Whether the catalog refuses params: its constructor raises, or what it
-    builds fails the evaluation that a document's parse makes of it."""
+    builds fails the check that a document's parse makes of it: a field's
+    evaluation at x = 0, t = 0, or a frame's bound at the default fd and box
+    (``scenario._probe_frames``)."""
     try:
         built = CATALOGS[noun][name](**params)
     except UsageError:
         return True
     with np.errstate(all="ignore"):
+        if noun == "frame":   # over the window widened by the time stencil's reach
+            jet, y = built.bound(max(map(abs, TIME_WINDOW)) + DEFAULT_FD.reach(DEFAULT_FD.h_t))
+            box = max(abs(v) for pair in DEFAULT_BOX for v in pair)
+            return not (math.isfinite(HEADROOM * jet)
+                        and math.isfinite(2.0 * (box + y) + DEFAULT_FD.reach(DEFAULT_FD.h)))
         try:
-            if noun == "frame":   # over the window widened by the time stencil's reach
-                reach = DEFAULT_FD.reach(DEFAULT_FD.h_t)
-                built.window_state(TIME_WINDOW[0] - reach, TIME_WINDOW[1] + reach)
-                return False
             return not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
                            for f in vars(built).values() if callable(f))
         except FramekitError:

@@ -418,19 +418,22 @@ def test_fd_step_is_refused_by_its_reach_not_its_size():
                           "fd: {h: 1.0e+308, order: 2}\n").fd.h == 1e308
 
 
-def public_check(check_id, **kwargs):
+def public_check(check_id, members=0, **kwargs):
     """check_id's public check at 5 samples (unless kwargs say otherwise)
     under wobble, on taylor_green (a scalar check on gaussian_T; a frame-only
-    check on no field), with the scenario defaults as its needs."""
+    check on no field), with the scenario defaults as its needs; with members,
+    a group call on that many copies of the field, each with its own generator."""
     spec = obj.CHECKS[check_id]
     fields = {FlowField: builtin_flows()["taylor_green"],
               ScalarField: builtin_scalars()["gaussian_T"]}
     values = {"p_field": builtin_scalars()["gaussian_T"], "mu": 0.7,
               "force": BodyForce(g=np.array([0.0, 0.0, -9.81]), rho=1.0)}
-    inputs = [fields[spec.field]] if spec.field else []
+    field = fields.get(spec.field)
+    inputs = [] if field is None else [[field] * members] if members else [field]
     return getattr(obj, spec.function)(
         builtin_frames()["wobble"], *inputs, *(values[name] for name in spec.needs),
-        rng=seeded(), **{"samples": 5, **kwargs})
+        rng=[seeded() for _ in range(members)] if members else seeded(),
+        **{"samples": 5, **kwargs})
 
 
 def _bad_tols_and_boxes():
@@ -506,6 +509,23 @@ class TestOneSampleDriver:
         assert public_check(check_id).passed
         assert calls["sample_points"] == 1
 
+    @pytest.mark.parametrize("check_id", obj.CHECK_IDS)
+    def test_a_group_call_samples_and_reads_its_box_once(self, monkeypatch, check_id):
+        # All three members' points are drawn in one call, which reads the box once.
+        calls = Counter()
+
+        def counted(name, original):
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            return call
+
+        for name in ("sample_points", "box_pairs"):
+            monkeypatch.setattr(obj, name, counted(name, getattr(obj, name)))
+        results = public_check(check_id, members=3)
+        assert len(results) == 3 and all(r.passed for r in results)
+        assert calls == {"sample_points": 1, "box_pairs": 1}
+
     def test_stress_check_ignores_box_and_fd(self):
         # The stresses are drawn after the points, whose number of draws the
         # box does not change, and no finite difference is taken.
@@ -532,7 +552,7 @@ class TestOneSampleDriver:
         monkeypatch.setattr(obj, "map_position_to_prime", counted)
         got = obj.check_stress_transform_random(frame, samples=20, rng=seeded())
         rng = seeded()
-        _, ts = obj.sample_points(obj.DEFAULT_BOX, 20, rng)
+        _, ts = obj.sample_points(obj.DEFAULT_BOX, 20, [rng])
         want = obj.check_stress_tensor_transform(rng.uniform(-1.0, 1.0, size=(20, 3, 3)),
                                                  frame.alpha(ts))
         assert got == want and calls["map_position_to_prime"] == 0
@@ -547,7 +567,7 @@ def test_sample_points_are_rng_uniform_bit_for_bit(box, seed):
     lo, hi = np.array(box).T
     for n in (1, 2, 7, 100, 150):
         mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        xs, ts = obj.sample_points(box, n, mine)
+        xs, ts = obj.sample_points(box, n, [mine])
         assert np.array_equal(xs, theirs.uniform(lo, hi, size=(n, 3)))
         assert np.array_equal(ts, theirs.uniform(*obj.TIME_WINDOW, size=n))
         assert np.array_equal(mine.uniform(-1.0, 1.0, size=(n, 3, 3)),

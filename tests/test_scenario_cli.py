@@ -219,6 +219,20 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
         frames="[{name: wobble, params: {angles_x: [0.0, 0.9, 0.4, 0.0], "
                "angles_y: [0.3, 0.7, 0.0, 0.2], angles_z: [0.0, 1.1, -0.3, 0.0]}}]",
         fields="[taylor_green]", checks="[acceleration_decomposition]") + "fd: {ht: 1.0e300}\n",
+    # Finite params within the bound's headroom of the largest float: the
+    # trajectory's rate, and primed stencil points far from the origin, by a
+    # large step or a box near the float range's end.
+    "velocity_within_headroom_of_overflow": document(
+        frames="[{name: uniform_translation, params: {velocity: [1.0e308, 0, 0]}}]")
+        + "fd: {h: 5.0e+307}\n",
+    "box_far_out_with_a_large_step": document()
+        + "box: [1.0e+308, 1.5e+308]\nfd: {h: 5.0e+307}\n",
+    "box_far_out_under_rotating_frames": document(
+        frames="[{name: wobble, params: {angles_x: [0.0, 0.9], angles_y: [0.3, 0.7], "
+               "angles_z: [0.0, 1.1]}}, {name: screw, params: {axis: [0, 0, 1], rate: 1.5, "
+               "velocity: [0, 0, 0.6]}}]",
+        fields="[taylor_green]", checks="[div_invariance, velgrad_relation]")
+        + "box: [1.0e+307, 1.7e+308]\n",
 }
 
 # What each case that the duplicate-key check could mask is rejected for:
@@ -269,6 +283,10 @@ OWN_REASON = {
     "trajectory_overflowing_in_time_stencil_reach":
         "bad parameters for frame 'uniform_translation': non-finite entries",
     "angles_overflowing_in_time_stencil_reach": "bad parameters for frame 'wobble': non-finite",
+    "velocity_within_headroom_of_overflow":
+        "bad parameters for frame 'uniform_translation': non-finite",
+    "box_far_out_with_a_large_step": "'box' and 'fd.h' put a primed stencil point of frame 'identity'",
+    "box_far_out_under_rotating_frames": "'box' and 'fd.h' put a primed stencil point of frame 'wobble'",
     "fd_step_reach_overflowing":
         "finite-difference step h = 1e+308 reaches past the largest float at stencil order 4",
     "fd_time_step_reach_overflowing":
@@ -399,6 +417,15 @@ samples: 5
         message = "non-finite residual: the check's arithmetic overflowed"
         assert row["message"] == message
         assert f"\n    {message}\n" in emit_report(report, "table")
+
+    def test_an_overflowed_mean_carries_the_message(self):
+        # Each residual finite, but not their mean: the row says so as well.
+        s = parse_scenario(document(fields="[{name: taylor_green, params: {mod_amp: 1.0e+308}}]",
+                                    checks="[vorticity_relation]")
+                           + "samples: 2\nfd: {h: 1.0e+300, order: 2}\n")
+        row = json.loads(emit_report(run_suite(s), "json"))["results"][0]
+        assert row["max_abs_err"] is not None and row["mean_abs_err"] is None
+        assert row["message"] == "non-finite residual: the check's arithmetic overflowed"
 
     def test_overflow_rows_do_not_depend_on_the_warnings_filter(self):
         # An overflow is reported by its row, so a caller's -W error or

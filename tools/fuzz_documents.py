@@ -7,9 +7,10 @@ params are drawn from the value set of the number rule's property test
 (``tests/test_number_rule.py``: finite floats with their extremes, numpy's
 scalars, NaN, infinities, booleans, a string, bytes, None and nested lists of
 these), about a third with an ``fd`` step drawn from the same params and
-an order of 2 or 4, some with unknown keys, some with YAML aliases or merge
-keys.  Each document runs through ``framekit.cli.main`` at ``samples: 2``
-with every warning shown.  A run keeps the contract if it
+an order of 2 or 4, about a third with a ``box`` (far from the origin too),
+``material`` keys and a ``pressure`` field, some with unknown keys, some with
+YAML aliases or merge keys.  Each document runs through ``framekit.cli.main``
+at ``samples: 2`` with every warning shown.  A run keeps the contract if it
 
 - exits 0 or 1 with a JSON report that parses, no ``error`` row, nothing on
   stderr, and the overflow message on every row with a non-finite
@@ -52,6 +53,13 @@ OVERFLOW = "non-finite residual: the check's arithmetic overflowed"
 PARAMS = st.one_of(VALUES, st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 1e308, -1e308]))
 
+# A box end far from the origin, up to the largest floats, of either sign.
+FAR = st.sampled_from([1.0, 1e3, 1e100, 1e300, 1e307, 1e308, 1.7e308]).flatmap(
+    lambda v: st.sampled_from([v, -v]))
+MATERIAL = {"mu": PARAMS, "rho": PARAMS, "g": st.lists(PARAMS, min_size=3, max_size=3),
+            "conductivity": PARAMS}
+SCALARS = {name: FIELD_CATALOG[name] for name in ("gaussian_T", "linear_T")}
+
 
 @st.composite
 def entries(draw, catalog):
@@ -65,6 +73,17 @@ def entries(draw, catalog):
     if draw(st.integers(0, 9)) == 0:
         params["not_a_param"] = 1.0
     return {"name": name, "params": params}
+
+
+@st.composite
+def boxes(draw):
+    """A box: [lo, hi] or three pairs, each pair two of PARAMS or two ends
+    that FAR draws, in order."""
+    def pair():
+        if draw(st.booleans()):
+            return sorted(draw(st.tuples(FAR, FAR)))
+        return [plain(draw(PARAMS)), plain(draw(PARAMS))]
+    return pair() if draw(st.booleans()) else [pair() for _ in range(3)]
 
 
 def flow(value) -> str:
@@ -84,6 +103,11 @@ def documents(draw) -> str:
     if draw(st.integers(0, 2)) == 0:   # about a third: one fd step from PARAMS, an order
         doc["fd"] = {draw(st.sampled_from(["h", "ht"])): plain(draw(PARAMS)),
                      "order": draw(st.sampled_from([2, 4]))}
+    if draw(st.integers(0, 2)) == 0:   # about a third: a box, material keys, a pressure field
+        doc["box"] = draw(boxes())
+        keys = draw(st.lists(st.sampled_from(sorted(MATERIAL)), max_size=2, unique=True))
+        doc["material"] = {key: plain(draw(MATERIAL[key])) for key in keys}
+        doc["pressure"] = draw(entries(SCALARS))
     if draw(st.integers(0, 9)) == 0:
         doc["not_a_key"] = 0
     shape = draw(st.sampled_from(["plain", "plain", "plain", "alias", "merge"]))
