@@ -40,7 +40,7 @@ def _cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
     overrides = {key: _SCENARIO[key](value, f"'{key}'") for key in ("seed", "samples")
                  if (value := getattr(args, key)) is not None}   # checked as in a document
-    scenario = dataclasses.replace(scenario, **overrides)
+    scenario = dataclasses.replace(scenario, **overrides) if overrides else scenario
     report = run_suite(scenario)
     text = emit_report(report, format=args.format)
     if args.out:

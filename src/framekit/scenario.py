@@ -3,8 +3,8 @@
 A scenario document (YAML; JSON is accepted as a YAML subset) names the
 frames, fields, and checks to run plus sampling/FD parameters.  Unknown and
 repeated keys are rejected so typos cannot silently change a run; numbers
-(by ``tensor_core``'s rule) and every frame and field (built, and evaluated
-or bounded) are validated here, so a malformed one fails before any check runs.
+are validated here (by ``tensor_core``'s rule), and every frame and field when
+a ``Scenario`` is made, so a malformed one fails before any check runs.
 Reports are deterministic for a given (scenario, seed): each (frame, field,
 check) triple has its own seeded generator, so neither execution order nor
 the grouping of a check's fields into one call alters them.
@@ -75,7 +75,9 @@ class Material:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated run specification."""
+    """A validated run specification; making one builds and checks its frames, fields,
+    pressure and body force once, for ``run_suite``.  A primed stencil point is bounded
+    by |alpha^T (x - y)| <= sqrt(3) (|x| + |y|) (max-norms), 2 once rounded."""
     frames: tuple            # ((name, params), ...)
     fields: tuple
     checks: tuple
@@ -86,6 +88,28 @@ class Scenario:
     tolerances: dict = dc_field(default_factory=dict)
     material: Material = dc_field(default_factory=Material)
     pressure: tuple = ("gaussian_T", {})
+
+    def __post_init__(self):
+        fd, box = self.fd, max(abs(v) for pair in self.box for v in pair)
+        frames = [(name, _built("frame", make_frame, name, p)) for name, p in self.frames]
+        fields = [(name, _built("field", make_field, name, p)) for name, p in self.fields]
+        if not isinstance(pressure := _built("field", make_field, *self.pressure), ScalarField):
+            raise ScenarioError("'pressure' must name a scalar field")
+        for name, frame in frames:   # at |t| up to 1 plus fd's time reach
+            jet, y = frame.bound(max(map(abs, obj.TIME_WINDOW)) + fd.reach(fd.h_t))
+            if not math.isfinite(HEADROOM * jet):
+                raise ScenarioError(f"bad parameters for frame {name!r}: non-finite entries "
+                                    f"possible in its kinematics (bound {jet:.3g}, headroom "
+                                    f"{HEADROOM:g})")
+            if not math.isfinite(2.0 * (box + y) + fd.reach(fd.h)):
+                raise ScenarioError(f"'box' and 'fd.h' put a primed stencil point of frame "
+                                    f"{name!r} past the largest float")
+        kinds = tuple(obj.CHECKS[c].field or FlowField for c in self.checks)
+        if not any(isinstance(f, kinds) for _, f in fields):
+            raise ScenarioError("no check in 'checks' applies to a field in 'fields'")
+        force = obj.BodyForce(g=np.asarray(self.material.g), rho=self.material.rho)
+        values = {"p_field": pressure, "mu": self.material.mu, "force": force}
+        object.__setattr__(self, "_built", (frames, fields, values))   # not a field: not echoed
 
     def tolerance(self, check_id: str) -> float:
         return float(self.tolerances.get(check_id, obj.CHECKS[check_id].tol))
@@ -105,10 +129,8 @@ class Report:
 # a document value and the quoted name of its key (what), and returns the
 # field's value or raises a one-line ScenarioError (or tensor_core's UsageError).
 
-def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
-    """(name, params) of a catalog entry: a name, or a mapping with a name and params,
-    built, and a field evaluated once at x = 0, t = 0 (a frame is bounded by
-    ``_probe_frames``), so that bad params fail here rather than in every triple."""
+def _entry(noun: str, catalog, item, what: str) -> tuple:
+    """(name, params) of a catalog entry: a name, or a mapping of a name and params."""
     item = {"name": item} if isinstance(item, str) else item
     if not isinstance(item, dict):
         raise ScenarioError(f"{what} must be a name or mapping")
@@ -117,38 +139,24 @@ def _entry(noun: str, catalog, item, what: str, scalar: bool = False) -> tuple:
     name, params = item.get("name"), item.get("params")
     if not isinstance(name, str) or name not in catalog:
         raise ScenarioError(f"unknown {noun} id {name!r}; valid ids: {sorted(catalog)}")
-    params = {} if params is None else params    # only null means no params
-    if not isinstance(params, dict):
+    if not isinstance(params := {} if params is None else params, dict):   # only null means none
         raise ScenarioError(f"'params' for {noun} {name!r} must be a mapping")
-    try:
-        if _not_numbers(list(params.values())):   # the alias guard, with its own message
-            raise ValueError("parameter values must be finite numbers, not booleans or strings")
-        with np.errstate(all="ignore"):
-            built = catalog[name](**params)
-            if noun == "field" and not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
-                                           for f in vars(built).values() if callable(f)):
-                raise ValueError("non-finite value at x = 0, t = 0")
-    except (FramekitError, TypeError, ValueError, ArithmeticError) as exc:
-        raise ScenarioError(f"bad parameters for {noun} {name!r}: {exc}") from exc
-    if scalar and not isinstance(built, ScalarField):
-        raise ScenarioError(f"{what} must name a scalar field")
+    _numbers(list(params.values()), f"bad parameters for {noun} {name!r}")   # the alias guard
     return name, dict(params)
 
 
-def _probe_frames(scenario: Scenario) -> Scenario:
-    """scenario, its frames bounded (``bound``) at |t| up to 1 plus fd's time reach, and at
-    primed stencil points: |alpha^T (x - y)| <= sqrt(3) (|x| + |y|) (max-norms), 2 once rounded."""
-    fd = scenario.fd
-    m = max(map(abs, obj.TIME_WINDOW)) + fd.reach(fd.h_t)
-    for name, params in scenario.frames:
-        jet, y = make_frame(name, **params).bound(m)
-        if not math.isfinite(HEADROOM * jet):
-            raise ScenarioError(f"bad parameters for frame {name!r}: non-finite entries possible "
-                                f"in its kinematics (bound {jet:.3g}, headroom {HEADROOM:g})")
-        if not math.isfinite(2.0 * (max(map(abs, sum(scenario.box, ()))) + y) + fd.reach(fd.h)):
-            raise ScenarioError(f"'box' and 'fd.h' put a primed stencil point of frame {name!r} "
-                                "past the largest float")
-    return scenario
+def _built(noun: str, make, name: str, params: dict):
+    """make(name, **params), a field evaluated at x = 0, t = 0, or one-line ScenarioError."""
+    prefix = f"bad parameters for {noun} {name!r}: "
+    try:
+        with np.errstate(all="ignore"):
+            built = make(name, **params)
+            if noun == "field" and not all(np.all(np.isfinite(f(np.zeros(3), 0.0)))
+                                           for f in vars(built).values() if callable(f)):
+                raise ValueError("non-finite value at x = 0, t = 0")
+            return built
+    except (FramekitError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ScenarioError(prefix + str(exc).removeprefix(prefix)) from exc   # make's, once
 
 
 def _check_id(value, what: str) -> str:
@@ -163,20 +171,19 @@ def _list_of(entry, value, what: str) -> tuple:
     return tuple(entry(item, f"a {what} entry") for item in value)
 
 
-def _not_numbers(value) -> bool:
-    """Whether anything but a number (``tensor_core.is_number``: not a YAML bool,
-    a string, bytes, a NaN, a null) is in the lists and mappings of value, keys
-    included.  ValueError past MAX_VALUES entries, as nested YAML aliases reach."""
+def _numbers(value, what: str):
+    """value, if its lists and mappings (keys too) hold only numbers, else ScenarioError."""
     pending = [value]
     for _ in range(MAX_VALUES):
         v = pending.pop()
         if isinstance(v, (dict, list, tuple)):
             pending += [*v, *v.values()] if isinstance(v, dict) else v
         elif not tc.is_number(v):
-            return True
+            raise ScenarioError(f"{what}: parameter values must be finite numbers, "
+                                "not booleans or strings")
         if not pending:
-            return False
-    raise ValueError(f"more than {MAX_VALUES} numbers, lists and mappings in one value")
+            return value
+    raise ScenarioError(f"{what}: more than {MAX_VALUES} numbers, lists and mappings in one value")
 
 
 def _order(value, what: str) -> int:
@@ -193,7 +200,7 @@ def _vector(value, what: str) -> tuple:
 
 def _box(value, what: str) -> tuple:
     try:   # the walk guards the cast, which reads the nesting: [lo, hi] or three pairs
-        box = np.empty(0) if _not_numbers(value) else np.asarray(value, dtype=float)
+        box = np.asarray(_numbers(value, what), dtype=float)
         return obj.box_pairs(np.tile(box, (3, 1)) if box.shape == (2,) else box)
     except (UsageError, TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{what} must be [lo, hi] or three [lo, hi] pairs of numbers "
@@ -242,15 +249,14 @@ _SCENARIO = {
     "fd": _or_default(partial(_mapping, _FD, FdConfig, "fd.")),
     "tolerances": _or_default(partial(_mapping, _TOLERANCES, dict, "tolerances.")),
     "material": _or_default(partial(_mapping, _MATERIAL, Material, "material.")),
-    "pressure": _or_default(partial(_entry, "field", FIELD_CATALOG, scalar=True)),
+    "pressure": _or_default(partial(_entry, "field", FIELD_CATALOG)),
 }
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; fill documented defaults."""
     try:
-        return _probe_frames(_mapping(_SCENARIO, Scenario, "",
-                                      yaml.load(text, Loader=_StrictLoader), "scenario"))
+        return _mapping(_SCENARIO, Scenario, "", yaml.load(text, Loader=_StrictLoader), "scenario")
     except yaml.YAMLError as exc:   # its message spans lines; the contract is one
         what = " ".join(str(exc).split())
         raise ScenarioError(f"scenario document is not valid YAML: {what}") from exc
@@ -263,10 +269,9 @@ def parse_scenario(text: str) -> Scenario:
 def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_scenario(fh.read())
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"scenario file is not UTF-8 text: {exc}") from exc
-    return parse_scenario(text)
 
 
 # --------------------------------------------------------------------------
@@ -326,23 +331,17 @@ def run_suite(scenario: Scenario) -> Report:
     errors fail the suite but do not abort it.
     """
     start = time.perf_counter()
-    frames = [(i, name, make_frame(name, **params))
-              for i, (name, params) in enumerate(scenario.frames)]
-    fields = [(i, name, make_field(name, **params))
-              for i, (name, params) in enumerate(scenario.fields)]
-    p_field = make_field(scenario.pressure[0], **scenario.pressure[1])
-    material, box = scenario.material, np.array(scenario.box)   # each driver reads it as is
-    values = {"p_field": p_field, "mu": material.mu,
-              "force": obj.BodyForce(g=np.asarray(material.g), rho=material.rho)}
+    (frames, fields, values), box = scenario._built, np.array(scenario.box)   # read as is
     per_call = max(1, GROUP_SAMPLES // scenario.samples)
 
     rows = []
     with np.errstate(all="ignore"):   # a row reports its own overflow
-        for fi, fname, frame in frames:
+        for fi, (fname, frame) in enumerate(frames):
             cells = {}   # (field index, check index) -> row
             for ci, check_id in enumerate(scenario.checks):
                 spec, tol = obj.CHECKS[check_id], scenario.tolerance(check_id)
-                members = [m for m in fields if isinstance(m[2], spec.field or FlowField)]
+                members = [(gi, *m) for gi, m in enumerate(fields)
+                           if isinstance(m[1], spec.field or FlowField)]
 
                 def call(group):
                     # Looked up per call, so that a patched module attribute is what runs.

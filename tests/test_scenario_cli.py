@@ -1,9 +1,11 @@
 """Scenario parsing, suite determinism, report emission, CLI contract."""
 
+import dataclasses
 import json
 import re
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +235,8 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
                "velocity: [0, 0, 0.6]}}]",
         fields="[taylor_green]", checks="[div_invariance, velgrad_relation]")
         + "box: [1.0e+307, 1.7e+308]\n",
+    # Checks that apply to none of the fields: a pass of 0 triples would prove nothing.
+    "no_check_applies": document(checks="[scalar_grad_invariance]"),
 }
 
 # What each case that the duplicate-key check could mask is rejected for:
@@ -293,6 +297,7 @@ OWN_REASON = {
         "finite-difference step h_t = 1e+308 reaches past the largest float at stencil order 4",
     "binary_tolerance": "'tolerances.div_invariance' must be a finite number >= 0, got b'1'",
     "binary_frame_rate": "bad parameters for frame 'constant_rotation': parameter values must",
+    "no_check_applies": "no check in 'checks' applies to a field in 'fields'",
 }
 
 
@@ -545,11 +550,10 @@ tolerances: {velgrad_relation: 1.0e-18}
 
     def test_construction_errors_raise_before_any_triple(self):
         s = parse_scenario(MINIMAL + "samples: 5\n")
-        s = type(s)(**{**s.__dict__, "fields": (("gaussian_T", {"width": -1.0}),),
-                       "checks": ("scalar_grad_invariance",)})
-        with pytest.raises(Exception):
-            # construction errors surface before any triple runs
-            run_suite(s)
+        with pytest.raises(ScenarioError, match="bad parameters for field 'gaussian_T'"):
+            # construction errors surface when the Scenario is made, before any triple
+            dataclasses.replace(s, fields=(("gaussian_T", {"width": -1.0}),),
+                                checks=("scalar_grad_invariance",))
 
     def test_a_raising_check_gives_one_error_row(self, monkeypatch):
         s = parse_scenario(document(
@@ -777,3 +781,51 @@ tolerances: {div_invariance: 1.0e-30}
         strip = lambda p: "\n".join(l for l in p.read_text().splitlines()
                                     if "wall_time_s" not in l)
         assert strip(out1) == strip(out2)
+
+
+class TestScenarioIsBuilt:
+    """A Scenario builds and checks its frames and fields once, when it is made."""
+
+    # The documents that overflowed a primed stencil point in a run, as a library
+    # caller writes them: each gave an 'error' row before the Scenario checked itself.
+    PRIMED_OVERFLOWS = [
+        dict(frames=(("uniform_translation", {"velocity": [1.0e308, 0.0, 0.0]}),),
+             fd=fs.FdConfig(h=5.0e307)),
+        dict(frames=(("uniform_translation", {"velocity": [1.0e308, 0.0, 0.0]}),),
+             fd=fs.FdConfig(h=1.0e308, order=2)),
+        dict(frames=(("identity", {}),), box=((1.0e308, 1.5e308),) * 3,
+             fd=fs.FdConfig(h=5.0e307)),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(PRIMED_OVERFLOWS)))
+    def test_a_library_scenario_is_checked(self, case):
+        with pytest.raises(ScenarioError, match="non-finite|primed stencil point"):
+            fs.Scenario(**self.PRIMED_OVERFLOWS[case], fields=(("uniform", {}),),
+                        checks=("div_invariance",))
+
+    def test_one_parse_and_run_builds_each_entry_once(self, monkeypatch):
+        built = {"frame": 0, "field": 0}
+        for noun, catalog in (("frame", fs.FRAME_CATALOG), ("field", fs.FIELD_CATALOG)):
+            for name, make in list(catalog.items()):
+                def counted(*args, noun=noun, make=make, **kwargs):
+                    built[noun] += 1
+                    return make(*args, **kwargs)
+                monkeypatch.setitem(catalog, name, counted)
+        s = fs.load_scenario(Path(__file__).parent.parent / "scenarios" / "full_matrix.yaml")
+        assert run_suite(s).passed
+        assert built == {"frame": len(s.frames), "field": len(s.fields) + 1} == {
+            "frame": 6, "field": 8}
+
+    def test_a_scenario_run_twice_gives_the_same_report(self):
+        # Its frames, and so their memos, outlive one run.
+        s = parse_scenario(document(
+            frames="[identity, {name: wobble, params: {angles_x: [0.0, 0.9], "
+                   "angles_y: [0.3, 0.7], angles_z: [0.0, 1.1]}}]",
+            fields="[taylor_green, gaussian_T]",
+            checks="[div_invariance, scalar_grad_invariance, acceleration_decomposition]")
+            + "samples: 7\n")
+        first = canonical_report_json(run_suite(s))
+        assert canonical_report_json(run_suite(s)) == first
+        again = parse_scenario(yaml.safe_dump(fs._echo(s)))
+        assert canonical_report_json(run_suite(again)) == first
+

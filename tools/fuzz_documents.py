@@ -8,7 +8,8 @@ params are drawn from the value set of the number rule's property test
 scalars, NaN, infinities, booleans, a string, bytes, None and nested lists of
 these), about a third with an ``fd`` step drawn from the same params and
 an order of 2 or 4, about a third with a ``box`` (far from the origin too),
-``material`` keys and a ``pressure`` field, some with unknown keys, some with
+``material`` keys and a ``pressure`` field, about a third with one to three
+``tolerances`` from the same params, some with unknown keys, some with
 YAML aliases or merge keys.  Each document runs through ``framekit.cli.main``
 at ``samples: 2`` with every warning shown.  A run keeps the contract if it
 
@@ -108,6 +109,9 @@ def documents(draw) -> str:
         keys = draw(st.lists(st.sampled_from(sorted(MATERIAL)), max_size=2, unique=True))
         doc["material"] = {key: plain(draw(MATERIAL[key])) for key in keys}
         doc["pressure"] = draw(entries(SCALARS))
+    if draw(st.integers(0, 2)) == 0:   # about a third: one to three tolerances from PARAMS
+        ids = draw(st.lists(st.sampled_from(CHECK_IDS), min_size=1, max_size=3, unique=True))
+        doc["tolerances"] = {check_id: plain(draw(PARAMS)) for check_id in ids}
     if draw(st.integers(0, 9)) == 0:
         doc["not_a_key"] = 0
     shape = draw(st.sampled_from(["plain", "plain", "plain", "alias", "merge"]))
