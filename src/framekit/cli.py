@@ -14,7 +14,7 @@ from . import objectivity as obj
 from .errors import FramekitError
 from .fields import FIELD_CATALOG
 from .frames import FRAME_CATALOG
-from .scenario import _SCENARIO, VERSION, emit_report, load_scenario, run_suite
+from .scenario import VERSION, emit_report, load_scenario, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,9 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
-    overrides = {key: _SCENARIO[key](value, f"'{key}'") for key in ("seed", "samples")
-                 if (value := getattr(args, key)) is not None}   # checked as in a document
-    scenario = dataclasses.replace(scenario, **overrides) if overrides else scenario
+    overrides = {key: v for key in ("seed", "samples") if (v := getattr(args, key)) is not None}
+    scenario = dataclasses.replace(scenario, **overrides) if overrides else scenario   # checked
     report = run_suite(scenario)
     text = emit_report(report, format=args.format)
     if args.out:

@@ -2,9 +2,9 @@
 
 A scenario document (YAML; JSON is accepted as a YAML subset) names the
 frames, fields, and checks to run plus sampling/FD parameters.  Unknown and
-repeated keys are rejected so typos cannot silently change a run; numbers
-are validated here (by ``tensor_core``'s rule), and every frame and field when
-a ``Scenario`` is made, so a malformed one fails before any check runs.
+repeated keys are rejected so typos cannot silently change a run; a ``Scenario``,
+parsed or made in Python, reads its values (numbers by ``tensor_core``'s rule) and
+builds every frame and field when made, so a malformed one fails before any check runs.
 Reports are deterministic for a given (scenario, seed): each (frame, field,
 check) triple has its own seeded generator, so neither execution order nor
 the grouping of a check's fields into one call alters them.
@@ -75,12 +75,12 @@ class Material:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated run specification; making one builds and checks its frames, fields,
-    pressure and body force once, for ``run_suite``.  A primed stencil point is bounded
-    by |alpha^T (x - y)| <= sqrt(3) (|x| + |y|) (max-norms), 2 once rounded."""
-    frames: tuple            # ((name, params), ...)
-    fields: tuple
-    checks: tuple
+    """A validated run specification; making one reads each field by its key's rule, then
+    builds and checks its frames, fields, pressure and body force once, for ``run_suite``.  A
+    primed stencil point has |alpha^T (x - y)| <= sqrt(3) (|x| + |y|) (max-norms), 2 rounded."""
+    frames: tuple = None     # ((name, params), ...); required, as None is no list
+    fields: tuple = None
+    checks: tuple = None
     box: tuple = obj.DEFAULT_BOX
     samples: int = 100
     seed: int = 42
@@ -90,6 +90,13 @@ class Scenario:
     pressure: tuple = ("gaussian_T", {})
 
     def __post_init__(self):
+        try:   # each field by its _SCENARIO rule, in field order, so that the first error
+            for f in dc_fields(self):   # is that of the first bad key, as in a document
+                if (value := getattr(self, f.name)) is None and f.name in _NULL_IS_DEFAULT:
+                    value = f.default if f.default_factory is MISSING else f.default_factory()
+                object.__setattr__(self, f.name, _SCENARIO[f.name](value, f"'{f.name}'"))
+        except UsageError as exc:   # a number reader's names the key: as a ScenarioError
+            raise exc if isinstance(exc, ScenarioError) else ScenarioError(str(exc))
         fd, box = self.fd, max(abs(v) for pair in self.box for v in pair)
         frames = [(name, _built("frame", make_frame, name, p)) for name, p in self.frames]
         fields = [(name, _built("field", make_field, name, p)) for name, p in self.fields]
@@ -130,8 +137,9 @@ class Report:
 # field's value or raises a one-line ScenarioError (or tensor_core's UsageError).
 
 def _entry(noun: str, catalog, item, what: str) -> tuple:
-    """(name, params) of a catalog entry: a name, or a mapping of a name and params."""
-    item = {"name": item} if isinstance(item, str) else item
+    """(name, params) of a catalog entry: a name, a mapping of a name and params, or
+    a stored (name, params) pair."""
+    item = {"name": item} if isinstance(item, str) else _echo(item)   # a pair as its mapping
     if not isinstance(item, dict):
         raise ScenarioError(f"{what} must be a name or mapping")
     if extra := set(item) - {"name", "params"}:
@@ -166,7 +174,7 @@ def _check_id(value, what: str) -> str:
 
 
 def _list_of(entry, value, what: str) -> tuple:
-    if not isinstance(value, list) or not value:
+    if not isinstance(value, (list, tuple)) or not value:
         raise ScenarioError(f"{what} must be a non-empty list")
     return tuple(entry(item, f"a {what} entry") for item in value)
 
@@ -207,32 +215,26 @@ def _box(value, what: str) -> tuple:
                             "with lo < hi and a finite width hi - lo") from None
 
 
-_DEFAULT = object()   # returned by a validator to keep the field's default
-
-
-def _or_default(valid):   # valid, but a null value keeps the field's default
-    return lambda value, what: _DEFAULT if value is None else valid(value, what)
-
-
-def _mapping(table: dict, cls, prefix: str, value, what: str):
-    """cls from a mapping of table's keys, each checked by its validator in table
-    order, so that a document's first error is deterministic.  A key left out
-    keeps its field's default; a field without one is required."""
+def _keys(table: dict, value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{what} must be a mapping")
     if extra := set(value) - set(table):
         raise ScenarioError(f"unknown {what} key(s) {sorted(extra, key=repr)}; "
                             f"valid keys: {sorted(table)}")
-    for f in dc_fields(cls) if is_dataclass(cls) else ():
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in value:
-            raise ScenarioError(f"{what} is missing required key '{f.name}'")
-    values = {_FIELD.get(key, key): valid(value[key], f"'{prefix}{key}'")
-              for key, valid in table.items() if key in value}
-    return cls(**{k: v for k, v in values.items() if v is not _DEFAULT})
+    return value
+
+
+def _mapping(table: dict, cls, prefix: str, value, what: str):
+    """cls from a mapping of table's keys (or a cls, as its echo), each checked by its
+    validator in table order; a key left out keeps its field's default."""
+    value = _keys(table, _echo(value) if isinstance(value, cls) else value, what)
+    return cls(**{_FIELD.get(key, key): valid(value[key], f"'{prefix}{key}'")
+                  for key, valid in table.items() if key in value})
 
 
 # The document's keys, each with its validator, in the order of the fields
-# they fill.  A key names its field, but for the renames in _FIELD.
+# they fill.  A key names its field, but for the renames in _FIELD.  A null
+# value keeps the default of the keys in _NULL_IS_DEFAULT.
 _nonnegative = partial(tc.number, low=0.0)
 _positive = partial(tc.number, low=0.0, strict=True)
 _FIELD = {"ht": "h_t"}
@@ -243,27 +245,24 @@ _SCENARIO = {
     "frames": partial(_list_of, partial(_entry, "frame", FRAME_CATALOG)),
     "fields": partial(_list_of, partial(_entry, "field", FIELD_CATALOG)),
     "checks": partial(_list_of, _check_id),
-    "box": _or_default(_box),
+    "box": _box,
     "samples": partial(tc.integer, low=1, high=MAX_SAMPLES),
     "seed": partial(tc.integer, low=0),
-    "fd": _or_default(partial(_mapping, _FD, FdConfig, "fd.")),
-    "tolerances": _or_default(partial(_mapping, _TOLERANCES, dict, "tolerances.")),
-    "material": _or_default(partial(_mapping, _MATERIAL, Material, "material.")),
-    "pressure": _or_default(partial(_entry, "field", FIELD_CATALOG)),
+    "fd": partial(_mapping, _FD, FdConfig, "fd."),
+    "tolerances": partial(_mapping, _TOLERANCES, dict, "tolerances."),
+    "material": partial(_mapping, _MATERIAL, Material, "material."),
+    "pressure": partial(_entry, "field", FIELD_CATALOG),
 }
+_NULL_IS_DEFAULT = ("box", "fd", "tolerances", "material", "pressure")
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document; fill documented defaults."""
+    """Parse a scenario document: its keys here, its values by the Scenario made of it."""
     try:
-        return _mapping(_SCENARIO, Scenario, "", yaml.load(text, Loader=_StrictLoader), "scenario")
+        return Scenario(**_keys(_SCENARIO, yaml.load(text, Loader=_StrictLoader), "scenario"))
     except yaml.YAMLError as exc:   # its message spans lines; the contract is one
         what = " ".join(str(exc).split())
         raise ScenarioError(f"scenario document is not valid YAML: {what}") from exc
-    except ScenarioError:
-        raise
-    except UsageError as exc:   # a number reader's, which names the key
-        raise ScenarioError(str(exc)) from exc
 
 
 def load_scenario(path) -> Scenario:
@@ -381,7 +380,7 @@ def _report_json(report: Report, include_wall_time: bool) -> str:
            "suite_verdict": "pass" if report.passed else "fail"}
     if include_wall_time:
         out["wall_time_s"] = report.wall_time_s
-    return json.dumps(_jsonable(out), indent=2, allow_nan=False) + "\n"
+    return json.dumps(_jsonable(out), indent=2, allow_nan=False, default=np.generic.item) + "\n"
 
 
 def canonical_report_json(report: Report) -> str:

@@ -829,3 +829,63 @@ class TestScenarioIsBuilt:
         again = parse_scenario(yaml.safe_dump(fs._echo(s)))
         assert canonical_report_json(run_suite(again)) == first
 
+
+class TestOnePath:
+    """A Scenario made in Python is read as a document is: the same rules, the
+    same one-line ScenarioError, the same stored form."""
+
+    LIBRARY = dict(frames=(("identity", {}),), fields=(("uniform", {}),),
+                   checks=("div_invariance",))
+    # Each ended in a bare exception, an 'error' row, a silent accept or a report
+    # that JSON could not write before the Scenario read its own fields.
+    REFUSED = {
+        "zero_samples": dict(samples=0),
+        "string_samples": dict(samples="5"),
+        "string_tolerance": dict(tolerances={"div_invariance": "abc"}),
+        "unknown_tolerance": dict(tolerances={"nope": 1.0}),
+        "reversed_box": dict(box=((1.0, -1.0),) * 3),
+        "negative_seed": dict(seed=-1),
+        "fractional_seed": dict(seed=1.5),
+        "string_viscosity": dict(material=fs.Material(mu="x")),
+        "unknown_check": dict(checks=("nope",)),
+        "no_frames": dict(frames=()),
+        "array_param": dict(frames=(("constant_rotation",
+                                     {"axis": np.array([0.0, 0.0, 1.0]), "rate": 2.0}),)),
+        "array_box": dict(box=np.array([-1.0, 1.0])),
+        "array_gravity": dict(material=fs.Material(g=np.array([0.0, 0.0, -9.81]))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused_when_made(self, case):
+        with pytest.raises(ScenarioError) as err:
+            fs.Scenario(**{**self.LIBRARY, **self.REFUSED[case]})
+        assert len(str(err.value).splitlines()) == 1
+
+    # A value in a document's form, and the document line that gives it (none:
+    # MINIMAL's own frames).
+    DOCUMENT_FORMS = [(dict(frames=("identity",)), ""),
+                      (dict(box=(-1.0, 1.0)), "box: [-1.0, 1.0]\n"),
+                      (dict(fd={"h": 1e-3}), "fd: {h: 1.0e-3}\n"),
+                      (dict(material={"mu": 1.0}), "material: {mu: 1.0}\n"),
+                      (dict(pressure="gaussian_T"), "pressure: gaussian_T\n")]
+
+    @pytest.mark.parametrize("value, line", DOCUMENT_FORMS)
+    def test_a_document_form_is_read_as_the_document(self, value, line):
+        assert fs.Scenario(**{**self.LIBRARY, **value}) == parse_scenario(MINIMAL + line)
+
+    @pytest.mark.parametrize("name", ["minimal.yaml", "full_matrix.yaml"])
+    def test_a_stored_scenario_reads_as_itself(self, name):
+        s = fs.load_scenario(Path(__file__).parent.parent / "scenarios" / name)
+        assert dataclasses.replace(s) == s
+
+    def test_tolerances_are_stored_sorted(self):
+        s = fs.Scenario(**self.LIBRARY, tolerances={"velgrad_relation": 1, "div_invariance": 2.0})
+        assert list(s.tolerances.items()) == [("div_invariance", 2.0), ("velgrad_relation", 1.0)]
+
+    @pytest.mark.parametrize("rate, plain", [(np.int64(2), 2), (np.float32(2.0), 2.0)])
+    def test_a_numpy_scalar_param_reports_as_its_python_number(self, rate, plain):
+        def emitted(value):
+            s = fs.Scenario(**{**self.LIBRARY, "samples": 5, "frames": (
+                ("constant_rotation", {"axis": [0, 0, 1], "rate": value}),)})
+            return emit_report(dataclasses.replace(run_suite(s), wall_time_s=0.0), "json")
+        assert emitted(rate) == emitted(plain)

@@ -104,20 +104,34 @@ def scenario_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "scenario.yaml"
 
 
+FIELDS = {f.name for f in dataclasses.fields(Scenario)}
+
+
+def read(make):
+    """make()'s Scenario, or the message of the ScenarioError it raises."""
+    try:
+        return make()
+    except ScenarioError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("path", PATHS)
 @FUZZ
 @given(data=st.data())
 def test_parser_and_cli_on_an_odd_value(path, data, scenario_path):
-    """parse_scenario returns a Scenario or raises ScenarioError; the CLI
-    rejects what it raises on with exit code 2 and one line on stderr."""
+    """parse_scenario returns a Scenario or raises ScenarioError, and a Scenario
+    made of the loaded mapping gives the same; the CLI rejects what it raises on
+    with exit code 2 and one line on stderr."""
     text = yaml.safe_dump(data.draw(mapping_for(VALID, path)))
+    doc = yaml.safe_load(text)
     try:
-        assert isinstance(parse_scenario(text), Scenario), text
-        return   # accepted: running the suite is not under test here
-    except ScenarioError:
-        pass
+        parsed = read(lambda: parse_scenario(text))
+        made = read(lambda: Scenario(**doc)) if set(doc) <= FIELDS else parsed
     except Exception as exc:
         raise AssertionError(f"{type(exc).__name__}: {exc}, on\n{text}") from exc
+    assert made == parsed, text   # the one path: an equal Scenario, or the same message
+    if isinstance(parsed, Scenario):
+        return   # accepted: running the suite is not under test here
     scenario_path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -11,7 +11,10 @@ an order of 2 or 4, about a third with a ``box`` (far from the origin too),
 ``material`` keys and a ``pressure`` field, about a third with one to three
 ``tolerances`` from the same params, some with unknown keys, some with
 YAML aliases or merge keys.  Each document runs through ``framekit.cli.main``
-at ``samples: 2`` with every warning shown.  A run keeps the contract if it
+at ``samples: 2`` with every warning shown, and one whose keys are all
+``Scenario`` fields is also made as ``Scenario(**yaml.safe_load(text))``, the
+library's path.  A run keeps the contract if the library's path raises
+``ScenarioError`` with the CLI's stderr text exactly when the CLI exits 2, and if it
 
 - exits 0 or 1 with a JSON report that parses, no ``error`` row, nothing on
   stderr, and the overflow message on every row with a non-finite
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -44,7 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from framekit import CHECK_IDS, FIELD_CATALOG, FRAME_CATALOG  # noqa: E402
+from framekit import CHECK_IDS, FIELD_CATALOG, FRAME_CATALOG, Scenario, ScenarioError  # noqa: E402
 from framekit.cli import main as cli_main  # noqa: E402
 from test_number_rule import VALUES, plain, valid_params  # noqa: E402
 
@@ -60,6 +64,7 @@ FAR = st.sampled_from([1.0, 1e3, 1e100, 1e300, 1e307, 1e308, 1.7e308]).flatmap(
 MATERIAL = {"mu": PARAMS, "rho": PARAMS, "g": st.lists(PARAMS, min_size=3, max_size=3),
             "conductivity": PARAMS}
 SCALARS = {name: FIELD_CATALOG[name] for name in ("gaussian_T", "linear_T")}
+FIELDS = {f.name for f in dataclasses.fields(Scenario)}
 
 
 @st.composite
@@ -127,17 +132,30 @@ def documents(draw) -> str:
             + yaml.safe_dump(doc))
 
 
+def made(doc) -> str | None:
+    """The CLI's stderr for the ScenarioError that Scenario(**doc) raises, else None."""
+    try:
+        Scenario(**doc)
+    except ScenarioError as exc:
+        return f"framekit: error: {exc}\n"
+    return None
+
+
 def outcome(path: Path, text: str) -> tuple[str, int]:
     """The outcome class of one run of the document, and its overflow rows."""
     path.write_text(text, encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
+    out, err, doc = io.StringIO(), io.StringIO(), yaml.safe_load(text)
+    library = set(doc) <= FIELDS   # its keys are Scenario's keywords
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
             warnings.simplefilter("always")
             code = cli_main(["verify", "--scenario", str(path), "--format", "json"])
-    except Exception:   # anything the CLI lets out is a traceback for its user
+            error = made(doc) if library else None
+    except Exception:   # anything the CLI or a Scenario lets out is a traceback for its user
         return "VIOLATION traceback: " + traceback.format_exc().splitlines()[-1], 0
+    if library and error != (err.getvalue() if code == 2 else None):
+        return "VIOLATION Scenario(**document) differs from the CLI", 0
     if code == 2:
         one_line = len(err.getvalue().splitlines()) == 1 and not out.getvalue()
         return ("exit 2" if one_line else "VIOLATION exit 2 without one line on stderr"), 0
