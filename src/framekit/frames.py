@@ -15,8 +15,9 @@ omega = axial-vector of M (M[i,k] = eps_ijk omega_j).
 A frame quantity may be a constant array, validated once when the frame is
 built, with zero derivatives.  A frame evaluates its whole kinematics at
 a time array as one validated jet (``FrameState``) and remembers the jet of
-the last time array (see ``RigidFrameMotion``), so the several pull-backs of
-one check evaluate and validate each part once per time array.
+the last time array until it is released (see ``RigidFrameMotion``), so the
+several pull-backs of one check evaluate and validate each part once per
+time array.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class FrameState:
     """The validated kinematics jet of a frame at times t of shape (...):
     alpha, its rates dalpha, d2alpha and the spin M = dalpha @ alpha.T, each
     (..., 3, 3); y, its rates dy, d2y and omega, the axial vector of spin,
-    each (..., 3).  Read-only: the frame's memo of its last time array."""
+    each (..., 3).  Read-only: the frame's memo of its last time array, until
+    the frame is released."""
     alpha: np.ndarray
     dalpha: np.ndarray
     d2alpha: np.ndarray
@@ -132,6 +134,12 @@ class RigidFrameMotion:
     computation raised is not kept.  Key and jet are bound in one tuple that
     a new time array replaces in one assignment, so threads sharing a frame
     can at worst recompute a jet, never read another time array's.
+    ``release()`` forgets the jet: the one sample driver releases its frame
+    when a check call returns or raises, so a jet lives only as long as the
+    call that made it (no two calls sample the same times).  While one jet
+    is computed, parts called at its flat times may share work through the
+    slot ``_fold`` (a catalog rotation's three parts share one fold), which
+    is emptied when that computation ends, as it raises too.
     """
 
     def __init__(self, name: str, y, alpha, dy_dt=None, d2y_dt2=None,
@@ -143,11 +151,16 @@ class RigidFrameMotion:
                        else _frozen(tc.orthonormalized(alpha), (3, 3)))
         self._dy, self._d2y = _rates(self._y, dy_dt, d2y_dt2, (3,))
         self._dalpha, self._d2alpha = _rates(self._alpha, dalpha_dt, d2alpha_dt2, (3, 3))
-        self._last = (None, None)   # (key, FrameState at the key's shape)
+        self._fold = (None, None)   # (flat times, the parts' values there), within one jet
+        self.release()
         self._steady_spin = None    # (spin, omega) of a constant rotation: it must be rigid
         if not (callable(self._alpha) or callable(self._dalpha)):
             spin = _spin(self._alpha, self._dalpha)
             self._steady_spin = tuple(_frozen(v, v.shape) for v in spin)
+
+    def release(self) -> None:
+        """Forget the last jet."""
+        self._last = (None, None)   # (key, FrameState at the key's shape)
 
     def state(self, t) -> FrameState:
         """The validated kinematics jet at every time in t."""
@@ -155,20 +168,26 @@ class RigidFrameMotion:
         key = (t.shape, t.tobytes())
         last = self._last
         if last[0] != key:
-            f = np.frombuffer(key[1])
-            alpha = _evaluated(self._alpha, f, (3, 3), tc.orthonormalized)
-            dalpha, d2alpha = (_evaluated(p, f, (3, 3)) for p in (self._dalpha, self._d2alpha))
-            y, dy, d2y = (_evaluated(p, f, (3,)) for p in (self._y, self._dy, self._d2y))
-            spin, omega = ((tc.tiled(c, f.shape) for c in self._steady_spin)
-                           if self._steady_spin else _spin(alpha, dalpha, f))
-            # Read at every stencil point: copied once entries-first ("F"), a constant too.
-            alpha, y, dy = (v.copy("F") for v in (alpha, y, dy))
-            jet = FrameState(*(v.reshape(t.shape + v.shape[1:]) for v in
-                               (alpha, dalpha, d2alpha, spin, y, dy, d2y, omega)))
-            for v in vars(jet).values():
-                v.flags.writeable = False
-            last = self._last = (key, jet)
+            try:
+                last = self._last = (key, self._jet(np.frombuffer(key[1]), t.shape))
+            finally:   # the parts' shared work serves this one jet
+                self._fold = (None, None)
         return last[1]
+
+    def _jet(self, f, shape: tuple) -> FrameState:
+        """The jet at flat times f, validated, reshaped to shape and frozen."""
+        alpha = _evaluated(self._alpha, f, (3, 3), tc.orthonormalized)
+        dalpha, d2alpha = (_evaluated(p, f, (3, 3)) for p in (self._dalpha, self._d2alpha))
+        y, dy, d2y = (_evaluated(p, f, (3,)) for p in (self._y, self._dy, self._d2y))
+        spin, omega = ((tc.tiled(c, f.shape) for c in self._steady_spin)
+                       if self._steady_spin else _spin(alpha, dalpha, f))
+        # Read at every stencil point: copied once entries-first ("F"), a constant too.
+        alpha, y, dy = (v.copy("F") for v in (alpha, y, dy))
+        jet = FrameState(*(v.reshape(shape + v.shape[1:]) for v in
+                           (alpha, dalpha, d2alpha, spin, y, dy, d2y, omega)))
+        for v in vars(jet).values():
+            v.flags.writeable = False
+        return jet
 
     def y(self, t) -> np.ndarray:
         return self.state(t).y
@@ -222,7 +241,9 @@ def observed_velocity(frame: RigidFrameMotion, flow, x_prime, t) -> np.ndarray:
     """
     st = frame.state(t)
     x_rel = tc.matvec(st.alpha, tc.vec3(x_prime, batch=True))  # X, unprimed
-    v_obs = flow.velocity(x_rel + st.y, t) - st.dy - tc.cross(st.omega, x_rel)
+    v_obs = flow.velocity(x_rel + st.y, t) - st.dy
+    v_obs -= tc.cross(st.omega, x_rel)   # into the difference: the same bits, one array less
+    del x_rel                            # and X is freed before the last product
     return tc.matvec(st.alpha.swapaxes(-1, -2), v_obs)
 
 
@@ -257,6 +278,10 @@ def _polynomial(coeffs, tail: tuple = ()) -> tuple:
     return (*(d[0] if len(d) == 1 else partial(at, list(d)) for d in rates), bound)
 
 
+# The most times a rotation fold multiplies by a factor's block at once: the (times, 81)
+# block, the largest array of a jet, then stays under 330 KB however many times the jet
+# has (a grouped call's time stencil has thousands), at one loop step per 512 times.
+FOLD_TIMES = 512
 # Where the matrices (I, K, K^2, K, K^2, K, K^2) of the seven coefficients
 # sit: block[j, a, c, b, d] = _PLACES[j, a, b] * matrix_j[c, d].
 _PLACES = np.array([np.eye(3)] * 3 + [[[0, 0, 0], [2, 0, 0], [0, 1, 0]]] * 2
@@ -301,20 +326,22 @@ def _rigid_motion(name, factors=(), y=((0.0, 0.0, 0.0),)) -> RigidFrameMotion:
     first factor's [R'' | R' | R], each further factor turns the (M, 3, 9) row
     [P'' | P' | P] into [P'' R + 2 P' R' + P R'' | P' R + P R' | P R] =
     [P'' | P' | P] @ [[R, 0, 0], [2R', R, 0], [R'', R', R]], one stacked
-    product.  The three rotation closures take flat times (M,), as a frame's
-    jet passes one array to all three, and share the product through a
-    one-slot cache keyed by that array itself; a writable array, which could
-    change under the key, is never a hit."""
-    last = (None, None)   # (flat times, their products), replaced in one assignment
-
+    product, made FOLD_TIMES times at a time in place in the one row.  The three
+    rotation closures take flat times (M,), as a frame's jet passes one array
+    to all three, and share the product through the frame's ``_fold`` slot,
+    keyed by that array itself and emptied when the jet is made; a writable
+    array, which could change under the key, is never a hit."""
     def rotation(i, t):
-        nonlocal last
-        hit = last
+        hit = frame._fold
         if hit[0] is not t or t.flags.writeable:
             row = (factors[0].coefficients(t) @ factors[0].block[:, 54:]).reshape(-1, 3, 9)
             for factor in factors[1:]:
-                row = row @ (factor.coefficients(t) @ factor.block).reshape(-1, 9, 9)
-            hit = last = (t, (np.ascontiguousarray(row[:, :, 6:]), row[:, :, 3:6], row[:, :, :3]))
+                weights = factor.coefficients(t)
+                for start in range(0, len(t), FOLD_TIMES):
+                    piece = slice(start, start + FOLD_TIMES)
+                    row[piece] = row[piece] @ (weights[piece] @ factor.block).reshape(-1, 9, 9)
+            hit = frame._fold = (t, (np.ascontiguousarray(row[:, :, 6:]), row[:, :, 3:6],
+                                     row[:, :, :3]))
         return hit[1][i]
 
     y, dy, d2y, y_bound = _polynomial(y, (3,))
@@ -325,9 +352,10 @@ def _rigid_motion(name, factors=(), y=((0.0, 0.0, 0.0),)) -> RigidFrameMotion:
         ys = y_bound(m)
         return max(angle, a, b + a * a, *ys), ys[0]
 
-    return RigidFrameMotion(name, y=y, dy_dt=dy, d2y_dt2=d2y, bound=bound, **(
+    frame = RigidFrameMotion(name, y=y, dy_dt=dy, d2y_dt2=d2y, bound=bound, **(
         {key: partial(rotation, i) for i, key in enumerate(("alpha", "dalpha_dt", "d2alpha_dt2"))}
         if factors else {"alpha": _EYE3}))
+    return frame
 
 
 def identity_frame() -> RigidFrameMotion:

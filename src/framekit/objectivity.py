@@ -170,9 +170,12 @@ def _sampled(check_id: str, tol: float, field: Optional[type] = FlowField, needs
             xs, ts = sample_points(box, samples, rngs)
             group = field_group(members, samples) if field else None
             observed = None if group is None else pull_back(frame, group)
-            xp = None if group is None else map_position_to_prime(frame, xs, ts)
-            results = kernel(SampleSet(check_id, tol, rngs, frame, group, observed, fd, xs, ts,
-                                       frame.alpha(ts), xp), *values)
+            try:   # the call's jets are its own: no other call samples its times
+                xp = None if group is None else map_position_to_prime(frame, xs, ts)
+                results = kernel(SampleSet(check_id, tol, rngs, frame, group, observed, fd,
+                                           xs, ts, frame.alpha(ts), xp), *values)
+            finally:
+                frame.release()
             return results[0] if single else results
 
         check.__name__ = check.__qualname__ = kernel.__name__

@@ -30,8 +30,9 @@ from .frames import FRAME_CATALOG, make_frame
 
 VERSION = "0.1.0"
 MAX_SAMPLES = 1_000_000   # at about 3 KB of peak memory each, a run near 3 GB
-# The samples of one check call on several fields: past about 1,000 a
-# field, a larger group saves no time and holds more memory (README).
+# The samples of one check call on several fields: past about 1,000 a field, a
+# larger group saves no time, and its arrays, which the call frees, grow with it
+# (README; the frame jets it makes are freed too, and their rotation folds bounded).
 GROUP_SAMPLES = 2_048
 MAX_VALUES = 64           # numbers, lists and mappings in one params or box value
 # A catalog frame's jet is sums and products of values within their bounds. In magnitude, an
@@ -150,7 +151,7 @@ def _entry(noun: str, catalog, item, what: str) -> tuple:
     if not isinstance(params := {} if params is None else params, dict):   # only null means none
         raise ScenarioError(f"'params' for {noun} {name!r} must be a mapping")
     _numbers(list(params.values()), f"bad parameters for {noun} {name!r}")   # the alias guard
-    return name, dict(params)
+    return str(name), _plain(params)
 
 
 def _built(noun: str, make, name: str, params: dict):
@@ -170,7 +171,7 @@ def _built(noun: str, make, name: str, params: dict):
 def _check_id(value, what: str) -> str:
     if not isinstance(value, str) or value not in obj.CHECKS:
         raise ScenarioError(f"unknown check id {value!r}; valid ids: {list(obj.CHECKS)}")
-    return value
+    return str(value)
 
 
 def _list_of(entry, value, what: str) -> tuple:
@@ -197,7 +198,18 @@ def _numbers(value, what: str):
 def _order(value, what: str) -> int:
     if not tc.is_number(value, integer=True) or value not in _OFFSETS:   # diffops' orders
         raise ScenarioError(f"{what} must be one of {sorted(_OFFSETS)}, got {value!r}")
-    return value
+    return int(value)
+
+
+def _plain(value):
+    """A copy of value checked by _numbers, with each numpy number as Python's (so a
+    report's scenario is plain JSON and YAML data); its lists, tuples and mappings rebuilt."""
+    if isinstance(value, dict):
+        return {_plain(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return (list if isinstance(value, list) else tuple)(map(_plain, value))
+    return int(value) if isinstance(value, np.integer) else (
+        float(value) if isinstance(value, np.floating) else value)
 
 
 def _vector(value, what: str) -> tuple:
@@ -343,13 +355,14 @@ def run_suite(scenario: Scenario) -> Report:
                            if isinstance(m[1], spec.field or FlowField)]
 
                 def call(group):
-                    # Looked up per call, so that a patched module attribute is what runs.
+                    # Looked up per call, so that a patched module attribute is what runs;
+                    # each generator is default_rng's of the key, built without its checks.
                     return getattr(obj, spec.function)(
                         frame, *([[f for _, _, f in group]] if spec.field else []),
                         *(values[name] for name in spec.needs), box=box,
                         samples=scenario.samples, fd=scenario.fd, tol=tol,
-                        rng=[np.random.default_rng([scenario.seed, fi, gi, ci])
-                             for gi, _, _ in group])
+                        rng=[np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                            [scenario.seed, fi, gi, ci]))) for gi, _, _ in group])
 
                 for first in range(0, len(members), per_call):
                     for (gi, gname, _), res in _results(call, members[first:first + per_call]):
@@ -380,7 +393,7 @@ def _report_json(report: Report, include_wall_time: bool) -> str:
            "suite_verdict": "pass" if report.passed else "fail"}
     if include_wall_time:
         out["wall_time_s"] = report.wall_time_s
-    return json.dumps(_jsonable(out), indent=2, allow_nan=False, default=np.generic.item) + "\n"
+    return json.dumps(_jsonable(out), indent=2, allow_nan=False) + "\n"
 
 
 def canonical_report_json(report: Report) -> str:

@@ -15,7 +15,7 @@ from framekit import BodyForce, diffops
 from framekit import objectivity as obj
 from framekit import tensor_core as tc
 from framekit.fields import FlowField, ObservedScalarField, ObservedVectorField, ScalarField
-from framekit.frames import FRAME_CATALOG
+from framekit.frames import FOLD_TIMES, FRAME_CATALOG
 
 from conftest import builtin_flows, builtin_frames, builtin_scalars
 
@@ -112,6 +112,18 @@ def test_planes_is_entries_first_at_the_shape_asked_for():
     for lead in ((), (5,), (2, 5)):
         v = tc.planes(lead)
         assert v.shape == lead + (3,) and entries_first(v)
+
+
+def test_a_jet_folded_in_pieces_gives_each_time_its_own_bits():
+    # A rotation fold multiplies FOLD_TIMES times at a time: across and at the
+    # pieces' edges, each time reads the bits of a jet of that time alone.
+    frame = builtin_frames()["wobble"]
+    t = np.linspace(-1.0, 2.0, 2 * FOLD_TIMES + 37)
+    whole = frame.state(t)
+    for i in (0, FOLD_TIMES - 1, FOLD_TIMES, t.size - 1):
+        one = frame.state(t[i:i + 1])
+        for part in ("alpha", "dalpha", "d2alpha", "spin", "omega"):
+            assert np.array_equal(getattr(whole, part)[i], getattr(one, part)[0]), (i, part)
 
 
 @pytest.mark.parametrize("samples", [1, 7])

@@ -889,3 +889,19 @@ class TestOnePath:
                 ("constant_rotation", {"axis": [0, 0, 1], "rate": value}),)})
             return emit_report(dataclasses.replace(run_suite(s), wall_time_s=0.0), "json")
         assert emitted(rate) == emitted(plain)
+
+    @pytest.mark.parametrize("rate, plain", [(np.int64(2), 2), (np.float32(2.0), 2.0),
+                                             (np.longdouble(2.0), 2.0)])
+    def test_a_numpy_scalar_is_stored_as_its_python_number(self, rate, plain):
+        """The Scenario keeps Python numbers, so its report's scenario is plain data
+        that json and yaml's safe dumper write as they would the plain value's."""
+        def suite(value, order):
+            return run_suite(fs.Scenario(**{
+                **self.LIBRARY, "samples": 5, "fd": {"order": order},
+                "frames": (("constant_rotation", {"axis": [np.int64(0), 0, 1], "rate": value}),),
+                "checks": (np.str_("div_invariance"),)}))
+        report, expected = suite(rate, np.int64(2)), suite(plain, 2)
+        assert json.dumps(report.scenario) == json.dumps(expected.scenario)
+        assert yaml.safe_dump(report.scenario) == yaml.safe_dump(expected.scenario)
+        assert (emit_report(dataclasses.replace(report, wall_time_s=0.0), "json")
+                == emit_report(dataclasses.replace(expected, wall_time_s=0.0), "json"))

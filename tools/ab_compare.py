@@ -15,8 +15,11 @@ Prints, for B against A and for the A/A control: the median of the per-round
 ratios time(A) / time(B) (above 1: B is faster), their interquartile range
 and the number of rounds B won; then each side's median time, each side's
 Python calls per report row (the calls cProfile counts in one ``run_suite``,
-which the host's speed does not move), and how B's first report
-differs from A's (``tools/compare_reports.py``).  The workload
+which the host's speed does not move), each side's working set over one
+``run_suite`` (tracemalloc's peak, and what the run still holds once its
+report is dropped, both above the memory traced before it; as exact as the
+call counts), and how B's first report differs from A's
+(``tools/compare_reports.py``).  The workload
 is one of perfbench's seeded documents (default: ``full_matrix`` at seed
 42).  Needs git and no network; it is not part of the test suite.
 """
@@ -34,6 +37,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,6 +80,21 @@ def calls_per_row(package, text: str) -> float:
     return sum(entry.callcount for entry in profile.getstats()) / len(report.results)
 
 
+def working_set(package, text: str) -> tuple[float, float]:
+    """tracemalloc's peak over one run_suite and the memory still held once its
+    report is dropped, in MB above the traced memory before it."""
+    fs = package.scenario
+    scenario = fs.parse_scenario(text)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fs.run_suite(scenario)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / 1e6, (held - before) / 1e6
+
+
 def summary(label: str, ratios: list) -> str:
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     won = sum(r > 1.0 for r in ratios)
@@ -113,6 +132,7 @@ def main(argv=None) -> int:
             for name in order[k % 3:] + order[:k % 3]:
                 times[name].append(repetition(sides[name], text)[0])
         calls = {name: calls_per_row(pkg, text) for name, pkg in sides.items()}
+        memory = {name: working_set(pkg, text) for name, pkg in sides.items()}
     a, b, a2 = (times[name] for name in ("framekit_a", "framekit_b", "framekit_a2"))
     print(f"workload: {args.workload} seed {args.seed}; A = {args.base}, B = working tree; "
           f"{args.rounds} rounds")
@@ -122,6 +142,9 @@ def main(argv=None) -> int:
           f"A/A {statistics.median(a2):.4f}")
     print(f"run_suite calls per row: A {calls['framekit_a']:.1f}, "
           f"B {calls['framekit_b']:.1f}, A/A {calls['framekit_a2']:.1f}")
+    print("run_suite tracemalloc peak / held after, MB: " + ", ".join(
+        f"{label} {memory[name][0]:.2f} / {memory[name][1]:.2f}" for label, name in
+        (("A", "framekit_a"), ("B", "framekit_b"), ("A/A", "framekit_a2"))))
     lines, _ = compare(reports["framekit_a"], reports["framekit_b"])
     print("\n".join(["report B vs A:"] + [f"  {line}" for line in lines]))
     return 0
