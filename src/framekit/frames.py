@@ -136,22 +136,19 @@ class RigidFrameMotion:
     can at worst recompute a jet, never read another time array's.
     ``release()`` forgets the jet: the one sample driver releases its frame
     when a check call returns or raises, so a jet lives only as long as the
-    call that made it (no two calls sample the same times).  While one jet
-    is computed, parts called at its flat times may share work through the
-    slot ``_fold`` (a catalog rotation's three parts share one fold), which
-    is emptied when that computation ends, as it raises too.
+    call that made it (no two calls sample the same times).  A miss reads
+    alpha and its two rates through ``_rotation``, which a built-in frame
+    overrides to make the three from one fold.
     """
 
     def __init__(self, name: str, y, alpha, dy_dt=None, d2y_dt2=None,
-                 dalpha_dt=None, d2alpha_dt2=None, bound=None):
+                 dalpha_dt=None, d2alpha_dt2=None):
         self.name = name
-        self.bound = bound   # a catalog frame's coefficient bound (see _rigid_motion), else None
         self._y = y if callable(y) else _frozen(y, (3,))
         self._alpha = (alpha if callable(alpha)
                        else _frozen(tc.orthonormalized(alpha), (3, 3)))
         self._dy, self._d2y = _rates(self._y, dy_dt, d2y_dt2, (3,))
         self._dalpha, self._d2alpha = _rates(self._alpha, dalpha_dt, d2alpha_dt2, (3, 3))
-        self._fold = (None, None)   # (flat times, the parts' values there), within one jet
         self.release()
         self._steady_spin = None    # (spin, omega) of a constant rotation: it must be rigid
         if not (callable(self._alpha) or callable(self._dalpha)):
@@ -163,21 +160,25 @@ class RigidFrameMotion:
         self._last = (None, None)   # (key, FrameState at the key's shape)
 
     def state(self, t) -> FrameState:
-        """The validated kinematics jet at every time in t."""
-        t = np.asarray(t, dtype=float)
+        """The validated kinematics jet at every time in t, read by the number rule."""
+        if type(t) is not np.ndarray or t.dtype != float:
+            t = tc._finite(t, (), True)
         key = (t.shape, t.tobytes())
         last = self._last
         if last[0] != key:
-            try:
-                last = self._last = (key, self._jet(np.frombuffer(key[1]), t.shape))
-            finally:   # the parts' shared work serves this one jet
-                self._fold = (None, None)
+            last = self._last = (key, self._jet(np.frombuffer(key[1]), t.shape))
         return last[1]
+
+    def _rotation(self, f) -> tuple:
+        """alpha, dalpha and d2alpha at flat times f, each validated."""
+        return (_evaluated(self._alpha, f, (3, 3), tc.orthonormalized),
+                *(_evaluated(p, f, (3, 3)) for p in (self._dalpha, self._d2alpha)))
 
     def _jet(self, f, shape: tuple) -> FrameState:
         """The jet at flat times f, validated, reshaped to shape and frozen."""
-        alpha = _evaluated(self._alpha, f, (3, 3), tc.orthonormalized)
-        dalpha, d2alpha = (_evaluated(p, f, (3, 3)) for p in (self._dalpha, self._d2alpha))
+        if not np.logical_and.reduce(np.isfinite(f), axis=None):
+            raise UsageError(f"non-finite times in an array of shape {shape}")
+        alpha, dalpha, d2alpha = self._rotation(f)
         y, dy, d2y = (_evaluated(p, f, (3,)) for p in (self._y, self._dy, self._d2y))
         spin, omega = ((tc.tiled(c, f.shape) for c in self._steady_spin)
                        if self._steady_spin else _spin(alpha, dalpha, f))
@@ -319,53 +320,55 @@ class _RotationFactor:
                          cos * d2th - sin * dth2, sin * d2th + cos * dth2]).T
 
 
-def _rigid_motion(name, factors=(), y=((0.0, 0.0, 0.0),)) -> RigidFrameMotion:
-    """The frame on the trajectory with ascending (3,) coefficients y, turned
-    by the ordered product P of factors (alpha = I without any).  alpha and
-    its rates P, P', P'' are folded by the product rule in one pass: from the
-    first factor's [R'' | R' | R], each further factor turns the (M, 3, 9) row
+def _fold(factors, t) -> tuple:
+    """The ordered product P of rotation factors and its rates P', P'' at flat
+    times t (M,), folded by the product rule in one pass: from the first
+    factor's [R'' | R' | R], each further factor turns the (M, 3, 9) row
     [P'' | P' | P] into [P'' R + 2 P' R' + P R'' | P' R + P R' | P R] =
     [P'' | P' | P] @ [[R, 0, 0], [2R', R, 0], [R'', R', R]], one stacked
-    product, made FOLD_TIMES times at a time in place in the one row.  The three
-    rotation closures take flat times (M,), as a frame's jet passes one array
-    to all three, and share the product through the frame's ``_fold`` slot,
-    keyed by that array itself and emptied when the jet is made; a writable
-    array, which could change under the key, is never a hit."""
-    def rotation(i, t):
-        hit = frame._fold
-        if hit[0] is not t or t.flags.writeable:
-            row = (factors[0].coefficients(t) @ factors[0].block[:, 54:]).reshape(-1, 3, 9)
-            for factor in factors[1:]:
-                weights = factor.coefficients(t)
-                for start in range(0, len(t), FOLD_TIMES):
-                    piece = slice(start, start + FOLD_TIMES)
-                    row[piece] = row[piece] @ (weights[piece] @ factor.block).reshape(-1, 9, 9)
-            hit = frame._fold = (t, (np.ascontiguousarray(row[:, :, 6:]), row[:, :, 3:6],
-                                     row[:, :, :3]))
-        return hit[1][i]
+    product, made FOLD_TIMES times at a time in place in the one row."""
+    row = (factors[0].coefficients(t) @ factors[0].block[:, 54:]).reshape(-1, 3, 9)
+    for factor in factors[1:]:
+        weights = factor.coefficients(t)
+        for start in range(0, len(t), FOLD_TIMES):
+            piece = slice(start, start + FOLD_TIMES)
+            row[piece] = row[piece] @ (weights[piece] @ factor.block).reshape(-1, 9, 9)
+    return np.ascontiguousarray(row[:, :, 6:]), row[:, :, 3:6], row[:, :, :3]
 
-    y, dy, d2y, y_bound = _polynomial(y, (3,))
-    def bound(m):
+
+class _BuiltInFrame(RigidFrameMotion):
+    """A catalog frame: on the trajectory with ascending (3,) coefficients y, turned by
+    the ordered product of rotation factors (alpha = I without any).  A rotation part
+    read alone folds for itself; a jet's miss makes the three from one ``_fold``."""
+
+    def __init__(self, name, factors=(), y=((0.0, 0.0, 0.0),)):
+        self._factors = factors
+        y, dy, d2y, self._y_bound = _polynomial(y, (3,))
+        turn = [lambda t, i=i: _fold(factors, t)[i] for i in range(3)] if factors else [_EYE3]
+        super().__init__(name, y, turn[0], dy, d2y, *turn[1:])
+
+    def bound(self, m) -> tuple:
         """(jet, y) >= the largest |entry| of any jet part, and of y, at |t| <= m: with a_i,
         b_i factor i's angle rate bounds, P' <= sum a_i, P'' <= sum b_i + (sum a_i)^2."""
-        angle, a, b = map(sum, zip((0.0, 0.0, 0.0), *(f.bound(m) for f in factors)))
-        ys = y_bound(m)
+        angle, a, b = map(sum, zip((0.0, 0.0, 0.0), *(f.bound(m) for f in self._factors)))
+        ys = self._y_bound(m)
         return max(angle, a, b + a * a, *ys), ys[0]
 
-    frame = RigidFrameMotion(name, y=y, dy_dt=dy, d2y_dt2=d2y, bound=bound, **(
-        {key: partial(rotation, i) for i, key in enumerate(("alpha", "dalpha_dt", "d2alpha_dt2"))}
-        if factors else {"alpha": _EYE3}))
-    return frame
+    def _rotation(self, f) -> tuple:
+        if not self._factors:
+            return super()._rotation(f)
+        alpha, dalpha, d2alpha = _fold(self._factors, f)
+        return tc.orthonormalized(alpha), tc.mat3(dalpha), tc.mat3(d2alpha)
 
 
 def identity_frame() -> RigidFrameMotion:
     """The trivial frame: s' coincides with s for all time."""
-    return _rigid_motion("identity")
+    return _BuiltInFrame("identity")
 
 
 def uniform_translation(velocity) -> RigidFrameMotion:
     """Galilean frame translating at constant velocity, no rotation."""
-    return _rigid_motion("uniform_translation", y=[np.zeros(3), tc.vec3(velocity)])
+    return _BuiltInFrame("uniform_translation", y=[np.zeros(3), tc.vec3(velocity)])
 
 
 def accelerated_translation(coeffs) -> RigidFrameMotion:
@@ -375,24 +378,24 @@ def accelerated_translation(coeffs) -> RigidFrameMotion:
     axes = [np.atleast_1d(tc._finite(c, (), True)) for c in coeffs]
     # Shorter axes are padded with zeros; an empty one is no polynomial.
     y = list(zip_longest(*axes, fillvalue=0.0)) if all(map(len, axes)) else []
-    return _rigid_motion("accelerated_translation", y=y)
+    return _BuiltInFrame("accelerated_translation", y=y)
 
 
 def constant_rotation(axis, rate: float) -> RigidFrameMotion:
     """Frame spinning at constant rate about a fixed axis through o."""
-    return _rigid_motion("constant_rotation",
+    return _BuiltInFrame("constant_rotation",
                          [_RotationFactor(axis, [0.0, tc.number(rate, "rate")])])
 
 
 def wobble(angles_x, angles_y, angles_z) -> RigidFrameMotion:
     """Rx(a(t)) @ Ry(b(t)) @ Rz(c(t)) with polynomial angles (degree <= 3)."""
-    return _rigid_motion("wobble", [_RotationFactor(axis, angles) for axis, angles
+    return _BuiltInFrame("wobble", [_RotationFactor(axis, angles) for axis, angles
                                     in zip(_EYE3, (angles_x, angles_y, angles_z))])
 
 
 def screw(axis, rate: float, velocity) -> RigidFrameMotion:
     """Constant rotation about an axis combined with uniform translation."""
-    return _rigid_motion("screw", [_RotationFactor(axis, [0.0, tc.number(rate, "rate")])],
+    return _BuiltInFrame("screw", [_RotationFactor(axis, [0.0, tc.number(rate, "rate")])],
                          y=[np.zeros(3), tc.vec3(velocity)])
 
 

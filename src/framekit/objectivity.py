@@ -129,23 +129,32 @@ def _result(check_id, errs, tol, witness=None) -> CheckResult:
                        tol=tol, passed=bool(mx <= tol), witness=witness)
 
 
-def _group(check_id: str, field: Optional[type], fields, rngs) -> tuple:
-    """The generators and fields of a group call, checked: one or more
-    generators and, for a check that takes a field, as many fields of its kind."""
+_KINDS = {"p_field": ScalarField, "force": BodyForce}   # mu is read by the number rule
+
+
+def _group(check_id: str, field: Optional[type], needs: tuple, frame, fd, values, fields,
+           rngs) -> None:
+    """Check a call's inputs, before it samples: the frame, fd and needs by their
+    kinds and, a single call being a group of one, one or more generators and,
+    for a check that takes a field, as many fields of its kind."""
+    for name, value, kind in (("frame", frame, RigidFrameMotion), ("fd", fd, FdConfig),
+                              *((n, v, _KINDS.get(n, object)) for n, v in zip(needs, values))):
+        if not isinstance(value, kind):
+            raise UsageError(f"{check_id}: {name} must be a {kind.__name__}, "
+                             f"not {type(value).__name__}")
     if not (rngs and all(isinstance(r, np.random.Generator) for r in rngs) and (
             field is None or isinstance(fields, (list, tuple)) and len(fields) == len(rngs)
             and all(isinstance(f, field) for f in fields))):
-        raise UsageError(f"a group needs one or more generators and, for {check_id}, "
-                         "as many fields of its kind")
-    return tuple(rngs), fields
+        raise UsageError(f"{check_id} needs one or more generators" + (
+            "" if field is None else f" and as many fields of its kind, {field.__name__}"))
 
 
 def _sampled(check_id: str, tol: float, field: Optional[type] = FlowField, needs: tuple = ()):
     """Declare a check: enter ``CheckSpec(kernel.__name__, tol, field, needs)`` in
     ``CHECKS`` as check_id, and turn the kernel into the public check of the same
     name, ``(frame, *inputs, box, samples, rng, fd, tol)``: inputs are ``(field,
-    *needs)``, or the needs of a frame-only check.  Bad samples, box or tol raise
-    UsageError.
+    *needs)``, or the needs of a frame-only check.  An input of the wrong kind (see
+    ``_group``), or bad samples, box or tol, raises UsageError.
 
     rng may also be a sequence of generators, with a check's field a sequence
     of as many fields of its kind: a group, whose members share the frame and
@@ -163,10 +172,10 @@ def _sampled(check_id: str, tol: float, field: Optional[type] = FlowField, needs
                   samples=100, rng: np.random.Generator, fd: FdConfig = DEFAULT_FD,
                   tol=tol):
             samples = tc.integer(samples, "samples", 1)
-            field_obj, *values = inputs if field else (None, *inputs)
+            fields, *values = inputs if field else (None, *inputs)
             single = not isinstance(rng, (list, tuple))
-            rngs, members = (((rng,), (field_obj,)) if single
-                             else _group(check_id, field, field_obj, rng))
+            rngs, members = ((rng,), (fields,)) if single else (tuple(rng), fields)
+            _group(check_id, field, needs, frame, fd, values, members, rngs)
             xs, ts = sample_points(box, samples, rngs)
             group = field_group(members, samples) if field else None
             observed = None if group is None else pull_back(frame, group)

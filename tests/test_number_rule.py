@@ -133,3 +133,28 @@ def test_catalog_builds_or_raises_usage_error(noun, name, key, value):
             parse_scenario(yaml.safe_dump(doc))
         except ScenarioError:
             assert library_rejects(noun, name, params), params
+
+
+ACCESSORS = ("state", "y", "alpha", "dy_dt", "d2y_dt2", "dalpha_dt", "d2alpha_dt2")
+
+
+@pytest.mark.parametrize("times", [[True], np.array(["0.5"]), None, 1 + 2j, [0.5, math.inf],
+                                   np.array([0.5, math.nan])],
+                         ids=["bool", "string", "none", "complex", "inf", "float-nan"])
+@pytest.mark.parametrize("accessor", ACCESSORS)
+@pytest.mark.parametrize("name", ["identity", "wobble"])
+def test_a_frame_reads_its_times_by_the_number_rule(name, accessor, times):
+    """Times that are no numbers, or not finite, are refused by any accessor, of
+    a constant frame too; a float array is checked when it is first read."""
+    frame = FRAME_CATALOG[name](**REQUIRED.get(name, {}))
+    with pytest.raises(UsageError):
+        getattr(frame, accessor)(times)
+
+
+@pytest.mark.parametrize("times", [[0, 1], (0.0, 1), np.array([0, 1]),
+                                   np.array([0.0, 1.0], np.float32)])
+def test_a_frame_reads_number_times_as_floats(times):
+    frame = FRAME_CATALOG["wobble"](**REQUIRED["wobble"])
+    want = frame.alpha(np.array([0.0, 1.0]))
+    assert np.array_equal(frame.alpha(times), want)
+    assert np.array_equal(frame.alpha(1), want[1])

@@ -328,6 +328,32 @@ class TestRotationEntersOnce:
         assert calls["check_orthogonality"] == calls["orthonormalized"]
 
 
+def _misread_inputs():
+    """Per case, a call of a public check, given its generator, on an input of
+    the wrong kind: the driver refuses it before it samples."""
+    frame, flow = builtin_frames()["wobble"], builtin_flows()["taylor_green"]
+    pressure, force = builtin_scalars()["gaussian_T"], BodyForce(g=np.zeros(3), rho=1.0)
+    return {
+        "frame-none": lambda rng: obj.check_divergence_invariance(
+            None, flow, samples=3, rng=rng),
+        "frame-a-matrix": lambda rng: obj.check_stress_transform_random(
+            np.eye(3), samples=3, rng=rng),
+        "fd-a-mapping": lambda rng: obj.check_divergence_invariance(
+            frame, flow, samples=3, rng=rng, fd={"h": 1e-3}),
+        "p-field-a-flow": lambda rng: obj.check_constitutive_frame_invariance(
+            frame, flow, flow, 0.7, samples=3, rng=rng),
+        "force-a-mapping": lambda rng: obj.check_ns_rhs_equivalence(
+            frame, flow, pressure, {"g": np.zeros(3), "rho": 1.0}, 0.7, samples=3, rng=rng),
+        # A single call is a group of one: its field is of the check's kind too.
+        "single-scalar-for-a-flow-check": lambda rng: obj.check_divergence_invariance(
+            frame, pressure, samples=3, rng=rng),
+        "single-flow-for-a-scalar-check": lambda rng: obj.check_scalar_gradient_invariance(
+            frame, flow, samples=3, rng=rng),
+        "single-no-generator": lambda rng: obj.check_divergence_invariance(
+            frame, flow, samples=3, rng=None),
+    }
+
+
 def _bad_inputs():
     """A call of a public function on an input it must reject, per case."""
     tensors = {"nan": np.full((3, 3), np.nan),
@@ -397,6 +423,7 @@ def _bad_inputs():
         frame, samples=3, rng=[])
     calls["group-scalar-of-another-kind"] = lambda: obj.check_scalar_gradient_invariance(
         frame, [scalar, flow], samples=3, rng=[seeded(), seeded()])
+    calls.update({case: partial(call, seeded()) for case, call in _misread_inputs().items()})
     return cases + [pytest.param(call, id=case) for case, call in calls.items()]
 
 
@@ -406,6 +433,17 @@ def test_public_boundary_rejects_bad_input(call):
     # and so does a parameter or sample count out of range.
     with pytest.raises(UsageError):
         call()
+
+
+@pytest.mark.parametrize("case", _misread_inputs())
+def test_an_input_of_the_wrong_kind_is_refused_before_sampling(case):
+    # One line, and the generator has drawn nothing.
+    rng = seeded()
+    drawn = rng.bit_generator.state
+    with pytest.raises(UsageError) as refused:
+        _misread_inputs()[case](rng)
+    assert "\n" not in str(refused.value)
+    assert rng.bit_generator.state == drawn
 
 
 def test_fd_step_is_refused_by_its_reach_not_its_size():

@@ -4,7 +4,9 @@ a call that bounding them must keep.  tracemalloc counts the bytes numpy and
 Python allocate, so these figures are the same on every run of one build."""
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -77,14 +79,44 @@ def test_a_grouped_time_stencil_call_peaks_under_2_mb():
 
 @pytest.mark.parametrize("name", ["full_matrix", "nested"])
 def test_a_finished_run_keeps_no_jet(name):
-    """After run_suite, no frame holds a jet or a fold, so almost nothing of the
-    run stays in memory."""
+    """After run_suite, no frame holds a jet, so almost nothing of the run stays
+    in memory."""
     scenario = scenarios()[name]
     run_suite(dataclasses.replace(scenario, samples=1))
     _, held = traced(lambda: run_suite(scenario))
     assert held <= 0.2 * MB
     for _, frame in scenario._built[0]:
-        assert frame._last == (None, None) and frame._fold == (None, None)
+        assert frame._last == (None, None)
+
+
+def test_a_frame_of_a_built_in_frames_parts_leaves_nothing_in_it():
+    """A frame built from wobble's rotation parts, each of which folds for
+    itself, changes nothing in wobble, and once released holds nothing."""
+    wobble = builtin_frames()["wobble"]
+    kept = dict(vars(wobble))
+    frame = frames.RigidFrameMotion("parts", y=wobble._y, alpha=wobble._alpha)
+    t = np.linspace(0.0, 1.0, 1000)
+    frame.state(t[:5])   # the first call's allocations are not the jet's
+    frame.release()
+    _, held = traced(lambda: (frame.state(t), frame.release()))
+    assert held <= 0.01 * MB
+    assert vars(wobble).keys() == kept.keys()
+    assert all(vars(wobble)[key] is value for key, value in kept.items())
+
+
+def test_a_dropped_built_in_frame_is_freed_without_the_collector():
+    """No built-in frame is in a reference cycle: with the cyclic collector
+    off, each is freed as soon as it is dropped, after a jet too."""
+    gc.disable()
+    try:
+        built = builtin_frames()
+        for frame in built.values():
+            frame.state(np.linspace(0.0, 1.0, 9))
+        refs = {name: weakref.ref(frame) for name, frame in built.items()}
+        del built, frame
+        assert {name: ref() for name, ref in refs.items()} == dict.fromkeys(refs)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name, reads, misses", [("full_matrix", 282, 60), ("nested", 45, 9)])

@@ -18,8 +18,11 @@ Python calls per report row (the calls cProfile counts in one ``run_suite``,
 which the host's speed does not move), each side's working set over one
 ``run_suite`` (tracemalloc's peak, and what the run still holds once its
 report is dropped, both above the memory traced before it; as exact as the
-call counts), and how B's first report differs from A's
-(``tools/compare_reports.py``).  The workload
+call counts), each side's minor page faults and system time over one
+``run_suite`` in a fresh process (the median of five per side, A and B
+alternating, each after a samples=1 warm-up: what the allocator's state,
+which the sides share in this process, hides), and how B's first report
+differs from A's (``tools/compare_reports.py``).  The workload
 is one of perfbench's seeded documents (default: ``full_matrix`` at seed
 42).  Needs git and no network; it is not part of the test suite.
 """
@@ -95,6 +98,28 @@ def working_set(package, text: str) -> tuple[float, float]:
     return (peak - before) / 1e6, (held - before) / 1e6
 
 
+FRESH_RUNS = 5   # fresh processes per side
+# Run in a fresh process on side argv[1] of the working directory, the document on stdin.
+FRESH = """
+import dataclasses, importlib, resource, sys
+fs = importlib.import_module(sys.argv[1] + ".scenario")
+scenario = fs.parse_scenario(sys.stdin.read())
+fs.run_suite(dataclasses.replace(scenario, samples=1))
+before = resource.getrusage(resource.RUSAGE_SELF)
+fs.run_suite(scenario)
+after = resource.getrusage(resource.RUSAGE_SELF)
+print(after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime)
+"""
+
+
+def fresh_process(dest: Path, name: str, text: str) -> tuple[int, float]:
+    """Minor page faults and system seconds of one run_suite, after a samples=1
+    warm-up, in a new Python process that imports side name from dest."""
+    faults, sys_s = subprocess.run([sys.executable, "-c", FRESH, name], input=text, cwd=dest,
+                                   capture_output=True, text=True, check=True).stdout.split()
+    return int(faults), float(sys_s)
+
+
 def summary(label: str, ratios: list) -> str:
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     won = sum(r > 1.0 for r in ratios)
@@ -133,6 +158,10 @@ def main(argv=None) -> int:
                 times[name].append(repetition(sides[name], text)[0])
         calls = {name: calls_per_row(pkg, text) for name, pkg in sides.items()}
         memory = {name: working_set(pkg, text) for name, pkg in sides.items()}
+        fresh = {"framekit_a": [], "framekit_b": []}
+        for _ in range(FRESH_RUNS):
+            for name, runs in fresh.items():
+                runs.append(fresh_process(dest, name, text))
     a, b, a2 = (times[name] for name in ("framekit_a", "framekit_b", "framekit_a2"))
     print(f"workload: {args.workload} seed {args.seed}; A = {args.base}, B = working tree; "
           f"{args.rounds} rounds")
@@ -142,6 +171,10 @@ def main(argv=None) -> int:
           f"A/A {statistics.median(a2):.4f}")
     print(f"run_suite calls per row: A {calls['framekit_a']:.1f}, "
           f"B {calls['framekit_b']:.1f}, A/A {calls['framekit_a2']:.1f}")
+    print(f"fresh-process run_suite, median of {FRESH_RUNS}, minor faults / sys ms: " + ", ".join(
+        f"{label} {statistics.median(f for f, _ in fresh[name]):.0f} / "
+        f"{1e3 * statistics.median(s for _, s in fresh[name]):.1f}"
+        for label, name in (("A", "framekit_a"), ("B", "framekit_b"))))
     print("run_suite tracemalloc peak / held after, MB: " + ", ".join(
         f"{label} {memory[name][0]:.2f} / {memory[name][1]:.2f}" for label, name in
         (("A", "framekit_a"), ("B", "framekit_b"), ("A/A", "framekit_a2"))))
