@@ -5,13 +5,13 @@ Each check samples seeded (x, t) pairs and evaluates, over all N at once as
 to finite differences of the observed (pulled-back) field, and reports
 residual statistics.  Each check is one kernel that ``_sampled`` declares,
 with its id, tolerance, field kind and needs: the decorator enters it in
-``CHECKS``, the one registry, and wraps it in the one driver, which checks
-the inputs and does the sampling and mapping, for one field or for a group
-of fields in one batch.  Invariant quantities (velocity divergence, scalar
-gradients, strain rate) must agree after component transformation; variant
-quantities (velocity gradient, vorticity, acceleration) must agree only
-after adding the exact frame correction terms, whose magnitude is reported
-as a witness of non-invariance.
+``CHECKS``, the one registry, and wraps it in the one driver, which reads
+the inputs once, then does the sampling and mapping, for one field or for a
+group of fields in one batch.  Invariant quantities (velocity divergence,
+scalar gradients, strain rate) must agree after component transformation;
+variant quantities (velocity gradient, vorticity, acceleration) must agree
+only after adding the exact frame correction terms, whose magnitude is
+reported as a witness of non-invariance.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def sample_points(box, n: int, rngs) -> tuple:
                                              t0 + (t1 - t0) * r.random(n)) for r in rngs))))
 
 
-def _result(check_id, errs, tol, witness=None) -> CheckResult:
-    tol, mx = tc.number(tol, "tol", 0.0), float(errs.max())
+def _result(check_id, errs, tol: float, witness=None) -> CheckResult:
+    mx = float(errs.max())
     return CheckResult(check_id=check_id, samples=errs.size,
                        max_abs_err=mx, mean_abs_err=float(errs.mean()),
                        tol=tol, passed=bool(mx <= tol), witness=witness)
@@ -132,29 +132,36 @@ def _result(check_id, errs, tol, witness=None) -> CheckResult:
 _KINDS = {"p_field": ScalarField, "force": BodyForce}   # mu is read by the number rule
 
 
-def _group(check_id: str, field: Optional[type], needs: tuple, frame, fd, values, fields,
-           rngs) -> None:
-    """Check a call's inputs, before it samples: the frame, fd and needs by their
-    kinds and, a single call being a group of one, one or more generators and,
-    for a check that takes a field, as many fields of its kind."""
+def _group(check_id: str, frame, fd, tol, inputs: tuple, rngs, single: bool) -> tuple:
+    """Read a call's inputs, before it samples: as many as the check takes after the frame;
+    frame, fd and needs by their kinds; tol and mu as numbers >= 0; and, a single call being a
+    group of one, generators and as many fields of its kind.  Returns tol, fields and needs."""
+    field, needs = CHECKS[check_id].field, CHECKS[check_id].needs
+    if len(inputs) != len(takes := ((f"its {field.__name__}",) if field else ()) + needs):
+        raise UsageError(f"{check_id} takes {', '.join(takes) or 'no input'} after the frame, "
+                         f"not {len(inputs)} input(s)")
+    fields, *values = inputs if field else (None, *inputs)
     for name, value, kind in (("frame", frame, RigidFrameMotion), ("fd", fd, FdConfig),
                               *((n, v, _KINDS.get(n, object)) for n, v in zip(needs, values))):
         if not isinstance(value, kind):
             raise UsageError(f"{check_id}: {name} must be a {kind.__name__}, "
                              f"not {type(value).__name__}")
+    members = (fields,) if single else fields
     if not (rngs and all(isinstance(r, np.random.Generator) for r in rngs) and (
-            field is None or isinstance(fields, (list, tuple)) and len(fields) == len(rngs)
-            and all(isinstance(f, field) for f in fields))):
+            field is None or isinstance(members, (list, tuple)) and len(members) == len(rngs)
+            and all(isinstance(f, field) for f in members))):
         raise UsageError(f"{check_id} needs one or more generators" + (
             "" if field is None else f" and as many fields of its kind, {field.__name__}"))
+    return tc.number(tol, f"{check_id}: tol", 0.0), members, [
+        tc.number(v, f"{check_id}: mu", 0.0) if n == "mu" else v for n, v in zip(needs, values)]
 
 
 def _sampled(check_id: str, tol: float, field: Optional[type] = FlowField, needs: tuple = ()):
     """Declare a check: enter ``CheckSpec(kernel.__name__, tol, field, needs)`` in
     ``CHECKS`` as check_id, and turn the kernel into the public check of the same
     name, ``(frame, *inputs, box, samples, rng, fd, tol)``: inputs are ``(field,
-    *needs)``, or the needs of a frame-only check.  An input of the wrong kind (see
-    ``_group``), or bad samples, box or tol, raises UsageError.
+    *needs)``, or the needs of a frame-only check.  Inputs of the wrong kind or count
+    (see ``_group``), or bad samples, box, tol or mu, raise UsageError before it samples.
 
     rng may also be a sequence of generators, with a check's field a sequence
     of as many fields of its kind: a group, whose members share the frame and
@@ -172,10 +179,9 @@ def _sampled(check_id: str, tol: float, field: Optional[type] = FlowField, needs
                   samples=100, rng: np.random.Generator, fd: FdConfig = DEFAULT_FD,
                   tol=tol):
             samples = tc.integer(samples, "samples", 1)
-            fields, *values = inputs if field else (None, *inputs)
             single = not isinstance(rng, (list, tuple))
-            rngs, members = ((rng,), (fields,)) if single else (tuple(rng), fields)
-            _group(check_id, field, needs, frame, fd, values, members, rngs)
+            rngs = (rng,) if single else tuple(rng)
+            tol, members, values = _group(check_id, frame, fd, tol, inputs, rngs, single)
             xs, ts = sample_points(box, samples, rngs)
             group = field_group(members, samples) if field else None
             observed = None if group is None else pull_back(frame, group)
@@ -264,7 +270,7 @@ def cauchy_traction(tau, n) -> np.ndarray:
     """Force per unit area on a surface with unit normal n: t_i = tau_ij n_j."""
     tau, n = tc.mat3(tau), tc.vec3(n, batch=True)
     norm = np.linalg.norm(n, axis=-1)
-    worst = float(np.ravel(norm)[np.argmax(np.abs(norm - 1.0))])
+    worst = float(np.ravel(norm)[np.argmax(np.abs(norm - 1.0))]) if norm.size else 1.0
     if abs(worst - 1.0) > 1e-6:
         raise UsageError(f"surface normal must be a unit vector (|n| = {worst})")
     if abs(worst - 1.0) > 1e-12:
@@ -288,8 +294,10 @@ def check_stress_tensor_transform(tau_in_s, alpha,
     computed wholly with unprimed components, must equal alpha.T @ tau @ alpha.
     Each (tau, alpha) pair of the (..., 3, 3) stacks is one sample.
     """
-    tau = tc.mat3(tau_in_s)
+    tau, tol = tc.mat3(tau_in_s), tc.number(tol, "tol", 0.0)
     faces = tc.transpose(tc.orthonormalized(alpha))   # row j2: e'_{j2}, in s; repaired once
+    if not (tau.size and faces.size):   # a residual over no samples has no maximum
+        raise UsageError("check_stress_tensor_transform needs at least one (tau, alpha) pair")
     traction = cauchy_traction(tau[..., None, :, :], faces)   # row j2: its traction
     physical = tc.transpose(tc.matvec(faces[..., None, :, :], traction))
     return _result("stress_transform",
@@ -298,13 +306,13 @@ def check_stress_tensor_transform(tau_in_s, alpha,
 
 def _newtonian(p, mu: float, j) -> np.ndarray:
     """tau = -p I + 2 mu D from pressures (...) and velocity gradients j
-    (..., 3, 3) through their strain rates D, with p and j not validated."""
-    mu = tc.number(mu, "dynamic viscosity", 0.0)
+    (..., 3, 3) through their strain rates D, with p, mu and j not validated."""
     return np.multiply.outer(p, -np.eye(3)) + 2.0 * mu * diffops._strain_rate(j)
 
 
 def newtonian_stress(p, mu: float, j) -> np.ndarray:
-    """Cauchy stress -p I + 2 mu D, (..., 3, 3), as ``_newtonian``, with p and j validated."""
+    """Cauchy stress -p I + 2 mu D, (..., 3, 3), as ``_newtonian``, with p, mu and j validated."""
+    mu = tc.number(mu, "dynamic viscosity", 0.0)
     return _newtonian(tc._finite(p, (), True), mu, tc.mat3(j))
 
 
@@ -365,7 +373,6 @@ def check_ns_rhs_equivalence(s: SampleSet, p_field: ScalarField, force: BodyForc
     The primed side uses nested finite differences (second derivatives of
     the observed velocity), hence the looser default tolerance.
     """
-    mu = tc.number(mu, "dynamic viscosity", 0.0)
     observed_p = pull_back_scalar(s.frame, p_field)
     rhs_s = inertial_ns_rhs(s.field, p_field, force, mu, s.xs, s.ts)
     rhs_sp = (-diffops.fd_gradient(observed_p, s.xp, s.ts, s.fd)

@@ -120,7 +120,7 @@ class Scenario:
         object.__setattr__(self, "_built", (frames, fields, values))   # not a field: not echoed
 
     def tolerance(self, check_id: str) -> float:
-        return float(self.tolerances.get(check_id, obj.CHECKS[check_id].tol))
+        return self.tolerances.get(check_id, obj.CHECKS[check_id].tol)   # read when made
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,8 @@ def _entry(noun: str, catalog, item, what: str) -> tuple:
         raise ScenarioError(f"unknown {noun} id {name!r}; valid ids: {sorted(catalog)}")
     if not isinstance(params := {} if params is None else params, dict):   # only null means none
         raise ScenarioError(f"'params' for {noun} {name!r} must be a mapping")
-    _numbers(list(params.values()), f"bad parameters for {noun} {name!r}")   # the alias guard
-    return str(name), _plain(params)
+    values = _plain(list(params.values()), f"bad parameters for {noun} {name!r}")
+    return str(name), dict(zip(params, values))
 
 
 def _built(noun: str, make, name: str, params: dict):
@@ -180,34 +180,28 @@ def _list_of(entry, value, what: str) -> tuple:
     return tuple(entry(item, f"a {what} entry") for item in value)
 
 
-def _numbers(value, what: str):
-    """value, if its lists and mappings (keys too) hold only numbers, else ScenarioError."""
-    pending = [value]
-    for _ in range(MAX_VALUES):
-        v = pending.pop()
-        if isinstance(v, (dict, list, tuple)):
-            pending += [*v, *v.values()] if isinstance(v, dict) else v
-        elif not tc.is_number(v):
-            raise ScenarioError(f"{what}: parameter values must be finite numbers, "
-                                "not booleans or strings")
-        if not pending:
-            return value
-    raise ScenarioError(f"{what}: more than {MAX_VALUES} numbers, lists and mappings in one value")
-
-
 def _order(value, what: str) -> int:
     if not tc.is_number(value, integer=True) or value not in _OFFSETS:   # diffops' orders
         raise ScenarioError(f"{what} must be one of {sorted(_OFFSETS)}, got {value!r}")
     return int(value)
 
 
-def _plain(value):
-    """A copy of value checked by _numbers, with each numpy number as Python's (so a
-    report's scenario is plain JSON and YAML data); its lists, tuples and mappings rebuilt."""
+def _plain(value, what: str, budget=None):
+    """A copy of value, if its lists and mappings (keys too) hold only numbers and it has at
+    most MAX_VALUES numbers, lists and mappings (budget: the count left, shared by one walk's
+    calls), else ScenarioError; each numpy number as Python's, for plain JSON and YAML data."""
+    budget = iter(range(MAX_VALUES)) if budget is None else budget
+    if next(budget, None) is None:   # the alias guard: a YAML alias may expand without end
+        raise ScenarioError(f"{what}: more than {MAX_VALUES} numbers, lists and mappings "
+                            "in one value")
+    walk = partial(_plain, what=what, budget=budget)
     if isinstance(value, dict):
-        return {_plain(k): _plain(v) for k, v in value.items()}
+        return {walk(k): walk(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return (list if isinstance(value, list) else tuple)(map(_plain, value))
+        return (list if isinstance(value, list) else tuple)(map(walk, value))
+    if not tc.is_number(value):
+        raise ScenarioError(f"{what}: parameter values must be finite numbers, "
+                            "not booleans or strings")
     return int(value) if isinstance(value, np.integer) else (
         float(value) if isinstance(value, np.floating) else value)
 
@@ -220,7 +214,7 @@ def _vector(value, what: str) -> tuple:
 
 def _box(value, what: str) -> tuple:
     try:   # the walk guards the cast, which reads the nesting: [lo, hi] or three pairs
-        box = np.asarray(_numbers(value, what), dtype=float)
+        box = np.asarray(_plain(value, what), dtype=float)
         return obj.box_pairs(np.tile(box, (3, 1)) if box.shape == (2,) else box)
     except (UsageError, TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{what} must be [lo, hi] or three [lo, hi] pairs of numbers "

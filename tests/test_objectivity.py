@@ -186,8 +186,23 @@ class TestCauchyTraction:
             t = cauchy_traction(2 * np.eye(3), n)
         assert np.allclose(t, [2.0, 0.0, 0.0], atol=1e-6)
 
+    @pytest.mark.parametrize("tau", [np.eye(3), np.zeros((0, 3, 3))])
+    def test_empty_batch_of_normals_gives_no_tractions(self, tau):
+        # As every other transform does for an empty batch.
+        assert cauchy_traction(tau, np.zeros((0, 3))).shape == (0, 3)
+
 
 class TestStressTransform:
+    @pytest.mark.parametrize("tau, alpha", [(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))),
+                                            (np.eye(3), np.zeros((0, 3, 3))),
+                                            (np.zeros((0, 3, 3)), np.eye(3))],
+                             ids=["both", "no-alpha", "no-tau"])
+    def test_empty_stack_is_refused_in_one_line(self, tau, alpha):
+        # A residual over no samples has no maximum.
+        with pytest.raises(UsageError, match="at least one") as refused:
+            obj.check_stress_tensor_transform(tau, alpha)
+        assert "\n" not in str(refused.value)
+
     def test_identity_rotation_zero_residual(self):
         tau = np.arange(9.0).reshape(3, 3)
         r = obj.check_stress_tensor_transform(tau, np.eye(3))
@@ -328,9 +343,23 @@ class TestRotationEntersOnce:
         assert calls["check_orthogonality"] == calls["orthonormalized"]
 
 
+def check_inputs(check_id):
+    """check_id's inputs after the frame, as a list: taylor_green (gaussian_T
+    for a scalar check, no field for a frame-only check), then the scenario
+    defaults as its needs."""
+    spec = obj.CHECKS[check_id]
+    fields = {FlowField: builtin_flows()["taylor_green"],
+              ScalarField: builtin_scalars()["gaussian_T"]}
+    values = {"p_field": builtin_scalars()["gaussian_T"], "mu": 0.7,
+              "force": BodyForce(g=np.array([0.0, 0.0, -9.81]), rho=1.0)}
+    field = [fields[spec.field]] if spec.field else []
+    return field + [values[name] for name in spec.needs]
+
+
 def _misread_inputs():
     """Per case, a call of a public check, given its generator, on an input of
-    the wrong kind: the driver refuses it before it samples."""
+    the wrong kind, a misread number or a wrong count of inputs: the driver
+    refuses it before it samples."""
     frame, flow = builtin_frames()["wobble"], builtin_flows()["taylor_green"]
     pressure, force = builtin_scalars()["gaussian_T"], BodyForce(g=np.zeros(3), rho=1.0)
     return {
@@ -351,7 +380,34 @@ def _misread_inputs():
             frame, flow, samples=3, rng=rng),
         "single-no-generator": lambda rng: obj.check_divergence_invariance(
             frame, flow, samples=3, rng=None),
+        **_misread_numbers_and_counts(),
     }
+
+
+def _misread_numbers_and_counts():
+    """Per case, a call of a public check, given its generator, on a tol or mu
+    that is no number >= 0, or with an input after the frame too few or too
+    many: each check that takes the input, with its other inputs valid."""
+    frame, pressure = builtin_frames()["wobble"], builtin_scalars()["gaussian_T"]
+
+    def call(check_id, inputs, **kwargs):
+        check = getattr(obj, obj.CHECKS[check_id].function)
+        return lambda rng: check(frame, *inputs, samples=3, rng=rng, **kwargs)
+
+    calls = {}
+    for check_id, spec in obj.CHECKS.items():
+        inputs = check_inputs(check_id)
+        for case, tol in {"string": "x", "negative": -1.0, "nan": float("nan")}.items():
+            calls[f"{check_id}-tol-{case}"] = call(check_id, inputs, tol=tol)
+        if "mu" in spec.needs:
+            at = len(inputs) - len(spec.needs) + spec.needs.index("mu")
+            for case, mu in {"string": "abc", "true": True, "negative": -1.0}.items():
+                calls[f"{check_id}-mu-{case}"] = call(
+                    check_id, inputs[:at] + [mu] + inputs[at + 1:])
+        if inputs:
+            calls[f"{check_id}-missing-input"] = call(check_id, inputs[:-1])
+        calls[f"{check_id}-extra-input"] = call(check_id, inputs + [pressure])
+    return calls
 
 
 def _bad_inputs():
@@ -458,18 +514,13 @@ def test_fd_step_is_refused_by_its_reach_not_its_size():
 
 def public_check(check_id, members=0, **kwargs):
     """check_id's public check at 5 samples (unless kwargs say otherwise)
-    under wobble, on taylor_green (a scalar check on gaussian_T; a frame-only
-    check on no field), with the scenario defaults as its needs; with members,
-    a group call on that many copies of the field, each with its own generator."""
-    spec = obj.CHECKS[check_id]
-    fields = {FlowField: builtin_flows()["taylor_green"],
-              ScalarField: builtin_scalars()["gaussian_T"]}
-    values = {"p_field": builtin_scalars()["gaussian_T"], "mu": 0.7,
-              "force": BodyForce(g=np.array([0.0, 0.0, -9.81]), rho=1.0)}
-    field = fields.get(spec.field)
-    inputs = [] if field is None else [[field] * members] if members else [field]
+    under wobble, on its ``check_inputs``; with members, a group call on that
+    many copies of the field, each with its own generator."""
+    spec, inputs = obj.CHECKS[check_id], check_inputs(check_id)
+    if members and spec.field:
+        inputs[0] = [inputs[0]] * members
     return getattr(obj, spec.function)(
-        builtin_frames()["wobble"], *inputs, *(values[name] for name in spec.needs),
+        builtin_frames()["wobble"], *inputs,
         rng=[seeded() for _ in range(members)] if members else seeded(),
         **{"samples": 5, **kwargs})
 

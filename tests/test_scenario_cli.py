@@ -145,6 +145,7 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
     "boolean_pressure_param": "pressure: {name: gaussian_T, params: {width: yes}}\n",
     "boolean_box": "box: [no, yes]\n",
     "self_containing_box": "box: &box [*box, 1]\n",
+    "self_containing_box_at_its_end": "box: &b [0.0, *b]\n",
     "nested_aliases_box": f"box: {nested_aliases()}\n",
     # A quoted number is a string wherever a number is expected.
     "quoted_fd_step": "fd: {h: '1.0e-3'}\n",
@@ -189,6 +190,11 @@ MALFORMED = {case: MINIMAL + tail for case, tail in {
         fields="[{name: uniform, params: {velocity: &v [*v, 0, 0]}}]"),
     "nested_aliases_field_velocity": document(
         fields=f"[{{name: uniform, params: {{velocity: {nested_aliases()}}}}}]"),
+    # Values that contain themselves, after a number: the walk stops at its budget.
+    "self_containing_field_velocity_at_its_end": document(
+        fields="[{name: uniform, params: {velocity: &v [1.0, *v]}}]"),
+    "self_containing_coefficient_mapping": document(
+        frames="[{name: accelerated_translation, params: {coeffs: &c {1: [0.0, *c]}}}]"),
     "quoted_frame_rate": document(
         frames="[{name: constant_rotation, params: {axis: [0, 0, 1], rate: '0.5'}}]"),
     "quoted_angle_coefficient": document(
@@ -268,6 +274,14 @@ OWN_REASON = {
     "nested_aliases_box": "'box' must be [lo, hi]",
     "nested_aliases_field_velocity":
         "bad parameters for field 'uniform': more than 64 numbers, lists and mappings",
+    "self_containing_box": "'box' must be [lo, hi]",
+    "self_containing_box_at_its_end": "'box' must be [lo, hi]",
+    "self_containing_field_velocity":
+        "bad parameters for field 'uniform': more than 64 numbers, lists and mappings",
+    "self_containing_field_velocity_at_its_end":
+        "bad parameters for field 'uniform': more than 64 numbers, lists and mappings",
+    "self_containing_coefficient_mapping":
+        "bad parameters for frame 'accelerated_translation': more than 64 numbers, lists and",
     "too_many_samples": "'samples' must be an integer >= 1 and <= 1,000,000, got 1000001",
     "quoted_fd_step": "'fd.h' must be a finite number > 0, got '1.0e-3'",
     "quoted_box_bound": "'box' must be [lo, hi]",

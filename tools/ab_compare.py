@@ -21,10 +21,11 @@ report is dropped, both above the memory traced before it; as exact as the
 call counts), each side's minor page faults and system time over one
 ``run_suite`` in a fresh process (the median of five per side, A and B
 alternating, each after a samples=1 warm-up: what the allocator's state,
-which the sides share in this process, hides), and how B's first report
-differs from A's (``tools/compare_reports.py``).  The workload
-is one of perfbench's seeded documents (default: ``full_matrix`` at seed
-42).  Needs git and no network; it is not part of the test suite.
+which the sides share in this process, hides; and each side's system time
+summed over its five, which the system clock's ticks of a few ms blur less
+than a median), and how B's first report differs from A's
+(``tools/compare_reports.py``).  The workload is one of perfbench's seeded
+documents (default: ``full_matrix`` at seed 42).  Needs git and no network; it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -171,10 +172,12 @@ def main(argv=None) -> int:
           f"A/A {statistics.median(a2):.4f}")
     print(f"run_suite calls per row: A {calls['framekit_a']:.1f}, "
           f"B {calls['framekit_b']:.1f}, A/A {calls['framekit_a2']:.1f}")
+    pair = (("A", "framekit_a"), ("B", "framekit_b"))
     print(f"fresh-process run_suite, median of {FRESH_RUNS}, minor faults / sys ms: " + ", ".join(
         f"{label} {statistics.median(f for f, _ in fresh[name]):.0f} / "
-        f"{1e3 * statistics.median(s for _, s in fresh[name]):.1f}"
-        for label, name in (("A", "framekit_a"), ("B", "framekit_b"))))
+        f"{1e3 * statistics.median(s for _, s in fresh[name]):.1f}" for label, name in pair)
+        + f"; sys ms summed over the {FRESH_RUNS}: " + ", ".join(
+            f"{label} {1e3 * sum(s for _, s in fresh[name]):.1f}" for label, name in pair))
     print("run_suite tracemalloc peak / held after, MB: " + ", ".join(
         f"{label} {memory[name][0]:.2f} / {memory[name][1]:.2f}" for label, name in
         (("A", "framekit_a"), ("B", "framekit_b"), ("A/A", "framekit_a2"))))
