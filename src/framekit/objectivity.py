@@ -269,6 +269,7 @@ def check_vorticity_relation(s: SampleSet):
 def cauchy_traction(tau, n) -> np.ndarray:
     """Force per unit area on a surface with unit normal n: t_i = tau_ij n_j."""
     tau, n = tc.mat3(tau), tc.vec3(n, batch=True)
+    tc.batch_shape(tau.shape[:-2], n.shape[:-1])
     norm = np.linalg.norm(n, axis=-1)
     worst = float(np.ravel(norm)[np.argmax(np.abs(norm - 1.0))]) if norm.size else 1.0
     if abs(worst - 1.0) > 1e-6:
@@ -298,6 +299,7 @@ def check_stress_tensor_transform(tau_in_s, alpha,
     faces = tc.transpose(tc.orthonormalized(alpha))   # row j2: e'_{j2}, in s; repaired once
     if not (tau.size and faces.size):   # a residual over no samples has no maximum
         raise UsageError("check_stress_tensor_transform needs at least one (tau, alpha) pair")
+    tc.batch_shape(tau.shape[:-2], faces.shape[:-2])
     traction = cauchy_traction(tau[..., None, :, :], faces)   # row j2: its traction
     physical = tc.transpose(tc.matvec(faces[..., None, :, :], traction))
     return _result("stress_transform",
@@ -313,7 +315,9 @@ def _newtonian(p, mu: float, j) -> np.ndarray:
 def newtonian_stress(p, mu: float, j) -> np.ndarray:
     """Cauchy stress -p I + 2 mu D, (..., 3, 3), as ``_newtonian``, with p, mu and j validated."""
     mu = tc.number(mu, "dynamic viscosity", 0.0)
-    return _newtonian(tc._finite(p, (), True), mu, tc.mat3(j))
+    p, j = tc._finite(p, (), True), tc.mat3(j)
+    tc.batch_shape(p.shape, j.shape[:-2])
+    return _newtonian(p, mu, j)
 
 
 @_sampled("constitutive_invariance", 1e-6, needs=("p_field", "mu"))

@@ -127,7 +127,7 @@ class Scenario:
 class Report:
     """Suite outcome: one row per executed (frame, field, check) triple."""
     scenario: dict
-    results: tuple           # of row dicts
+    results: tuple           # of row dicts, each as the JSON report writes it
     passed: bool
     wall_time_s: float
     version: str = VERSION
@@ -309,17 +309,19 @@ def _results(call, members) -> list:
 
 
 def _row(frame: str, field: str, check_id: str, res, tol: float) -> dict:
-    """The report row of a triple from its CheckResult, or from the exception
+    """The report row of a triple, as its JSON says it, from its CheckResult (a number
+    that is not finite as None, since JSON has no nan or inf), or from the exception
     its call raised (an 'error' row)."""
     row = {"frame": frame, "field": field, "check": check_id}
     if isinstance(res, Exception):
         row.update(samples=0, max_abs_err=None, mean_abs_err=None, tol=tol, witness=None,
                    status="error", message=f"{type(res).__name__}: {res}")
         return row
-    row.update(samples=res.samples, max_abs_err=res.max_abs_err,
-               mean_abs_err=res.mean_abs_err, tol=res.tol, witness=res.witness,
-               status="pass" if res.passed else "fail")
-    if not (math.isfinite(res.max_abs_err) and math.isfinite(res.mean_abs_err)):
+    mx, mean, wit = [v if v is None or math.isfinite(v) else None
+                     for v in (res.max_abs_err, res.mean_abs_err, res.witness)]
+    row.update(samples=res.samples, max_abs_err=mx, mean_abs_err=mean, tol=res.tol,
+               witness=wit, status="pass" if res.passed else "fail")
+    if mx is None or mean is None:
         row["message"] = "non-finite residual: the check's arithmetic overflowed"
     return row
 
@@ -348,15 +350,13 @@ def run_suite(scenario: Scenario) -> Report:
                 members = [(gi, *m) for gi, m in enumerate(fields)
                            if isinstance(m[1], spec.field or FlowField)]
 
-                def call(group):
-                    # Looked up per call, so that a patched module attribute is what runs;
-                    # each generator is default_rng's of the key, built without its checks.
+                def call(group):   # looked up per call, so that a patched attribute runs
                     return getattr(obj, spec.function)(
                         frame, *([[f for _, _, f in group]] if spec.field else []),
                         *(values[name] for name in spec.needs), box=box,
                         samples=scenario.samples, fd=scenario.fd, tol=tol,
-                        rng=[np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-                            [scenario.seed, fi, gi, ci]))) for gi, _, _ in group])
+                        rng=[np.random.default_rng((scenario.seed, fi, gi, ci))
+                             for gi, _, _ in group])
 
                 for first in range(0, len(members), per_call):
                     for (gi, gname, _), res in _results(call, members[first:first + per_call]):
@@ -372,22 +372,13 @@ def run_suite(scenario: Scenario) -> Report:
 # Report emission
 # --------------------------------------------------------------------------
 
-def _jsonable(value):
-    """value with every non-finite float as None, since JSON has no nan or inf."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
 def _report_json(report: Report, include_wall_time: bool) -> str:
     out = {"version": report.version, "scenario": report.scenario,
            "results": list(report.results),
            "suite_verdict": "pass" if report.passed else "fail"}
     if include_wall_time:
         out["wall_time_s"] = report.wall_time_s
-    return json.dumps(_jsonable(out), indent=2, allow_nan=False) + "\n"
+    return json.dumps(out, indent=2, allow_nan=False) + "\n"
 
 
 def canonical_report_json(report: Report) -> str:
@@ -397,7 +388,8 @@ def canonical_report_json(report: Report) -> str:
 
 def emit_report(report: Report, format: str = "json") -> str:
     """Render a report as JSON (stable key order, shortest round-trip float
-    text) or as a human-readable table."""
+    text) or as a human-readable table.  JSON has no nan or inf: a report
+    holding one (run_suite's rows hold None) raises json's ValueError."""
     if format == "json":
         return _report_json(report, include_wall_time=True)
     if format != "table":

@@ -1,7 +1,8 @@
 """3-vector / 3x3-matrix arithmetic and component transforms.
 
 Transforms act on stacks: vectors of shape (..., 3) and matrices of shape
-(..., 3, 3), with the leading axes broadcast against each other.
+(..., 3, 3), with the leading axes broadcast against each other
+(``batch_shape`` refuses, in one line, batch shapes that do not broadcast).
 
 Two orthonormal frames are related by the direction-cosine matrix
 ``alpha`` with ``alpha[i, j] = e_i . e'_j`` (0-based storage; all public
@@ -96,6 +97,15 @@ def vec3(components, batch: bool = False) -> np.ndarray:
 def mat3(entries) -> np.ndarray:
     """Validate a finite float stack of 3x3 matrices, shape (..., 3, 3)."""
     return _finite(entries, (3, 3), True)
+
+
+def batch_shape(*shapes) -> tuple:
+    """The broadcast of validated stacks' batch shapes (their leading axes), or
+    UsageError naming them, not numpy's remapped shapes."""
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise UsageError(f"batch shapes {', '.join(map(str, shapes))} do not broadcast") from None
 
 
 def transpose(a) -> np.ndarray:
@@ -197,12 +207,16 @@ def congruence(t, a) -> np.ndarray:
 
 def transform_tensor2(t_in_s, alpha) -> np.ndarray:
     """Primed components of a second-order tensor: T' = alpha.T @ T @ alpha."""
-    return congruence(mat3(t_in_s), transpose(require_rotation(alpha)[0]))
+    t, a = mat3(t_in_s), require_rotation(alpha)[0]
+    batch_shape(t.shape[:-2], a.shape[:-2])
+    return congruence(t, transpose(a))
 
 
 def untransform_tensor2(t_in_sprime, alpha) -> np.ndarray:
     """Unprimed components from primed ones: T = alpha @ T' @ alpha.T."""
-    return congruence(mat3(t_in_sprime), require_rotation(alpha)[0])
+    t, a = mat3(t_in_sprime), require_rotation(alpha)[0]
+    batch_shape(t.shape[:-2], a.shape[:-2])
+    return congruence(t, a)
 
 
 def skew(w) -> np.ndarray:

@@ -453,6 +453,8 @@ def _bad_inputs():
         "newtonian-p-true": lambda: newtonian_stress(True, 0.5, np.eye(3)),
         "divergence-bool-and-string": lambda: diffops.divergence(
             [[True, 0, 0], [0, "1", 0], [0, 0, 1]]),
+        # Stacks whose batch shapes do not broadcast against each other.
+        **{f"{name}-batch-shapes": call for name, call in _unbroadcast_calls().items()},
     }
     # The viscosity by the number rule, as the constitutive check reads it:
     # a boolean, a negative, a NaN and a string are refused, not run.
@@ -481,6 +483,32 @@ def _bad_inputs():
         frame, [scalar, flow], samples=3, rng=[seeded(), seeded()])
     calls.update({case: partial(call, seeded()) for case, call in _misread_inputs().items()})
     return cases + [pytest.param(call, id=case) for case, call in calls.items()]
+
+
+def _unbroadcast_calls():
+    """A call of each public tensor-law function on stacks of 4 and of 3."""
+    taus, alphas = np.zeros((4, 3, 3)), np.stack([np.eye(3)] * 3)
+    return {"transform": lambda: tc.transform_tensor2(taus, alphas),
+            "untransform": lambda: tc.untransform_tensor2(taus, alphas),
+            "traction": lambda: obj.cauchy_traction(taus, np.tile([1.0, 0.0, 0.0], (3, 1))),
+            "stress-transform": lambda: obj.check_stress_tensor_transform(taus, alphas),
+            "newtonian": lambda: newtonian_stress(np.zeros(4), 1.0, np.zeros((3, 3, 3)))}
+
+
+@pytest.mark.parametrize("name", _unbroadcast_calls())
+def test_unbroadcast_batch_shapes_are_named_in_one_line(name):
+    with pytest.raises(UsageError, match=r"^batch shapes \(4,\), \(3,\) do not broadcast$"):
+        _unbroadcast_calls()[name]()
+
+
+def test_batch_shapes_that_broadcast_still_do():
+    # One alpha for many tensors, one normal for many stresses, one pressure.
+    taus = np.arange(36.0).reshape(4, 3, 3)
+    assert np.array_equal(tc.transform_tensor2(taus, np.eye(3)), taus)
+    assert np.array_equal(tc.untransform_tensor2(taus, np.eye(3)[None]), taus)
+    assert np.array_equal(obj.cauchy_traction(taus, [1.0, 0.0, 0.0]), taus[..., 0])
+    assert obj.check_stress_tensor_transform(taus, np.eye(3)).samples == 4
+    assert newtonian_stress(2.0, 1.0, np.zeros((3, 3, 3))).shape == (3, 3, 3)
 
 
 @pytest.mark.parametrize("call", _bad_inputs())

@@ -5,6 +5,7 @@ import json
 import re
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,21 @@ tolerances: {strain_rate_invariance: 1.0e-3}
 def document(frames="[identity]", fields="[uniform]", checks="[div_invariance]"):
     """A whole scenario document: MINIMAL with one of its lists replaced."""
     return f"frames: {frames}\nfields: {fields}\nchecks: {checks}\n"
+
+
+# Overflowing documents, each with its number of rows: an overflowing field (its FD strain
+# rate and Newtonian stress too), then a finite one whose Newtonian stress overflows (CI's
+# two), then one whose residuals are each finite, but not their mean.
+OVERFLOWS = {
+    "frames: [identity]\nfields: [{name: shear, params: {rate: 1.0e308}}]\n"
+    "checks: [div_invariance, ns_rhs_equivalence, strain_rate_invariance,"
+    " constitutive_invariance]\nsamples: 5\n": 4,
+    "frames: [identity]\nfields: [taylor_green]\nchecks: [constitutive_invariance]\n"
+    "material: {mu: 1.0e308}\nsamples: 5\n": 1,
+    document(fields="[{name: taylor_green, params: {mod_amp: 1.0e+308}}]",
+             checks="[vorticity_relation]") + "samples: 2\nfd: {h: 1.0e+300, order: 2}\n": 1,
+}
+OVERFLOW_MESSAGE = "non-finite residual: the check's arithmetic overflowed"
 
 
 def nested_aliases(levels=9):
@@ -433,33 +449,40 @@ samples: 5
         row = json.loads(emit_report(report, "json"))["results"][0]
         assert row["status"] == "fail"
         assert row["max_abs_err"] is None
-        message = "non-finite residual: the check's arithmetic overflowed"
-        assert row["message"] == message
-        assert f"\n    {message}\n" in emit_report(report, "table")
+        assert row["message"] == OVERFLOW_MESSAGE
+        assert f"\n    {OVERFLOW_MESSAGE}\n" in emit_report(report, "table")
 
     def test_an_overflowed_mean_carries_the_message(self):
         # Each residual finite, but not their mean: the row says so as well.
-        s = parse_scenario(document(fields="[{name: taylor_green, params: {mod_amp: 1.0e+308}}]",
-                                    checks="[vorticity_relation]")
-                           + "samples: 2\nfd: {h: 1.0e+300, order: 2}\n")
-        row = json.loads(emit_report(run_suite(s), "json"))["results"][0]
+        row = json.loads(emit_report(run_suite(parse_scenario(list(OVERFLOWS)[2])), "json"))
+        row = row["results"][0]
         assert row["max_abs_err"] is not None and row["mean_abs_err"] is None
-        assert row["message"] == "non-finite residual: the check's arithmetic overflowed"
+        assert row["message"] == OVERFLOW_MESSAGE
+
+    @pytest.mark.parametrize("text", [
+        (Path(__file__).parent.parent / "scenarios" / "full_matrix.yaml").read_text()
+        .replace("\nsamples: 100\n", "\nsamples: 5\n"), *OVERFLOWS], ids=[
+        "full_matrix", "overflow", "overflow-stress", "overflow-mean"])
+    def test_rows_are_what_the_json_says(self, text):
+        # A row is made in its emitted form: an overflow is None in both.
+        report = run_suite(parse_scenario(text))
+        assert json.loads(emit_report(report, "json"))["results"] == list(report.results)
+
+    @pytest.mark.parametrize("text", list(OVERFLOWS)[:2], ids=["overflow", "overflow-stress"])
+    def test_an_overflow_row_prints_a_dash(self, text):
+        table = emit_report(run_suite(parse_scenario(text)), "table")
+        rows = table.splitlines()[2:-1]
+        assert rows[1::2] == [f"    {OVERFLOW_MESSAGE}"] * (len(rows) // 2)
+        assert all(row.split()[3] == "-" for row in rows[::2])
+        assert "nan" not in table and "inf" not in table
 
     def test_overflow_rows_do_not_depend_on_the_warnings_filter(self):
         # An overflow is reported by its row, so a caller's -W error or
         # np.seterr(all="raise") must not turn that row into an "error" row:
         # an overflowing field (its FD strain rate and Newtonian stress too),
         # then a finite one whose Newtonian stress overflows.
-        documents = {
-            "fields: [{name: shear, params: {rate: 1.0e308}}]\n"
-            "checks: [div_invariance, ns_rhs_equivalence, strain_rate_invariance,"
-            " constitutive_invariance]\n": 4,
-            "fields: [taylor_green]\nchecks: [constitutive_invariance]\n"
-            "material: {mu: 1.0e308}\n": 1,
-        }
-        for text, rows in documents.items():
-            s = parse_scenario(f"frames: [identity]\n{text}samples: 5\n")
+        for text, rows in list(OVERFLOWS.items())[:2]:
+            s = parse_scenario(text)
 
             def report(numpy_policy, warnings_policy):
                 with warnings.catch_warnings(), np.errstate(all=numpy_policy):
@@ -467,8 +490,8 @@ samples: 5
                     return run_suite(s)
 
             quiet = report("warn", "ignore")
-            message = "non-finite residual: the check's arithmetic overflowed"
-            assert [(r["status"], r["message"]) for r in quiet.results] == [("fail", message)] * rows
+            assert [(r["status"], r["message"]) for r in quiet.results] == [
+                ("fail", OVERFLOW_MESSAGE)] * rows
             for loud in (report("warn", "error"), report("raise", "ignore")):
                 assert canonical_report_json(loud) == canonical_report_json(quiet)
 
@@ -687,16 +710,15 @@ class TestEmitReport:
         return Report(scenario=scenario or {}, results=(row,), passed=False,
                       wall_time_s=0.0)
 
-    def test_non_finite_residual_is_null(self):
-        # Built directly: running an overflowing scenario under
-        # -W error::RuntimeWarning would give an error row instead.
-        report = self.one_row_report(scenario={"box": [(float("nan"), 1.0)]},
-                                     max_abs_err=float("nan"), mean_abs_err=float("inf"))
-        for text in (emit_report(report, "json"), canonical_report_json(report)):
-            parsed = json.loads(text)
-            assert parsed["results"][0]["max_abs_err"] is None
-            assert parsed["results"][0]["mean_abs_err"] is None
-            assert parsed["scenario"]["box"] == [[None, 1.0]]
+    def test_a_non_finite_number_cannot_be_emitted(self):
+        # run_suite writes an overflow as None; a report built by hand with
+        # a NaN or an infinity in it is no JSON report, and is not emitted.
+        for report in (self.one_row_report(max_abs_err=float("nan")),
+                       self.one_row_report(mean_abs_err=float("inf")),
+                       self.one_row_report(scenario={"box": [(float("nan"), 1.0)]})):
+            for emit in (partial(emit_report, format="json"), canonical_report_json):
+                with pytest.raises(ValueError, match="not JSON compliant"):
+                    emit(report)
 
     def test_float_text_is_its_repr(self):
         # The shortest text that reads back as the same float.
